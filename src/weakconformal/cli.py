@@ -116,17 +116,40 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 # --- mbest -----------------------------------------------------------------
 
 
+def _mbest_field(payload: dict, name: str, build):
+    """build(array) from one numeric field, with errors that name the field."""
+    try:
+        arr = np.array(payload[name], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(
+            f"mbest input: {name!r} must be numbers in a regular (not ragged) array"
+        ) from exc
+    try:
+        return build(arr)
+    except ValueError as exc:
+        raise FormatError(f"mbest input: {name!r}: {exc}") from exc
+
+
 def _mbest_problem(path: str):
     if path.endswith(".csv"):
         return MatchingProblem(read_cost_csv(path))
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise FormatError("mbest input must be a JSON object with a 'relevances' or 'costs' key")
     if "relevances" in payload:
-        psi_spec = payload.get("psi", {"kind": "hinge"})
-        psi = PsiSpec(psi_spec.get("kind", "hinge"), float(psi_spec.get("c", 0.0)))
-        return RankingProblem(np.array(payload["relevances"], dtype=float), psi)
+        psi_spec = payload.get("psi", {})
+        if not isinstance(psi_spec, dict):
+            raise FormatError(
+                "mbest input: 'psi' must be an object such as {\"kind\": \"hinge\"}"
+            )
+        try:
+            psi = PsiSpec(psi_spec.get("kind", "hinge"), float(psi_spec.get("c", 0.0)))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"mbest input: 'psi': {exc}") from exc
+        return _mbest_field(payload, "relevances", lambda r: RankingProblem(r, psi))
     if "costs" in payload:
-        return MatchingProblem(np.array(payload["costs"], dtype=float))
+        return _mbest_field(payload, "costs", MatchingProblem)
     raise FormatError("mbest input needs a 'relevances' or 'costs' key")
 
 

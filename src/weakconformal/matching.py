@@ -4,16 +4,19 @@ An assignment over k agents/positions is a permutation y with y[u] the
 position of agent u; its score is the sum of the chosen cost entries. The
 solver is the O(k^3) shortest-augmenting-path Hungarian with row/column
 potentials and supports forced pairs (contracted out of the problem) and
-forbidden pairs (priced at a dominating sentinel, with a feasibility check
-on the way out). That is exactly what the partition backend needs: a cell
-of assignment space is "these pairs forced, those pairs forbidden", its
-best is one constrained solve, and its second-best is the cheapest solve
-over single-edge exclusions of the best.
+forbidden pairs (absent from the solve). The partition backend uses it once
+per enumeration: a cell of assignment space is "these pairs forced, those
+pairs forbidden", and it carries dual potentials that are optimal for its
+best. Its second-best is found by reoptimisation (Murty's method as sped up
+by Miller, Stone & Cox and by Pedersen, Nielsen & Andersen): excluding one
+edge of the best costs one shortest augmenting path over the reduced costs,
+so a whole cell costs O(k^3), and each child cell inherits potentials from
+its parent instead of solving from scratch.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,9 +45,13 @@ def _as_cost_matrix(costs) -> np.ndarray:
     return arr
 
 
-def _solve_square(cost: list[list[float]]) -> tuple[list[int], float]:
+def _solve_square(
+    cost: list[list[float]],
+) -> tuple[list[int], list[float], list[float]] | None:
     # Shortest augmenting paths with potentials; rows added in index order,
-    # column ties broken by the lowest index.
+    # column ties broken by the lowest index. An infinite entry is an absent
+    # pair; None when the absent pairs leave no perfect matching. On return
+    # cost[i][j] - u[i] - v[j] >= 0, with equality on the assignment.
     n = len(cost)
     inf = math.inf
     u = [0.0] * (n + 1)
@@ -72,6 +79,8 @@ def _solve_square(cost: list[list[float]]) -> tuple[list[int], float]:
                     if minv[j] < delta:
                         delta = minv[j]
                         j1 = j
+            if delta == inf:
+                return None
             for j in range(n + 1):
                 if used[j]:
                     u[p[j]] += delta
@@ -88,8 +97,12 @@ def _solve_square(cost: list[list[float]]) -> tuple[list[int], float]:
     assignment = [0] * n
     for j in range(1, n + 1):
         assignment[p[j] - 1] = j - 1
-    total = sum(cost[i][assignment[i]] for i in range(n))
-    return assignment, total
+    return assignment, u[1:], v[1:]
+
+
+def _total(arr: np.ndarray, y: Sequence[int]) -> float:
+    # Row-order sum: every score the module reports is summed this way.
+    return float(sum(arr[uu, y[uu]] for uu in range(len(y))))
 
 
 def _check_constraints(
@@ -125,13 +138,12 @@ def hungarian(
 ) -> tuple[tuple[int, ...], float] | None:
     """Minimum-cost perfect matching under pair constraints.
 
-    Forced pairs are contracted out of the matrix; forbidden pairs get a
-    sentinel cost derived from the remaining entries' span so that any
-    assignment using one is worse than every clean assignment, and the
-    result is checked for sentinel use afterwards. Returns (assignment,
-    total cost on the original matrix), or None when no assignment satisfies
-    the constraints. Inconsistent constraints (non-injective forced pairs, a
-    pair both forced and forbidden) raise ValueError.
+    Forced pairs are contracted out of the matrix; forbidden pairs are
+    absent from the solve (infinite cost), so they never compete with
+    allowed pairs at any magnitude. Returns (assignment, total cost on the
+    original matrix, summed in row order), or None when no assignment
+    satisfies the constraints. Inconsistent constraints (non-injective
+    forced pairs, a pair both forced and forbidden) raise ValueError.
     """
     arr = _as_cost_matrix(costs)
     k = arr.shape[0]
@@ -144,28 +156,20 @@ def hungarian(
     for uu, vv in forced_map.items():
         full[uu] = vv
     if not free_rows:
-        return tuple(full), float(sum(arr[uu, full[uu]] for uu in range(k)))
+        return tuple(full), _total(arr, full)
 
-    m = len(free_rows)
-    sub = arr[np.ix_(free_rows, free_cols)]
-    lo = float(sub.min())
-    hi = float(sub.max())
-    sentinel = hi + (hi - lo) * m + 1.0
-    cost_list = sub.tolist()
-    blocked = []
-    for a, uu in enumerate(free_rows):
-        for b, vv in enumerate(free_cols):
-            if (uu, vv) in forbidden_set:
-                cost_list[a][b] = sentinel
-                blocked.append((a, b))
-    assignment, _ = _solve_square(cost_list)
-    for a, b in zip(range(m), assignment):
-        if cost_list[a][b] >= sentinel:
-            return None
-    for a, b in zip(range(m), assignment):
+    cost_list = arr[np.ix_(free_rows, free_cols)].tolist()
+    row_index = {uu: a for a, uu in enumerate(free_rows)}
+    col_index = {vv: b for b, vv in enumerate(free_cols)}
+    for uu, vv in forbidden_set:
+        if uu in row_index and vv in col_index:
+            cost_list[row_index[uu]][col_index[vv]] = math.inf
+    solved = _solve_square(cost_list)
+    if solved is None:
+        return None
+    for a, b in enumerate(solved[0]):
         full[free_rows[a]] = free_cols[b]
-    total = float(sum(arr[uu, full[uu]] for uu in range(k)))
-    return tuple(full), total
+    return tuple(full), _total(arr, full)
 
 
 def matching_score(costs, y: Sequence[int]) -> float:
@@ -248,7 +252,14 @@ def read_cost_csv(path: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatchingCell:
-    """Assignments containing all forced pairs and no forbidden pair."""
+    """Assignments containing all forced pairs and no forbidden pair.
+
+    ``duals`` are dual potentials (u, v) over all k rows and columns that
+    are optimal for ``best`` in this cell; ``second_duals`` are optimal for
+    ``second`` in the cell that also forbids (split_row, best[split_row]).
+    A split hands them to its two children, so no cell below the root
+    needs a cold solve.
+    """
 
     forced: tuple[tuple[int, int], ...]
     forbidden: frozenset[tuple[int, int]]
@@ -256,6 +267,13 @@ class MatchingCell:
     best_score: float
     second: tuple[int, ...] | None
     second_score: float | None
+    duals: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
+    second_duals: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
+    split_row: int | None = field(default=None, compare=False, repr=False)
 
     def contains(self, y: Sequence[int]) -> bool:
         y = tuple(int(v) for v in y)
@@ -284,75 +302,160 @@ class MatchingProblem:
         forced: tuple[tuple[int, int], ...],
         forbidden: frozenset[tuple[int, int]],
         best: tuple[int, ...],
-    ) -> tuple[tuple[int, ...] | None, float | None]:
+        duals: tuple[np.ndarray, np.ndarray],
+    ) -> tuple[tuple[int, ...], float, tuple[np.ndarray, np.ndarray], int] | None:
+        """Cheapest member of the cell other than ``best``, by reoptimisation.
+
+        With (u, v) optimal for ``best``, the best member avoiding the edge
+        (r, best[r]) is ``best`` re-routed along the shortest augmenting
+        path from row r to column best[r] over the reduced costs
+        c - u - v >= 0, with forbidden pairs and that edge absent. The m
+        free rows run one Dijkstra each, in lockstep over (m, m) arrays, so
+        the whole cell costs O(m^3). Candidates are compared by their
+        totals re-summed in row order, ties going to the lowest row.
+        Returns (second, its total, its duals, the row whose exclusion
+        produced it), or None when the cell is a singleton.
+        """
+        k = self.k
         forced_rows = {uu for uu, _ in forced}
-        best_alt: tuple[int, ...] | None = None
-        best_cost = math.inf
-        for uu in range(self.k):
-            if uu in forced_rows:
-                continue
-            result = hungarian(
-                self.costs, forced=forced, forbidden=set(forbidden) | {(uu, best[uu])}
-            )
-            if result is not None and result[1] < best_cost:
-                best_alt, best_cost = result[0], result[1]
-        if best_alt is None:
-            return None, None
-        return best_alt, best_cost - self.offset
+        forced_cols = {vv for _, vv in forced}
+        rows = np.array([uu for uu in range(k) if uu not in forced_rows], dtype=np.intp)
+        cols = np.array([vv for vv in range(k) if vv not in forced_cols], dtype=np.intp)
+        m = rows.size
+        if m < 2:
+            return None
+        u, v = duals
+        best_arr = np.array(best, dtype=np.intp)
+        ar = np.arange(m)
+        row_pos = np.full(k, -1, dtype=np.intp)
+        row_pos[rows] = ar
+        col_pos = np.full(k, -1, dtype=np.intp)
+        col_pos[cols] = ar
+        match = col_pos[best_arr[rows]]  # free row -> its column in best
+        row_of = np.empty(m, dtype=np.intp)
+        row_of[match] = ar
+        reduced = self.costs[np.ix_(rows, cols)] - u[rows, None] - v[cols]
+        if forbidden:
+            fr, fc = np.array(list(forbidden), dtype=np.intp).T
+            a, b = row_pos[fr], col_pos[fc]
+            inside = (a >= 0) & (b >= 0)
+            reduced[a[inside], b[inside]] = np.inf
+
+        # Row s of each array is the search from source row s toward the
+        # column match[s]. A column leaves ``tentative`` when it is popped,
+        # its distance then final. Reaching column j also reaches the row
+        # row_of[j] matched to it (reduced cost 0); the search goes on
+        # from that row.
+        tentative = reduced.copy()
+        tentative[ar, match] = np.inf
+        unseen = np.ones((m, m), dtype=bool)
+        pred = np.full((m, m), -1, dtype=np.intp)  # -1: entered from row s
+        pops = []
+        for _ in range(m):
+            col = tentative.argmin(axis=1)
+            step = tentative[ar, col]
+            pops.append((col, step))
+            unseen[ar, col] = False
+            tentative[ar, col] = np.inf
+            if not (unseen[ar, match] & (step < np.inf)).any():
+                break
+            cand = reduced[row_of[col]]
+            cand += step[:, None]
+            better = cand < tentative
+            better &= unseen
+            np.copyto(tentative, cand, where=better)
+            np.copyto(pred, col[:, None], where=better)
+
+        # a source whose frontier runs dry pops columns at infinite distance
+        popped = np.array([col for col, _ in pops])
+        popped_at = np.array([step for _, step in pops])
+        hit = popped == match
+        reach = hit.argmax(axis=0)  # the pop that reached each target
+        length = np.where(hit.any(axis=0), popped_at[reach, ar], np.inf)
+        sources = np.flatnonzero(length < np.inf).tolist()
+        if not sources:
+            return None
+        pred_rows = pred.tolist()
+        back_row = row_of.tolist()
+        row_ids, col_ids, targets = rows.tolist(), cols.tolist(), match.tolist()
+        configs = []
+        for src in sources:
+            y = list(best)
+            j = targets[src]
+            while True:
+                jb = pred_rows[src][j]
+                y[row_ids[src if jb < 0 else back_row[jb]]] = col_ids[j]
+                if jb < 0:
+                    break
+                j = jb
+            configs.append(y)
+        # cumsum adds left to right, exactly as _total does
+        totals = np.cumsum(self.costs[np.arange(k), configs], axis=1)[:, -1]
+        i = int(np.argmin(totals))
+        s = sources[i]
+
+        # Johnson's update with distances capped at the path length keeps
+        # every reduced cost nonnegative and makes the new assignment tight.
+        d = np.full(m, length[s])
+        d[popped[: reach[s], s]] = popped_at[: reach[s], s]
+        row_shift = d[match]
+        row_shift[s] = 0.0
+        su = u.copy()
+        su[rows] -= row_shift
+        sv = v.copy()
+        sv[cols] += d
+        return tuple(configs[i]), float(totals[i]), (su, sv), row_ids[s]
 
     def _cell(
-        self, forced: tuple[tuple[int, int], ...], forbidden: frozenset[tuple[int, int]]
-    ) -> MatchingCell | None:
-        result = hungarian(self.costs, forced=forced, forbidden=forbidden)
-        if result is None:
-            return None
-        best, cost = result
-        second, second_score = self._second_best(forced, forbidden, best)
+        self,
+        forced: tuple[tuple[int, int], ...],
+        forbidden: frozenset[tuple[int, int]],
+        best: tuple[int, ...],
+        best_score: float,
+        duals: tuple[np.ndarray, np.ndarray],
+    ) -> MatchingCell:
+        found = self._second_best(forced, forbidden, best, duals)
+        if found is None:
+            return MatchingCell(forced, forbidden, best, best_score, None, None, duals)
+        second, total, second_duals, split_row = found
         return MatchingCell(
             forced=forced,
             forbidden=forbidden,
             best=best,
-            best_score=cost - self.offset,
+            best_score=best_score,
             second=second,
-            second_score=second_score,
+            second_score=total - self.offset,
+            duals=duals,
+            second_duals=second_duals,
+            split_row=split_row,
         )
 
     def root(self) -> MatchingCell:
-        cell = self._cell((), frozenset())
-        assert cell is not None
-        return cell
+        solved = _solve_square(self.costs.tolist())
+        assert solved is not None  # no absent pairs: always feasible
+        assignment, u, v = solved
+        best = tuple(assignment)
+        return self._cell(
+            (), frozenset(), best, _total(self.costs, best) - self.offset,
+            (np.array(u), np.array(v)),
+        )
 
     def split(self, cell: MatchingCell) -> tuple[MatchingCell, MatchingCell]:
         if cell.second is None:
             raise ValueError("cannot split a cell without a second-best")
-        edge = None
-        for uu in range(self.k):
-            if cell.best[uu] != cell.second[uu]:
-                edge = (uu, cell.best[uu])
-                break
-        assert edge is not None
-        keep_forced = tuple(sorted(cell.forced + (edge,)))
-        keep_second, keep_second_score = self._second_best(
-            keep_forced, cell.forbidden, cell.best
+        edge = (cell.split_row, cell.best[cell.split_row])
+        keep = self._cell(
+            tuple(sorted(cell.forced + (edge,))),
+            cell.forbidden,
+            cell.best,
+            cell.best_score,
+            cell.duals,
         )
-        keep = MatchingCell(
-            forced=keep_forced,
-            forbidden=cell.forbidden,
-            best=cell.best,
-            best_score=cell.best_score,
-            second=keep_second,
-            second_score=keep_second_score,
-        )
-        moved_forbidden = cell.forbidden | {edge}
-        moved_second, moved_second_score = self._second_best(
-            cell.forced, moved_forbidden, cell.second
-        )
-        moved = MatchingCell(
-            forced=cell.forced,
-            forbidden=moved_forbidden,
-            best=cell.second,
-            best_score=cell.second_score,
-            second=moved_second,
-            second_score=moved_second_score,
+        moved = self._cell(
+            cell.forced,
+            cell.forbidden | {edge},
+            cell.second,
+            cell.second_score,
+            cell.second_duals,
         )
         return keep, moved

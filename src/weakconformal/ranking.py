@@ -84,7 +84,9 @@ def _check_ranking(y: Sequence[int], k: int) -> tuple[int, ...]:
 
 
 def _check_relevances(r) -> np.ndarray:
-    r = np.asarray(r, dtype=float).ravel()
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 1:
+        raise ValueError("relevances must be a one-dimensional vector")
     if r.size < 2 or not np.all(np.isfinite(r)):
         raise ValueError("need at least two finite relevances")
     return r

@@ -94,6 +94,29 @@ def test_mbest_bad_payload(tmp_path, capsys):
     assert "relevances" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (5, "relevances"),
+        ({"relevances": [1.0, 2.0], "psi": "hinge"}, "psi"),
+        ({"relevances": [1.0, 2.0], "psi": {"kind": "hinge", "c": "x"}}, "psi"),
+        ({"costs": [[1.0, 2.0], [3.0]]}, "costs"),
+        ({"costs": [[1.0, 2.0]]}, "costs"),
+        ({"relevances": [[1, 2], [3, 4]]}, "relevances"),
+    ],
+)
+def test_mbest_malformed_payload_is_one_named_error(tmp_path, capsys, payload, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = _run(capsys, "mbest", "--input", str(path), "--m", "1")
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]
+    assert repr(field) in message
+    assert "inhomogeneous" not in message
+
+
 # --- gen / eval round trip -----------------------------------------------------
 
 

@@ -1,8 +1,10 @@
+import math
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from weakconformal import matching
 from weakconformal import (
     FormatError,
     MatchingProblem,
@@ -89,6 +91,26 @@ def test_hungarian_infeasible_returns_none():
     costs = np.zeros((2, 2))
     # row 0 loses both columns
     assert hungarian(costs, forbidden=((0, 0), (0, 1))) is None
+
+
+@pytest.mark.parametrize("value", [2.0**53, 1e17])
+def test_hungarian_large_constant_matrices(value):
+    # forbidden pairs must dominate however large the entries are
+    costs = np.full((3, 3), value)
+    for banned in ((), ((0, 0),)):
+        result = hungarian(costs, forbidden=banned)
+        assert result is not None
+        perm, total = result
+        assert all((u, perm[u]) not in banned for u in range(3))
+        assert total == _brute_min(costs, forbidden=banned)
+    assert hungarian(costs, forbidden=((0, 0), (0, 1), (0, 2))) is None
+
+
+def test_m_best_on_large_constant_matrix():
+    costs = np.full((3, 3), 1e17)
+    res = m_best(MatchingProblem(costs), 6)
+    assert sorted(res.configs) == sorted(permutations(range(3)))
+    assert res.scores == [_brute_min(costs)] * 6
 
 
 def test_hungarian_conflicting_constraints():
@@ -178,3 +200,96 @@ def test_read_cost_csv_bad_row_length(tmp_path):
     with pytest.raises(FormatError) as err:
         read_cost_csv(str(path))
     assert err.value.line == 3
+
+
+# --- second-best by reoptimisation -----------------------------------------
+
+_COST_KINDS = {
+    "normal": lambda rng, k: rng.normal(size=(k, k)),
+    "ties": lambda rng, k: rng.integers(0, 5, size=(k, k)).astype(float),
+    "offset": lambda rng, k: rng.normal(size=(k, k)) + 1e12,
+}
+
+
+def _space(costs):
+    """Every assignment and its total, summed in row order like the solver."""
+    k = costs.shape[0]
+    perms = np.array(list(permutations(range(k))))
+    totals = np.array([sum(costs[u, p[u]] for u in range(k)) for p in perms])
+    return perms, totals
+
+
+def _tolerance(costs):
+    # a few roundings of a k-term sum at the largest total's magnitude
+    k = costs.shape[0]
+    return 4 * k * np.spacing(k * np.abs(costs).max())
+
+
+def _in_cell(perms, cell):
+    inside = np.ones(len(perms), dtype=bool)
+    for u, v in cell.forced:
+        inside &= perms[:, u] == v
+    for u, v in cell.forbidden:
+        inside &= perms[:, u] != v
+    return inside
+
+
+@pytest.mark.parametrize("kind", sorted(_COST_KINDS))
+def test_cell_second_best_is_brute_force_runner_up(kind):
+    rng = np.random.default_rng(37)
+    for _ in range(25):
+        k = int(rng.integers(2, 8))
+        costs = _COST_KINDS[kind](rng, k)
+        perms, totals = _space(costs)
+        tol = _tolerance(costs)
+        problem = MatchingProblem(costs)
+        cell = problem.root()
+        # a random walk of splits gives cells with random forced and
+        # forbidden sets, each carrying the potentials handed down to it
+        for _ in range(12):
+            members = np.sort(totals[_in_cell(perms, cell)])
+            assert cell.contains(cell.best)
+            assert cell.best_score == pytest.approx(members[0], abs=tol)
+            if members.size == 1:
+                assert cell.second is None and cell.second_score is None
+                break
+            assert cell.second is not None
+            assert cell.second != cell.best and cell.contains(cell.second)
+            assert cell.second_score == sum(costs[u, cell.second[u]] for u in range(k))
+            assert cell.second_score == pytest.approx(members[1], abs=tol)
+            cell = problem.split(cell)[int(rng.integers(2))]
+
+
+@pytest.mark.parametrize("kind", sorted(_COST_KINDS))
+@pytest.mark.parametrize("k", [5, 6])
+def test_m_best_to_exhaustion_equals_sorted_space(kind, k):
+    rng = np.random.default_rng(38 + k)
+    costs = _COST_KINDS[kind](rng, k)
+    perms, totals = _space(costs)
+    res = m_best(MatchingProblem(costs), math.factorial(k) + 1)
+    assert len(res) == math.factorial(k)
+    assert len(set(res.configs)) == len(res)
+    np.testing.assert_array_equal(res.scores, np.sort(totals))
+
+    def groups(configs, scores):
+        out = {}
+        for y, s in zip(configs, scores):
+            out.setdefault(s, set()).add(tuple(int(v) for v in y))
+        return out
+
+    assert groups(res.configs, res.scores) == groups(perms, totals)
+
+
+def test_only_the_root_pays_a_cold_solve(monkeypatch):
+    calls = []
+    solve = matching._solve_square
+
+    def counted(cost):
+        calls.append(len(cost))
+        return solve(cost)
+
+    monkeypatch.setattr(matching, "_solve_square", counted)
+    costs = np.random.default_rng(39).normal(size=(6, 6))
+    res = m_best(MatchingProblem(costs), 200)
+    assert len(res) == 200
+    assert calls == [6]

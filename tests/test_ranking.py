@@ -58,6 +58,12 @@ def test_rank_score_validates_permutation():
         rank_score(r, (0,), PsiSpec.hinge())
 
 
+def test_relevances_must_be_a_vector():
+    # a matrix is rejected, not flattened into a longer ranking
+    with pytest.raises(ValueError):
+        RankingProblem(np.array([[1.0, 2.0], [3.0, 4.0]]), PsiSpec.hinge())
+
+
 def test_rank_scores_batch_matches_loop():
     rng = np.random.default_rng(41)
     rel = rng.normal(size=(30, 5))
