@@ -7,7 +7,6 @@ distributions and best-first enumeration of structured prediction sets.
 """
 
 from .conformal import (
-    CalibrationSample,
     ClasswiseScoreOracle,
     ConformalThreshold,
     CoverageReport,
@@ -17,7 +16,6 @@ from .conformal import (
     UnsupportedWeakLabel,
     conformal_threshold,
     evaluate,
-    fsc_threshold,
     partial_score,
     pessimistic_score,
     pessimistic_threshold,
@@ -121,8 +119,8 @@ __all__ = [
     "WeakRecord", "FormatError", "weak_contains", "weak_to_payload",
     "weak_from_payload", "read_jsonl", "write_jsonl",
     # conformal core
-    "ConformalThreshold", "conformal_threshold", "fsc_threshold",
-    "CalibrationSample", "ClasswiseScoreOracle", "partial_score",
+    "ConformalThreshold", "conformal_threshold", "ClasswiseScoreOracle",
+    "partial_score",
     "pessimistic_score", "pessimistic_threshold", "UnsupportedWeakLabel",
     "CoverageReport", "LabelSet", "PredictionInterval", "ScoreLevelSet",
     "evaluate",

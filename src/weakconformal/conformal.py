@@ -10,8 +10,9 @@ guarantee coverage of the true label itself.
 
 Two reference points share the quantile rule:
 
-* ``fsc_threshold`` calibrates on fully supervised scores ``s(X_i, Y_i)``
-  (an oracle upper envelope: its threshold always dominates the weak one).
+* the fully supervised threshold, ``conformal_threshold`` applied to the
+  true-label scores ``s(X_i, Y_i)`` (an oracle upper envelope: it always
+  dominates the weak threshold).
 * ``pessimistic_threshold`` calibrates on the *worst case*
   ``max(s(X_i, y) for y in W_i)``, forcing the prediction set to swallow
   whole weak sets; useful as the strong-coverage baseline whose sets blow
@@ -30,9 +31,7 @@ from .labels import ExplicitSet, Interval, WeakLabel, WeakRecord, weak_contains
 __all__ = [
     "TOL",
     "ConformalThreshold",
-    "CalibrationSample",
     "conformal_threshold",
-    "fsc_threshold",
     "pessimistic_threshold",
     "partial_score",
     "pessimistic_score",
@@ -107,30 +106,6 @@ def conformal_threshold(scores: Sequence[float] | np.ndarray, alpha: float) -> C
     else:
         value = float(np.partition(arr, k - 1)[k - 1])
     return ConformalThreshold(value=value, alpha=float(alpha), n=n, k=k)
-
-
-def fsc_threshold(strong_scores: Sequence[float] | np.ndarray, alpha: float) -> ConformalThreshold:
-    """Fully supervised reference threshold: same quantile rule applied to
-    the true-label scores s(X_i, Y_i)."""
-    return conformal_threshold(strong_scores, alpha)
-
-
-@dataclass(frozen=True)
-class CalibrationSample:
-    """Scores paired with record ids (for error reporting and audits)."""
-
-    ids: tuple[Any, ...]
-    scores: np.ndarray
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float).ravel()
-        if len(self.ids) != scores.size:
-            raise ValueError("ids and scores must align")
-        object.__setattr__(self, "scores", scores)
-
-    @property
-    def n(self) -> int:
-        return int(self.scores.size)
 
 
 class ScoreOracle(Protocol):

@@ -392,6 +392,26 @@ class SizeProfile:
         raise AssertionError("full space must reach coverage 1")  # pragma: no cover
 
 
+def _upper_hull(covs: Sequence[float]) -> list[int]:
+    """Vertices x of the concave majorant of the points (x, covs[x]).
+
+    A vertex is dropped unless it lies strictly (by more than 1e-15) above
+    the chord of its neighbours.
+    """
+    hull = [0]
+    for s in range(1, len(covs)):
+        while len(hull) >= 2:
+            s1, s2 = hull[-2], hull[-1]
+            lhs = (covs[s2] - covs[s1]) * (s - s2)
+            rhs = (covs[s] - covs[s2]) * (s2 - s1)
+            if lhs <= rhs + 1e-15:
+                hull.pop()
+            else:
+                break
+        hull.append(s)
+    return hull
+
+
 def size_profile(dist: DiscreteWeakDistribution) -> SizeProfile:
     """Exhaustive frontier over all 2^k subsets (k <= 20)."""
     k = dist.k
@@ -413,17 +433,7 @@ def size_profile(dist: DiscreteWeakDistribution) -> SizeProfile:
     # enforce monotonicity against float drift, then take the concave majorant
     best_covs = np.maximum.accumulate(best_covs)
     best_covs[k] = 1.0
-    hull: list[int] = [0]
-    for s in range(1, k + 1):
-        while len(hull) >= 2:
-            s1, s2 = hull[-2], hull[-1]
-            lhs = (best_covs[s2] - best_covs[s1]) * (s - s2)
-            rhs = (best_covs[s] - best_covs[s2]) * (s2 - s1)
-            if lhs <= rhs + 1e-15:  # middle vertex is not strictly above the chord
-                hull.pop()
-            else:
-                break
-        hull.append(s)
+    hull = _upper_hull(best_covs.tolist())
     return SizeProfile(
         k=k,
         best_covs=tuple(float(c) for c in best_covs),
@@ -625,27 +635,14 @@ def marginal_allocation(
     segments: dict[float, list[tuple[int, float, float]]] = {}
     projected: list[bool] = []
     for xi, c in enumerate(cum_list):
-        pts_s = [0] + list(range(1, c.size + 1))
-        pts_c = [0.0] + [float(v) for v in c]
-        hull = [0]
-        for s in range(1, len(pts_s)):
-            while len(hull) >= 2:
-                s1, s2 = hull[-2], hull[-1]
-                lhs = (pts_c[s2] - pts_c[s1]) * (pts_s[s] - pts_s[s2])
-                rhs = (pts_c[s] - pts_c[s2]) * (pts_s[s2] - pts_s[s1])
-                if lhs <= rhs + 1e-15:
-                    hull.pop()
-                else:
-                    break
-            hull.append(s)
-        projected.append(len(hull) < len(pts_s))
+        pts_c = [0.0] + c.tolist()  # coverage at sizes 0, 1, ..., k
+        hull = _upper_hull(pts_c)
+        projected.append(len(hull) < len(pts_c))
         for a, b in zip(hull[:-1], hull[1:]):
             dc = pts_c[b] - pts_c[a]
-            ds = pts_s[b] - pts_s[a]
             if dc <= 0:
                 continue
-            eff = dc / ds
-            segments.setdefault(eff, []).append((xi, dc, float(ds)))
+            segments.setdefault(dc / (b - a), []).append((xi, dc, float(b - a)))
 
     budget = 1.0 - alpha
     etas = np.zeros(w.size)

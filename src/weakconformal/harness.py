@@ -16,9 +16,15 @@ Methods:
   pessimistic  calibrate on worst-case scores (classify/regress only)
 
 Reported seconds cover calibration plus evaluation for the method's row;
-model fitting is shared across methods and excluded. For rank/match tasks
-set sizes are level-set counts capped at m_max (coverage columns stay
-exact); the capped fraction is in the JSON rows, not the CSV.
+model fitting is shared across methods and excluded.
+
+Rank and match share one permutation-space trial; the tasks differ only in
+data, fitting, scores and how a test record's level sets are counted. Set
+sizes there are level-set counts capped at m_max (coverage columns stay
+exact), counted once per record for all methods' thresholds: by one
+best-first enumeration up to the largest threshold, or, for matching spaces
+of at most 10^4 assignments, by scoring every assignment. The capped
+fraction is in the JSON rows, not the CSV.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ from .conformal import conformal_threshold
 from .greedy import label_independent_nested_scores
 from .labels import ExplicitSet
 from .matching import MatchingProblem, matching_score, min_matching_cost, partial_matching_score
-from .mbest import Enumerator
+from .mbest import enumerate_until
 from .ranking import (
     PsiSpec,
     RankingProblem,
@@ -167,47 +173,48 @@ def _size_stats(sizes: np.ndarray) -> tuple[float, float, float]:
     )
 
 
-def _capped_levelset_counts(
+def _levelset_counts(
     problem, thresholds: Sequence[float], cap: int
 ) -> tuple[list[int], list[bool]]:
     """Sizes of {y : score <= t} for several t on one problem, capped.
 
-    Shares a single best-first enumeration across thresholds. The returned
-    flag marks counts that hit the cap with possibly more members beyond it.
+    One enumeration up to the largest threshold serves every threshold. The
+    returned flag marks counts that hit the cap with possibly more members
+    beyond it.
     """
-    t_max = max(thresholds)
-    state = Enumerator(problem)
-    target = 1
-    while True:
-        state.extend_to(min(target, cap))
-        if state.exhausted or len(state.configs) >= cap or state.scores[-1] > t_max:
-            break
-        target *= 2
-    counts, flags = [], []
-    for t in thresholds:
-        c = bisect_right(state.scores, t)
-        capped = not state.exhausted and c >= len(state.configs) and c >= cap
-        counts.append(min(c, cap))
-        flags.append(bool(capped))
-    return counts, flags
+    result = enumerate_until(problem, max(thresholds), cap)
+    counts = [bisect_right(result.scores, t) for t in thresholds]
+    return counts, [c >= cap and result.truncated for c in counts]
+
+
+def _calibrate(
+    cfg: ExperimentConfig, cal_scores: dict[str, np.ndarray]
+) -> dict[str, tuple[float, float]]:
+    """Each method's threshold value and the seconds its calibration took."""
+    calibrated = {}
+    for method in cfg.methods:
+        start = time.perf_counter()
+        t = conformal_threshold(cal_scores[method], cfg.alpha)
+        calibrated[method] = (t.value, time.perf_counter() - start)
+    return calibrated
 
 
 def _threshold_rows(
     cfg: ExperimentConfig,
     trial: int,
-    cal_scores: dict[str, np.ndarray],
+    calibrated: dict[str, tuple[float, float]],
     evaluate,
 ) -> list[TrialResult]:
-    """Calibrate each method on its scores and evaluate with the shared fn.
+    """Evaluate each calibrated method with the shared fn.
 
-    evaluate(threshold_value) must return (strong_cov, weak_cov, sizes,
-    truncation_fraction) on the test block.
+    evaluate(threshold_value, method) must return (strong_cov, weak_cov,
+    sizes, truncation_fraction) on the test block. A row's seconds are its
+    calibration plus its evaluation.
     """
     rows = []
-    for method in cfg.methods:
+    for method, (value, calibration_s) in calibrated.items():
         start = time.perf_counter()
-        t = conformal_threshold(cal_scores[method], cfg.alpha)
-        strong_cov, weak_cov, sizes, trunc = evaluate(t.value, method)
+        strong_cov, weak_cov, sizes, trunc = evaluate(value, method)
         avg, p50, p90 = _size_stats(sizes)
         rows.append(
             TrialResult(
@@ -219,8 +226,8 @@ def _threshold_rows(
                 avg_size=avg,
                 p50_size=p50,
                 p90_size=p90,
-                threshold=t.value,
-                seconds=time.perf_counter() - start,
+                threshold=value,
+                seconds=calibration_s + time.perf_counter() - start,
                 truncation_fraction=trunc,
             )
         )
@@ -287,129 +294,96 @@ def _classify_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
         sizes = member.sum(axis=1).astype(float)
         return float(strong.mean()), float(weak.mean()), sizes, 0.0
 
-    return _threshold_rows(cfg, trial, cal_scores, evaluate)
+    return _threshold_rows(cfg, trial, _calibrate(cfg, cal_scores), evaluate)
 
 
-def _rank_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
-    k = cfg.resolved_k
-    seed = _trial_seed(cfg.seed, trial)
+def _rank_task(cfg: ExperimentConfig, seed: int):
+    """Ranking data and ListNet fit: (strong, weak) scores on the calibration
+    and test blocks, and a counter of a test record's level-set sizes."""
     data = synth.gen_ranking(
-        synth.RankingSimConfig(n=cfg.n, k=k, d=cfg.d, sigma=cfg.sigma, seed=seed)
+        synth.RankingSimConfig(n=cfg.n, k=cfg.resolved_k, d=cfg.d, sigma=cfg.sigma, seed=seed)
     )
     tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
     psi = cfg.psi()
     weights, _ = listnet_train(data.x[tr], data.y[tr])
-    rel_ca = predict_relevances(weights, data.x[ca])
-    rel_te = predict_relevances(weights, data.x[te])
 
-    perms_ca = np.array(data.y[ca])
-    perms_te = np.array(data.y[te])
-    compl_ca = np.array(
-        [complete_prefix(rel_ca[i], w) for i, w in enumerate(data.weak[ca])]
-    )
-    compl_te = np.array(
-        [complete_prefix(rel_te[i], w) for i, w in enumerate(data.weak[te])]
-    )
-    strong_ca = rank_scores_batch(rel_ca, perms_ca, psi)
-    strong_te = rank_scores_batch(rel_te, perms_te, psi)
-    weak_ca = rank_scores_batch(rel_ca, compl_ca, psi)
-    weak_te = rank_scores_batch(rel_te, compl_te, psi)
+    def scored(block: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rel = predict_relevances(weights, data.x[block])
+        completed = [complete_prefix(rel[i], w) for i, w in enumerate(data.weak[block])]
+        strong = rank_scores_batch(rel, np.array(data.y[block]), psi)
+        return rel, strong, rank_scores_batch(rel, np.array(completed), psi)
 
-    cal_scores: dict[str, np.ndarray] = {}
-    if "wsc" in cfg.methods:
-        cal_scores["wsc"] = weak_ca
-    if "fsc" in cfg.methods:
-        cal_scores["fsc"] = strong_ca
+    _, strong_ca, weak_ca = scored(ca)
+    rel_te, strong_te, weak_te = scored(te)
 
-    thresholds = {
-        m: conformal_threshold(cal_scores[m], cfg.alpha).value for m in cfg.methods
-    }
-    t_list = list(thresholds.values())
-    n_te = rel_te.shape[0]
-    counts = np.zeros((n_te, len(t_list)))
-    capped = np.zeros((n_te, len(t_list)), dtype=bool)
-    for i in range(n_te):
-        c, f = _capped_levelset_counts(
-            RankingProblem(rel_te[i], psi), t_list, cfg.m_max
-        )
-        counts[i] = c
-        capped[i] = f
+    def count(j: int, thresholds: list[float]):
+        return _levelset_counts(RankingProblem(rel_te[j], psi), thresholds, cfg.m_max)
 
-    def evaluate(t_value: float, method: str):
-        col = list(thresholds).index(method)
-        strong = strong_te <= t_value
-        weak = weak_te <= t_value
-        return (
-            float(strong.mean()),
-            float(weak.mean()),
-            counts[:, col],
-            float(capped[:, col].mean()),
-        )
-
-    return _threshold_rows(cfg, trial, cal_scores, evaluate)
+    return (strong_ca, weak_ca), (strong_te, weak_te), count
 
 
-def _match_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
+def _match_task(cfg: ExperimentConfig, seed: int):
+    """Matching data, translated by each record's optimal cost: (strong, weak)
+    scores on the calibration and test blocks, and a level-set counter."""
     k = cfg.resolved_k
-    seed = _trial_seed(cfg.seed, trial)
     data = synth.gen_matching(cfg.n, k, cfg.noise, seed)
-    tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
+    _, ca, te = synth.three_way_split(cfg.n, cfg.split)
 
-    def translated(block: slice) -> tuple[np.ndarray, np.ndarray, list[float]]:
-        idx = range(block.start, block.stop)
+    def scored(block: slice) -> tuple[np.ndarray, np.ndarray, list[float]]:
         strong, weak, bases = [], [], []
-        for i in idx:
+        for i in range(block.start, block.stop):
             base = min_matching_cost(data.costs[i])
             strong.append(matching_score(data.costs[i], data.y[i]) - base)
             weak.append(partial_matching_score(data.costs[i], data.weak[i]) - base)
             bases.append(base)
         return np.asarray(strong), np.asarray(weak), bases
 
-    strong_ca, weak_ca, _ = translated(ca)
-    strong_te, weak_te, bases_te = translated(te)
+    strong_ca, weak_ca, _ = scored(ca)
+    strong_te, weak_te, bases_te = scored(te)
+    costs_te = data.costs[te]
 
-    cal_scores: dict[str, np.ndarray] = {}
-    if "wsc" in cfg.methods:
-        cal_scores["wsc"] = weak_ca
-    if "fsc" in cfg.methods:
-        cal_scores["fsc"] = strong_ca
-
-    thresholds = {
-        m: conformal_threshold(cal_scores[m], cfg.alpha).value for m in cfg.methods
-    }
-    t_list = list(thresholds.values())
-    n_te = strong_te.size
-    counts = np.zeros((n_te, len(t_list)))
-    capped = np.zeros((n_te, len(t_list)), dtype=bool)
     if math.factorial(k) <= _EXHAUSTIVE_SPACE_CAP:
         # small spaces: score every assignment at once instead of running the
         # best-first engine per record (reported values are identical)
         perms = np.array(list(itertools.permutations(range(k))))
         rows = np.arange(k)
-        for j, i in enumerate(range(te.start, te.stop)):
-            all_scores = data.costs[i][rows, perms].sum(axis=1) - bases_te[j]
-            exact = (all_scores[None, :] <= np.asarray(t_list)[:, None]).sum(axis=1)
-            counts[j] = np.minimum(exact, cfg.m_max)
-            capped[j] = exact > cfg.m_max
+
+        def count(j: int, thresholds: list[float]):
+            all_scores = costs_te[j][rows, perms].sum(axis=1) - bases_te[j]
+            exact = (all_scores[None, :] <= np.asarray(thresholds)[:, None]).sum(axis=1)
+            return np.minimum(exact, cfg.m_max), exact > cfg.m_max
+
     else:
-        for j, i in enumerate(range(te.start, te.stop)):
-            problem = MatchingProblem(data.costs[i], offset=bases_te[j])
-            c, f = _capped_levelset_counts(problem, t_list, cfg.m_max)
-            counts[j] = c
-            capped[j] = f
+
+        def count(j: int, thresholds: list[float]):
+            problem = MatchingProblem(costs_te[j], offset=bases_te[j])
+            return _levelset_counts(problem, thresholds, cfg.m_max)
+
+    return (strong_ca, weak_ca), (strong_te, weak_te), count
+
+
+def _permutation_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
+    """A rank or match trial: calibrate on the weak or true-label scores, then
+    count each test record's level sets once for all thresholds."""
+    task = _rank_task if cfg.task == "rank" else _match_task
+    (strong_ca, weak_ca), (strong_te, weak_te), count = task(cfg, _trial_seed(cfg.seed, trial))
+    calibrated = _calibrate(cfg, {"wsc": weak_ca, "fsc": strong_ca})
+    thresholds = [value for value, _ in calibrated.values()]
+    counts = np.zeros((strong_te.size, len(thresholds)))
+    capped = np.zeros(counts.shape, dtype=bool)
+    for j in range(strong_te.size):
+        counts[j], capped[j] = count(j, thresholds)
 
     def evaluate(t_value: float, method: str):
-        col = list(thresholds).index(method)
-        strong = strong_te <= t_value
-        weak = weak_te <= t_value
+        col = list(calibrated).index(method)
         return (
-            float(strong.mean()),
-            float(weak.mean()),
+            float((strong_te <= t_value).mean()),
+            float((weak_te <= t_value).mean()),
             counts[:, col],
             float(capped[:, col].mean()),
         )
 
-    return _threshold_rows(cfg, trial, cal_scores, evaluate)
+    return _threshold_rows(cfg, trial, calibrated, evaluate)
 
 
 def _regress_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
@@ -447,13 +421,13 @@ def _regress_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
         sizes = np.full(strong_te.size, 2.0 * t_value)
         return float(strong.mean()), float(weak.mean()), sizes, 0.0
 
-    return _threshold_rows(cfg, trial, cal_scores, evaluate)
+    return _threshold_rows(cfg, trial, _calibrate(cfg, cal_scores), evaluate)
 
 
 _TRIALS = {
     "classify": _classify_trial,
-    "rank": _rank_trial,
-    "match": _match_trial,
+    "rank": _permutation_trial,
+    "match": _permutation_trial,
     "regress": _regress_trial,
 }
 

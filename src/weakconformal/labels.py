@@ -134,6 +134,14 @@ class PartialMatching:
 WeakLabel = Union[ExplicitSet, Interval, RankingPrefix, PartialMatching]
 
 
+def _as_permutation(y: Any, k: int) -> tuple[int, ...]:
+    """y as a tuple of ints; ValueError unless it is a permutation of [0, k)."""
+    y = tuple(int(v) for v in y)
+    if len(y) != k or set(y) != set(range(k)):
+        raise ValueError(f"not a permutation of [0, {k})")
+    return y
+
+
 def weak_contains(weak: WeakLabel, y: Any) -> bool:
     """Whether candidate ``y`` is a member of the weak label set."""
     if isinstance(weak, ExplicitSet):
@@ -141,14 +149,9 @@ def weak_contains(weak: WeakLabel, y: Any) -> bool:
     if isinstance(weak, Interval):
         return weak.lo <= float(y) <= weak.hi
     if isinstance(weak, RankingPrefix):
-        y = tuple(int(v) for v in y)
-        if len(y) != weak.k or set(y) != set(range(weak.k)):
-            raise ValueError("candidate is not a ranking of [0, k)")
-        return y[: len(weak.items)] == weak.items
+        return _as_permutation(y, weak.k)[: len(weak.items)] == weak.items
     if isinstance(weak, PartialMatching):
-        y = tuple(int(v) for v in y)
-        if len(y) != weak.k or set(y) != set(range(weak.k)):
-            raise ValueError("candidate is not an assignment on [0, k)")
+        y = _as_permutation(y, weak.k)
         return all(y[u] == v for u, v in weak.pairs)
     raise TypeError(f"not a weak label: {type(weak).__name__}")
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .labels import FormatError, PartialMatching
+from .labels import FormatError, PartialMatching, _as_permutation
 
 __all__ = [
     "hungarian",
@@ -173,13 +173,10 @@ def hungarian(
 
 
 def matching_score(costs, y: Sequence[int]) -> float:
-    """Total cost of assignment y on the given matrix."""
+    """Total cost of assignment y on the given matrix, summed in row order
+    like every other score of this module."""
     arr = _as_cost_matrix(costs)
-    k = arr.shape[0]
-    y = tuple(int(v) for v in y)
-    if len(y) != k or set(y) != set(range(k)):
-        raise ValueError("y must be a permutation assignment on [0, k)")
-    return float(arr[np.arange(k), list(y)].sum())
+    return _total(arr, _as_permutation(y, arr.shape[0]))
 
 
 def min_matching_cost(costs) -> float:

@@ -14,8 +14,11 @@ emitted scores must be nondecreasing and every split must hand back cells
 whose bests are the parent's (best, second) pair, otherwise the backend
 violated the partition contract and a ``PartitionError`` is raised.
 
-``enumerate_until`` wraps the engine in doubling rounds to list the sublevel
-set {y : score(y) <= threshold} with cost proportional to its size, capped;
+``Enumerator.extend_until`` grows the enumeration in doubling rounds
+(1, 2, 4, ... configurations) until a stopping rule holds, so the work is
+proportional to the answer, capped. ``enumerate_until`` stops at the first
+score above a threshold, listing the sublevel set {y : score(y) <= threshold};
+``compatible_rank`` stops at the first configuration passing a test.
 ``rank_conformalize`` and ``compatible_rank`` conformalize on enumeration
 *ranks* instead of raw scores.
 """
@@ -124,6 +127,27 @@ class Enumerator:
                 heapq.heappush(self._heap, (float(moved.second_score), self._counter, moved))
             self._counter += 1
 
+    def extend_until(
+        self, stop: Callable[[Any, float], bool], cap: int
+    ) -> int | None:
+        """Grow until stop(config, score) holds, cap is reached, or exhaustion.
+
+        Rounds of 1, 2, 4, ... configurations keep the work proportional to
+        the index found. Returns the first index whose configuration meets
+        stop, or None when none of the enumerated ones does.
+        """
+        target = 1
+        scanned = 0
+        while True:
+            self.extend_to(min(target, cap))
+            for idx in range(scanned, len(self.configs)):
+                if stop(self.configs[idx], self.scores[idx]):
+                    return idx
+            scanned = len(self.configs)
+            if self.exhausted or scanned >= cap:
+                return None
+            target *= 2
+
 
 def m_best(problem: PartitionProblem, m: int) -> MBestResult:
     """The m smallest-score configurations (all of them if fewer exist)."""
@@ -139,30 +163,19 @@ def enumerate_until(
 ) -> MBestResult:
     """All configurations with score <= threshold, in score order.
 
-    Uses doubling rounds (1, 2, 4, ...) so the work is proportional to the
-    answer size. If the sublevel set is larger than cap, the first cap
-    configurations are returned with ``truncated=True``.
+    Work is proportional to the answer size. If the sublevel set fills the
+    cap before the space is exhausted, the first cap configurations are
+    returned with ``truncated=True``: enumeration stops at the cap, so more
+    members may follow.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     state = Enumerator(problem)
-    target = 1
-    while True:
-        state.extend_to(min(target, cap))
-        if state.exhausted or len(state.configs) >= cap:
-            break
-        if state.scores[-1] > threshold:
-            break
-        target *= 2
-    kept = 0
-    for s in state.scores:
-        if s <= threshold:
-            kept += 1
-        else:
-            break
-    truncated = (
-        kept >= cap and not state.exhausted and state.scores[cap - 1] <= threshold
-    )
+    # stop where membership ends; a NaN threshold admits nothing
+    kept = state.extend_until(lambda config, score: not score <= threshold, cap)
+    if kept is None:
+        kept = len(state.configs)
+    truncated = kept >= cap and not state.exhausted
     return MBestResult(
         configs=state.configs[:kept], scores=state.scores[:kept], truncated=truncated
     )
@@ -175,25 +188,17 @@ def compatible_rank(
 ) -> int:
     """1-based score-order rank of the first configuration passing the test.
 
-    Raises EnumerationCapExceeded if no compatible configuration shows up
-    within cap enumerated configurations.
+    Raises ValueError if the space holds no compatible configuration, and
+    EnumerationCapExceeded if none shows up within cap enumerated
+    configurations.
     """
     state = Enumerator(problem)
-    target = 1
-    scanned = 0
-    while True:
-        state.extend_to(min(target, cap))
-        for idx in range(scanned, len(state.configs)):
-            if is_compatible(state.configs[idx]):
-                return idx + 1
-        scanned = len(state.configs)
-        if state.exhausted:
-            raise ValueError("no compatible configuration exists in the space")
-        if scanned >= cap:
-            raise EnumerationCapExceeded(
-                f"no compatible configuration within the first {cap}"
-            )
-        target *= 2
+    found = state.extend_until(lambda config, score: is_compatible(config), cap)
+    if found is not None:
+        return found + 1
+    if state.exhausted:
+        raise ValueError("no compatible configuration exists in the space")
+    raise EnumerationCapExceeded(f"no compatible configuration within the first {cap}")
 
 
 def rank_conformalize(

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .labels import RankingPrefix
+from .labels import RankingPrefix, _as_permutation
 
 __all__ = [
     "PsiSpec",
@@ -33,7 +33,6 @@ __all__ = [
     "rescale_relevances",
     "RankingCell",
     "RankingProblem",
-    "ranking_partition",
     "relevance_targets",
     "listnet_loss_grad",
     "listnet_train",
@@ -76,13 +75,6 @@ class PsiSpec:
         return np.exp(-self.c * a)
 
 
-def _check_ranking(y: Sequence[int], k: int) -> tuple[int, ...]:
-    y = tuple(int(v) for v in y)
-    if len(y) != k or set(y) != set(range(k)):
-        raise ValueError("y must be a permutation of [0, k)")
-    return y
-
-
 def _check_relevances(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.ndim != 1:
@@ -95,7 +87,7 @@ def _check_relevances(r) -> np.ndarray:
 def rank_score(r, y: Sequence[int], psi: PsiSpec) -> float:
     """Pairwise discordance of ranking y under relevances r."""
     r = _check_relevances(r)
-    y = _check_ranking(y, r.size)
+    y = _as_permutation(y, r.size)
     total = 0.0
     for i in range(len(y)):
         for j in range(i + 1, len(y)):
@@ -239,14 +231,6 @@ class RankingProblem:
         return keep, moved
 
 
-def ranking_partition(
-    problem: RankingProblem, cell: RankingCell
-) -> tuple[RankingCell, RankingCell]:
-    """Split a cell on the adjacent pair where its top two rankings differ:
-    one half keeps that pair's order, the other reverses it."""
-    return problem.split(cell)
-
-
 # --- ListNet trainer ---------------------------------------------------------
 
 
@@ -260,7 +244,7 @@ def relevance_targets(rankings: Sequence[Sequence[int]], k: int) -> np.ndarray:
     """Proxy relevance of each item: k - 1 minus its position in the truth."""
     out = np.empty((len(rankings), k))
     for i, y in enumerate(rankings):
-        y = _check_ranking(y, k)
+        y = _as_permutation(y, k)
         for pos, item in enumerate(y):
             out[i, item] = k - 1 - pos
     return out

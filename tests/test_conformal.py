@@ -15,7 +15,6 @@ from weakconformal import (
     WeakRecord,
     conformal_threshold,
     evaluate,
-    fsc_threshold,
     partial_score,
     pessimistic_score,
     pessimistic_threshold,
@@ -107,7 +106,7 @@ def test_weak_calibration_dominates_strong():
         weak_t = conformal_threshold(
             [partial_score(oracle, i, r.weak) for i, r in enumerate(records)], alpha
         )
-        strong_t = fsc_threshold(
+        strong_t = conformal_threshold(
             [oracle.score(i, r.y) for i, r in enumerate(records)], alpha
         )
         pess_t = pessimistic_threshold(oracle, records, alpha)

@@ -186,3 +186,39 @@ def test_rank_sizes_counted_in_permutation_space():
         if math.isfinite(r.avg_size):
             assert r.avg_size <= math.factorial(4)
             assert r.avg_size >= 1.0 or r.strong_cov == 0.0
+
+
+def test_match_trial_on_the_engine_equals_exhaustive_count():
+    # 8! > 10^4 sends the harness through best-first enumeration per record;
+    # its capped counts must equal a count over every assignment, each summed
+    # in row order like the translated scores
+    from itertools import permutations
+
+    from weakconformal import synth
+    from weakconformal.harness import _trial_seed
+    from weakconformal.matching import min_matching_cost
+
+    k, m_max = 8, 6
+    cfg = ExperimentConfig(task="match", k=k, n=48, n_trials=2, seed=5, alpha=0.2,
+                           noise=1.0, m_max=m_max)
+    perms = np.array(list(permutations(range(k))))
+    saw_capped = saw_uncapped = False
+    for trial, rows in enumerate(zip(*_by_method(run(cfg)).values())):
+        data = synth.gen_matching(cfg.n, k, cfg.noise, _trial_seed(cfg.seed, trial))
+        _, _, te = synth.three_way_split(cfg.n, cfg.split)
+        thresholds = np.array([r.threshold for r in rows])
+        exact = []
+        for costs in data.costs[te]:
+            scores = np.cumsum(costs[np.arange(k), perms], axis=1)[:, -1] - min_matching_cost(costs)
+            exact.append((scores[None, :] <= thresholds[:, None]).sum(axis=1))
+        exact = np.array(exact)
+        sizes = np.minimum(exact, m_max).astype(float)
+        for col, r in enumerate(rows):
+            assert r.avg_size == sizes[:, col].mean()
+            assert r.p50_size == np.quantile(sizes[:, col], 0.5)
+            assert r.p90_size == np.quantile(sizes[:, col], 0.9)
+            # the engine stops at the cap, so a full cap counts as truncated
+            assert r.truncation_fraction == (exact[:, col] >= m_max).mean()
+        saw_capped |= bool((exact > m_max).any())
+        saw_uncapped |= bool((exact < m_max).any())
+    assert saw_capped and saw_uncapped

@@ -9,6 +9,7 @@ from weakconformal import (
     FormatError,
     MatchingProblem,
     PartialMatching,
+    enumerate_until,
     hungarian,
     m_best,
     matching_score,
@@ -293,3 +294,16 @@ def test_only_the_root_pays_a_cold_solve(monkeypatch):
     res = m_best(MatchingProblem(costs), 200)
     assert len(res) == 200
     assert calls == [6]
+
+
+def test_score_sums_in_row_order_like_the_enumeration():
+    # at k >= 8 a pairwise sum differs in the last bit from the row-order sum
+    # the enumeration emits, which pushed y out of its own sublevel set
+    costs = np.random.default_rng(0).normal(size=(12, 12))
+    problem = MatchingProblem(costs)
+    best = m_best(problem, 30)
+    y, emitted = best.configs[4], best.scores[4]
+    assert problem.score(y) == emitted == -14.770310954170828
+    assert y in enumerate_until(problem, problem.score(y)).configs
+    for config, score in zip(best.configs, best.scores):
+        assert matching_score(costs, config) == score

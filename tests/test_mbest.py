@@ -6,6 +6,7 @@ import pytest
 
 from weakconformal import (
     EnumerationCapExceeded,
+    Enumerator,
     MatchingProblem,
     PartitionError,
     PsiSpec,
@@ -185,3 +186,70 @@ def test_matching_backend_through_engine():
             sum(costs[i, p[i]] for i in range(3)) for p in permutations(range(3))
         )
         np.testing.assert_allclose(res.scores, exact, atol=1e-9)
+
+
+def _tied_problems(rng, n):
+    # {0, 1, 2} entries: many exactly tied scores in 4! = 24 configurations
+    for _ in range(n):
+        yield MatchingProblem(rng.integers(0, 3, size=(4, 4)).astype(float))
+        yield RankingProblem(rng.integers(0, 3, size=4).astype(float), PsiSpec.hinge())
+
+
+def _doubling_length(count: int, cap: int, space: int) -> int:
+    # configurations held after rounds of 1, 2, 4, ... until one passes index count
+    target = 1
+    while target <= count:
+        target *= 2
+    return min(target, cap, space)
+
+
+def test_extend_until_follows_m_best_and_the_doubling_schedule():
+    rng = np.random.default_rng(31)
+    for problem in _tied_problems(rng, 15):
+        full = m_best(problem, 24)
+        for t in sorted(set(full.scores)):
+            n_le = sum(s <= t for s in full.scores)
+            for cap in (1, 3, n_le, 8, 23, 24, 30):
+                state = Enumerator(problem)
+                found = state.extend_until(lambda config, score: score > t, cap)
+                assert found == (n_le if n_le < min(cap, 24) else None)
+                held = _doubling_length(n_le, cap, 24)
+                assert state.configs == full.configs[:held]
+                assert state.scores == full.scores[:held]
+                assert state.exhausted == (held == 24)
+
+                res = enumerate_until(problem, t, cap)
+                assert res.configs == full.configs[: min(n_le, cap)]
+                assert res.scores == full.scores[: min(n_le, cap)]
+                # cap members at or under t fill the cap; more may follow
+                assert res.truncated == (n_le >= cap and cap < 24)
+
+
+def test_extend_until_stops_on_the_configuration():
+    problem = RankingProblem(np.array([3.0, 1.0, 2.0, 0.0]), PsiSpec.hinge())
+    full = m_best(problem, 24)
+    for target in range(24):
+        state = Enumerator(problem)
+        found = state.extend_until(lambda config, score: config == full.configs[target], 24)
+        assert found == target
+        assert len(state.configs) == _doubling_length(target, 24, 24)
+
+
+def test_enumeration_exhausted_exactly_at_the_cap():
+    problem = MatchingProblem(np.arange(16.0).reshape(4, 4) % 3)
+    state = Enumerator(problem)
+    assert state.extend_until(lambda config, score: False, 24) is None
+    assert state.exhausted and len(state.configs) == 24
+    res = enumerate_until(problem, math.inf, cap=24)
+    assert len(res) == 24 and not res.truncated
+    assert enumerate_until(problem, math.inf, cap=23).truncated
+
+
+def test_compatible_rank_without_compatible_configuration():
+    problem = RankingProblem(np.arange(4.0), PsiSpec.hinge())
+    # an exhausted space is reported before the cap, also when both coincide
+    for cap in (24, 25, 1000):
+        with pytest.raises(ValueError, match="no compatible"):
+            compatible_rank(problem, lambda y: False, cap=cap)
+    with pytest.raises(EnumerationCapExceeded):
+        compatible_rank(problem, lambda y: False, cap=23)
