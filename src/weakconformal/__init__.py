@@ -6,6 +6,8 @@ contain the truth), plus greedy randomized sets built from weak-label
 distributions and best-first enumeration of structured prediction sets.
 """
 
+__version__ = "0.1.0"  # before the submodules: the harness records it
+
 from .conformal import (
     ClasswiseScoreOracle,
     ConformalThreshold,
@@ -109,8 +111,6 @@ from .synth import (
     train_multinomial_logistic,
     train_per_label_logistic,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

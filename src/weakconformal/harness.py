@@ -19,12 +19,22 @@ Reported seconds cover calibration plus evaluation for the method's row;
 model fitting is shared across methods and excluded.
 
 Rank and match share one permutation-space trial; the tasks differ only in
-data, fitting, scores and how a test record's level sets are counted. Set
+data, fitting, scores and how the test block's level sets are counted. Set
 sizes there are level-set counts capped at m_max (coverage columns stay
-exact), counted once per record for all methods' thresholds: by one
-best-first enumeration up to the largest threshold, or, for matching spaces
-of at most 10^4 assignments, by scoring every assignment. The capped
-fraction is in the JSON rows, not the CSV.
+exact), counted once for the whole test block and all methods' thresholds,
+block by block rather than record by record:
+  rank   the ranking best-first search run in lockstep across records
+         (ranking.levelset_counts_batch);
+  match  one table of all k! assignment totals per chunk of records, which
+         also gives the base, strong and weak scores, for spaces of at most
+         10^4 assignments; per-record Hungarian solves and best-first
+         enumeration beyond that.
+Both block-level paths check their result on the first record of the block
+against the per-record engine (RankingProblem best-first counts; Hungarian
+base, strong and weak scores) and raise RuntimeError on a disagreement.
+A record counts as truncated when more than m_max configurations lie at or
+under the threshold; every path enumerates or keeps m_max + 1 of them to
+tell. The truncated fraction is in the JSON rows, not the CSV.
 """
 from __future__ import annotations
 
@@ -33,6 +43,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -40,8 +51,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import synth
-from .conformal import conformal_threshold
+from . import __version__, synth
+from .conformal import TOL, conformal_threshold
 from .greedy import label_independent_nested_scores
 from .labels import ExplicitSet
 from .matching import MatchingProblem, matching_score, min_matching_cost, partial_matching_score
@@ -50,6 +61,7 @@ from .ranking import (
     PsiSpec,
     RankingProblem,
     complete_prefix,
+    levelset_counts_batch,
     listnet_train,
     predict_relevances,
     rank_scores_batch,
@@ -75,6 +87,8 @@ _TASKS = ("classify", "rank", "match", "regress")
 _DEFAULT_K = {"classify": 10, "rank": 7, "match": 6, "regress": 0}
 # full-space scoring beats per-record best-first enumeration up to this size
 _EXHAUSTIVE_SPACE_CAP = 10_000
+# assignment totals per chunk of the full-space table (64 records at k = 6)
+_TABLE_ENTRIES = 64 * 720
 _METHODS = {
     "classify": ("wsc", "fsc", "gws", "pessimistic"),
     "rank": ("wsc", "fsc"),
@@ -175,16 +189,26 @@ def _size_stats(sizes: np.ndarray) -> tuple[float, float, float]:
 
 def _levelset_counts(
     problem, thresholds: Sequence[float], cap: int
-) -> tuple[list[int], list[bool]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sizes of {y : score <= t} for several t on one problem, capped.
 
-    One enumeration up to the largest threshold serves every threshold. The
-    returned flag marks counts that hit the cap with possibly more members
-    beyond it.
+    One enumeration up to the largest threshold, of at most cap + 1
+    configurations, serves every threshold. Returns min(size, cap) and a
+    flag for sizes above cap.
     """
-    result = enumerate_until(problem, max(thresholds), cap)
-    counts = [bisect_right(result.scores, t) for t in thresholds]
-    return counts, [c >= cap and result.truncated for c in counts]
+    result = enumerate_until(problem, max(thresholds), cap + 1)
+    exact = np.array([bisect_right(result.scores, t) for t in thresholds])
+    return np.minimum(exact, cap), exact > cap
+
+
+def _check_first_record(task: str, fast, engine, tol: float = 0.0) -> None:
+    """Guard of the block-level paths: on the block's first record they must
+    agree with the per-record engine, within tol."""
+    if any(abs(float(a) - float(b)) > tol for a, b in zip(fast, engine, strict=True)):
+        raise RuntimeError(
+            f"{task}: block-level result {fast} differs from the per-record engine's "
+            f"{engine} on the first record of the block"
+        )
 
 
 def _calibrate(
@@ -299,7 +323,7 @@ def _classify_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
 
 def _rank_task(cfg: ExperimentConfig, seed: int):
     """Ranking data and ListNet fit: (strong, weak) scores on the calibration
-    and test blocks, and a counter of a test record's level-set sizes."""
+    and test blocks, and a counter of the test block's level-set sizes."""
     data = synth.gen_ranking(
         synth.RankingSimConfig(n=cfg.n, k=cfg.resolved_k, d=cfg.d, sigma=cfg.sigma, seed=seed)
     )
@@ -316,70 +340,112 @@ def _rank_task(cfg: ExperimentConfig, seed: int):
     _, strong_ca, weak_ca = scored(ca)
     rel_te, strong_te, weak_te = scored(te)
 
-    def count(j: int, thresholds: list[float]):
-        return _levelset_counts(RankingProblem(rel_te[j], psi), thresholds, cfg.m_max)
+    def count(thresholds: list[float]):
+        counts, flags = levelset_counts_batch(rel_te, psi, thresholds, cfg.m_max)
+        if len(counts):
+            engine = _levelset_counts(RankingProblem(rel_te[0], psi), thresholds, cfg.m_max)
+            _check_first_record("rank", [*counts[0], *flags[0]], [*engine[0], *engine[1]])
+        return counts, flags
 
     return (strong_ca, weak_ca), (strong_te, weak_te), count
 
 
+def _match_by_table(data, block: slice, cap: int):
+    """Translated (strong, weak) scores of a block of matching records from
+    one table of all k! assignment totals per chunk of records, and a
+    counter of their level sets from each record's cap + 1 smallest
+    translated totals. The first record's scores are checked against the
+    Hungarian solves of _match_by_engine."""
+    costs = data.costs[block]
+    n, k = costs.shape[:2]
+    perms = list(itertools.permutations(range(k)))
+    column = {perm: j for j, perm in enumerate(perms)}
+    truth = np.array([column[y] for y in data.y[block]])
+    perms = np.array(perms)
+    revealed = np.full((n, k), -1)
+    for i, w in enumerate(data.weak[block]):
+        for u, v in w.pairs:
+            revealed[i, u] = v
+    keep = min(cap + 1, perms.shape[0])
+    strong, weak, smallest = np.empty(n), np.empty(n), np.empty((n, keep))
+    step = max(1, _TABLE_ENTRIES // perms.shape[0])
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        chunk = costs[rows]
+        totals = chunk[:, 0, perms[:, 0]]  # added row by row, like every matching score
+        for u in range(1, k):
+            totals += chunk[:, u, perms[:, u]]
+        base = totals.min(axis=1)
+        strong[rows] = totals[np.arange(totals.shape[0]), truth[rows]] - base
+        fits = np.ones(totals.shape, dtype=bool)  # extends the revealed pairs
+        for u in range(k):
+            pin = revealed[rows, u, None]
+            fits &= (perms[:, u] == pin) | (pin < 0)
+        weak[rows] = np.where(fits, totals, np.inf).min(axis=1) - base
+        totals -= base[:, None]
+        if keep < perms.shape[0]:
+            totals = np.partition(totals, keep - 1, axis=1)[:, :keep]
+        smallest[rows] = totals
+    if n:
+        first = range(len(data.costs))[block][0]
+        strong_ref, weak_ref, _ = _match_by_engine(data, slice(first, first + 1), cap)
+        _check_first_record("match", [strong[0], weak[0]], [strong_ref[0], weak_ref[0]], TOL)
+
+    def count(thresholds: list[float]):
+        exact = (smallest[:, :, None] <= np.asarray(thresholds)).sum(axis=1)
+        return np.minimum(exact, cap), exact > cap
+
+    return strong, weak, count
+
+
+def _match_by_engine(data, block: slice, cap: int):
+    """Translated (strong, weak) scores of a block of matching records from
+    per-record Hungarian solves, and a best-first level-set counter."""
+    costs = data.costs[block]
+    bases = [min_matching_cost(c) for c in costs]
+    strong = [matching_score(c, y) - b for c, y, b in zip(costs, data.y[block], bases)]
+    weak = [partial_matching_score(c, w) - b for c, w, b in zip(costs, data.weak[block], bases)]
+
+    def count(thresholds: list[float]):
+        per_record = [
+            _levelset_counts(MatchingProblem(c, offset=b), thresholds, cap)
+            for c, b in zip(costs, bases)
+        ]
+        counts, flags = zip(*per_record)
+        return np.array(counts), np.array(flags)
+
+    return np.asarray(strong), np.asarray(weak), count
+
+
 def _match_task(cfg: ExperimentConfig, seed: int):
     """Matching data, translated by each record's optimal cost: (strong, weak)
-    scores on the calibration and test blocks, and a level-set counter."""
+    scores on the calibration and test blocks, and a counter of the test
+    block's level-set sizes. Spaces of at most _EXHAUSTIVE_SPACE_CAP
+    assignments are scored whole; larger ones go through the Hungarian
+    solver and best-first enumeration per record."""
     k = cfg.resolved_k
     data = synth.gen_matching(cfg.n, k, cfg.noise, seed)
     _, ca, te = synth.three_way_split(cfg.n, cfg.split)
-
-    def scored(block: slice) -> tuple[np.ndarray, np.ndarray, list[float]]:
-        strong, weak, bases = [], [], []
-        for i in range(block.start, block.stop):
-            base = min_matching_cost(data.costs[i])
-            strong.append(matching_score(data.costs[i], data.y[i]) - base)
-            weak.append(partial_matching_score(data.costs[i], data.weak[i]) - base)
-            bases.append(base)
-        return np.asarray(strong), np.asarray(weak), bases
-
-    strong_ca, weak_ca, _ = scored(ca)
-    strong_te, weak_te, bases_te = scored(te)
-    costs_te = data.costs[te]
-
-    if math.factorial(k) <= _EXHAUSTIVE_SPACE_CAP:
-        # small spaces: score every assignment at once instead of running the
-        # best-first engine per record (reported values are identical)
-        perms = np.array(list(itertools.permutations(range(k))))
-        rows = np.arange(k)
-
-        def count(j: int, thresholds: list[float]):
-            all_scores = costs_te[j][rows, perms].sum(axis=1) - bases_te[j]
-            exact = (all_scores[None, :] <= np.asarray(thresholds)[:, None]).sum(axis=1)
-            return np.minimum(exact, cfg.m_max), exact > cfg.m_max
-
-    else:
-
-        def count(j: int, thresholds: list[float]):
-            problem = MatchingProblem(costs_te[j], offset=bases_te[j])
-            return _levelset_counts(problem, thresholds, cfg.m_max)
-
+    scored = _match_by_table if math.factorial(k) <= _EXHAUSTIVE_SPACE_CAP else _match_by_engine
+    strong_ca, weak_ca, _ = scored(data, ca, cfg.m_max)
+    strong_te, weak_te, count = scored(data, te, cfg.m_max)
     return (strong_ca, weak_ca), (strong_te, weak_te), count
 
 
 def _permutation_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     """A rank or match trial: calibrate on the weak or true-label scores, then
-    count each test record's level sets once for all thresholds."""
+    count the test block's level sets once for all thresholds."""
     task = _rank_task if cfg.task == "rank" else _match_task
     (strong_ca, weak_ca), (strong_te, weak_te), count = task(cfg, _trial_seed(cfg.seed, trial))
     calibrated = _calibrate(cfg, {"wsc": weak_ca, "fsc": strong_ca})
-    thresholds = [value for value, _ in calibrated.values()]
-    counts = np.zeros((strong_te.size, len(thresholds)))
-    capped = np.zeros(counts.shape, dtype=bool)
-    for j in range(strong_te.size):
-        counts[j], capped[j] = count(j, thresholds)
+    counts, capped = count([value for value, _ in calibrated.values()])
 
     def evaluate(t_value: float, method: str):
         col = list(calibrated).index(method)
         return (
             float((strong_te <= t_value).mean()),
             float((weak_te <= t_value).mean()),
-            counts[:, col],
+            counts[:, col].astype(float),
             float(capped[:, col].mean()),
         )
 
@@ -458,6 +524,9 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
             "regress": "absolute_residual",
         }[cfg.task],
         "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "package_version": __version__,
+        "trial_seeds": [_trial_seed(cfg.seed, t) for t in range(cfg.n_trials)],
         "notes": [
             "set sizes for rank/match are capped at m_max; see truncation_fraction in the jsonl rows",
             "seconds column excluded from determinism guarantees",

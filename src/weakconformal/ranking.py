@@ -21,7 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .conformal import TOL
 from .labels import RankingPrefix, _as_permutation
+from .mbest import PartitionError
 
 __all__ = [
     "PsiSpec",
@@ -33,6 +35,7 @@ __all__ = [
     "rescale_relevances",
     "RankingCell",
     "RankingProblem",
+    "levelset_counts_batch",
     "relevance_targets",
     "listnet_loss_grad",
     "listnet_train",
@@ -229,6 +232,129 @@ class RankingProblem:
             cell.constraints | {(b, a)}, cell.second, cell.second_score
         )
         return keep, moved
+
+
+# --- lockstep level-set counts -------------------------------------------------
+
+# records per lockstep block: bounds the cell arrays (about 0.4 MB at k = 7, cap 20)
+_LOCKSTEP_ROWS = 128
+
+
+def _swap_deltas(r: np.ndarray, psi: PsiSpec) -> np.ndarray:
+    """d[n, a, b] = psi(r_b, r_a) - psi(r_a, r_b): the score change when item
+    a, directly above b, swaps with it. Same float arithmetic as
+    PsiSpec.__call__; the exp weights come from math.exp because np.exp can
+    differ from it in the last bit."""
+    gap = r[:, None, :] - r[:, :, None]  # gap[n, x, y] = r_y - r_x
+    if psi.kind == "hinge":
+        penalty = gap
+    else:
+        weights = [math.exp(-psi.c * v) for v in r.ravel().tolist()]
+        penalty = np.reshape(weights, r.shape)[:, :, None] * gap
+    pair = np.where(gap > 0, penalty, 0.0)  # pair[n, x, y] = psi(r_x, r_y)
+    return pair.transpose(0, 2, 1) - pair
+
+
+def _lockstep_counts(r: np.ndarray, psi: PsiSpec, t: np.ndarray, m: int) -> np.ndarray:
+    """For each row of r and each threshold, how many of the first m
+    configurations that Enumerator(RankingProblem(row, psi)) emits score <= t.
+
+    Every record runs the enumerator's best-first search at once: each step
+    pops, per record, the cell with the smallest (second_score, creation
+    order), emits its second-best and splits the cell as RankingProblem.split
+    does. A cell is its best ranking, that ranking's score, its second-best
+    and a boolean precedence matrix prec[a, b] for "a placed before b". A
+    record stops once all thresholds lie below its last score, after m
+    configurations, or when its space is exhausted.
+    """
+    n, k = r.shape
+    delta = _swap_deltas(r, psi)
+    best = np.zeros((n, m, k), dtype=np.intp)
+    base = np.zeros((n, m))  # score of each cell's best
+    second = np.full((n, m), np.inf)  # inf: no second-best, or no cell
+    second_pos = np.zeros((n, m), dtype=np.intp)
+    prec = np.zeros((n, m, k, k), dtype=bool)
+    order = np.zeros((n, m), dtype=np.int64)
+    cells = np.ones(n, dtype=np.intp)
+    created = np.ones(n, dtype=np.int64)  # Enumerator._counter
+
+    def fill_second(rr: np.ndarray, slots: np.ndarray) -> None:
+        # the cheapest adjacent transposition the cell's constraints allow,
+        # lowest position first among equal scores (RankingProblem._second_best)
+        cur = best[rr, slots]
+        above, below = cur[:, :-1], cur[:, 1:]
+        scores = base[rr, slots][:, None] + delta[rr[:, None], above, below]
+        scores[prec[rr[:, None], slots[:, None], above, below]] = np.inf
+        pos = scores.argmin(axis=1)
+        second[rr, slots] = scores[np.arange(rr.size), pos]
+        second_pos[rr, slots] = pos
+
+    # the root's best is the relevance-descending ranking, which scores 0
+    best[:, 0] = np.argsort(-r, axis=1, kind="stable")
+    fill_second(np.arange(n), np.zeros(n, dtype=np.intp))
+    last = np.zeros(n)
+    inside = last[:, None] <= t[None, :]
+    counts = inside.astype(np.int64)
+    emitted = np.ones(n, dtype=np.intp)
+    live = inside.any(axis=1) & (emitted < m)
+    while live.any():
+        rr = np.flatnonzero(live)
+        sec = second[rr]
+        low = sec.min(axis=1)
+        done = np.isinf(low)  # exhausted spaces
+        live[rr[done]] = False
+        rr, sec, low = rr[~done], sec[~done], low[~done]
+        if np.any(low < last[rr] - TOL):
+            raise PartitionError(
+                "second-best score below last emitted score: ranking cells "
+                "do not partition the space"
+            )
+        slot = np.where(sec == low[:, None], order[rr], np.iinfo(np.int64).max).argmin(axis=1)
+        inside[rr] &= low[:, None] <= t[None, :]
+        counts[rr] += inside[rr]
+        last[rr] = low
+        emitted[rr] += 1
+        go = inside[rr].any(axis=1) & (emitted[rr] < m)
+        live[rr[~go]] = False
+        rr, slot, low = rr[go], slot[go], low[go]
+        # split: the kept cell holds a above b, the moved cell b above a
+        pos = second_pos[rr, slot]
+        a, b = best[rr, slot, pos], best[rr, slot, pos + 1]
+        new = cells[rr]
+        best[rr, new] = best[rr, slot]
+        best[rr, new, pos], best[rr, new, pos + 1] = b, a
+        base[rr, new] = low
+        prec[rr, new] = prec[rr, slot]
+        prec[rr, new, b, a] = True
+        prec[rr, slot, a, b] = True
+        order[rr, new] = created[rr]
+        created[rr] += 1
+        cells[rr] += 1
+        fill_second(np.concatenate([rr, rr]), np.concatenate([slot, new]))
+    return counts
+
+
+def levelset_counts_batch(
+    rel, psi: PsiSpec, thresholds: Sequence[float], cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Capped sizes of the sublevel sets {y : rank_score(row, y) <= t}.
+
+    One row of rel per record, one column of the results per threshold.
+    Equal to a best-first enumeration of each RankingProblem up to cap + 1
+    configurations: counts holds min(size, cap), and flags marks the sizes
+    above cap. The search runs in lockstep across records, in blocks.
+    """
+    r = np.asarray(rel, dtype=float)
+    if r.ndim != 2 or r.shape[1] < 2 or not np.all(np.isfinite(r)):
+        raise ValueError("rel must be (n, k) with k >= 2 finite relevances per row")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    t = np.asarray(thresholds, dtype=float).ravel()
+    exact = np.zeros((r.shape[0], t.size), dtype=np.int64)
+    for start in range(0, r.shape[0], _LOCKSTEP_ROWS):
+        block = slice(start, start + _LOCKSTEP_ROWS)
+        exact[block] = _lockstep_counts(r[block], psi, t, cap + 1)
+    return np.minimum(exact, cap), exact > cap
 
 
 # --- ListNet trainer ---------------------------------------------------------

@@ -1,10 +1,25 @@
 import json
 import math
+import platform
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weakconformal.harness import CSV_COLUMNS, ExperimentConfig, TrialResult, run
+import weakconformal
+from weakconformal import synth
+from weakconformal.harness import (
+    CSV_COLUMNS,
+    ExperimentConfig,
+    TrialResult,
+    _match_by_engine,
+    _match_by_table,
+    _trial_seed,
+    run,
+)
+from weakconformal.labels import PartialMatching
+from weakconformal.ranking import listnet_train, predict_relevances, rank_score
 
 
 def _by_method(results):
@@ -104,6 +119,9 @@ def test_csv_jsonl_meta_outputs(tmp_path):
     assert meta["config"]["task"] == "regress"
     assert meta["config"]["seed"] == 9
     assert meta["columns"] == CSV_COLUMNS
+    assert meta["python_version"] == platform.python_version()
+    assert meta["package_version"] == weakconformal.__version__
+    assert meta["trial_seeds"] == [_trial_seed(9, 0), _trial_seed(9, 1)]
 
     # a second run appends data rows without repeating the header
     run(cfg)
@@ -161,8 +179,6 @@ def test_classify_gws_and_pessimistic_sizes_bracket():
 def test_match_levelset_counts_match_engine():
     # the harness counts small assignment spaces by scoring every permutation;
     # that must agree with best-first enumeration at the same thresholds
-    from itertools import permutations
-
     from weakconformal.matching import MatchingProblem, min_matching_cost
     from weakconformal.mbest import enumerate_until
 
@@ -192,8 +208,6 @@ def test_match_trial_on_the_engine_equals_exhaustive_count():
     # 8! > 10^4 sends the harness through best-first enumeration per record;
     # its capped counts must equal a count over every assignment, each summed
     # in row order like the translated scores
-    from itertools import permutations
-
     from weakconformal import synth
     from weakconformal.harness import _trial_seed
     from weakconformal.matching import min_matching_cost
@@ -217,8 +231,136 @@ def test_match_trial_on_the_engine_equals_exhaustive_count():
             assert r.avg_size == sizes[:, col].mean()
             assert r.p50_size == np.quantile(sizes[:, col], 0.5)
             assert r.p90_size == np.quantile(sizes[:, col], 0.9)
-            # the engine stops at the cap, so a full cap counts as truncated
-            assert r.truncation_fraction == (exact[:, col] >= m_max).mean()
+            # truncated means more than m_max members, as on the exhaustive path
+            assert r.truncation_fraction == (exact[:, col] > m_max).mean()
         saw_capped |= bool((exact > m_max).any())
         saw_uncapped |= bool((exact < m_max).any())
     assert saw_capped and saw_uncapped
+
+
+# every CSV value except seconds, recorded before the rank and match trials
+# moved to block-level counting; the same seed must keep giving them
+GOLDEN_ROWS = [
+    ((dict(task="rank", k=7, alpha=0.3, m_max=50), 0), [
+        "0,wsc,1.0,0.16,0.68,34.805,40.0,50.0,0.8409060144671578",
+        "0,fsc,1.0,0.71,0.97,50.0,50.0,50.0,3.859920785724344",
+        "1,wsc,1.0,0.39,0.815,46.85,50.0,50.0,1.6348464808611283",
+        "1,fsc,1.0,0.775,0.97,50.0,50.0,50.0,3.931636504195311",
+    ]),
+    ((dict(task="rank", k=7, alpha=0.3, m_max=50), 1), [
+        "0,wsc,1.0,0.13,0.68,35.77,43.0,50.0,0.976332977381146",
+        "0,fsc,1.0,0.7,0.95,49.99,50.0,50.0,3.7752763141584422",
+        "1,wsc,1.0,0.28,0.775,39.045,48.5,50.0,1.088398762632563",
+        "1,fsc,1.0,0.685,0.955,50.0,50.0,50.0,3.264615612175095",
+    ]),
+    ((dict(task="rank", k=7, alpha=0.3, m_max=50, psi_c=1.0), 0), [
+        "0,wsc,1.0,0.075,0.685,23.425,16.0,50.0,0.5336084432338353",
+        "0,fsc,1.0,0.665,0.98,49.78,50.0,50.0,6.623575176155945",
+        "1,wsc,1.0,0.295,0.775,42.95,50.0,50.0,1.511671796079263",
+        "1,fsc,1.0,0.81,0.985,50.0,50.0,50.0,6.910823885404195",
+    ]),
+    ((dict(task="rank", k=7, alpha=0.3, m_max=50, psi_c=1.0), 1), [
+        "0,wsc,1.0,0.095,0.675,27.91,24.0,50.0,0.8278708338241341",
+        "0,fsc,1.0,0.715,0.96,49.87,50.0,50.0,6.467652004633743",
+        "1,wsc,1.0,0.195,0.78,28.735,26.5,50.0,0.8406857733564861",
+        "1,fsc,1.0,0.645,0.96,49.255,50.0,50.0,5.350494869079636",
+    ]),
+    ((dict(task="match", k=6, noise=1.0), 0), [
+        "0,wsc,1.0,0.59,0.84,16.18,20.0,20.0,2.395581552917516",
+        "0,fsc,1.0,0.835,0.975,19.97,20.0,20.0,4.466222121812085",
+        "1,wsc,1.0,0.74,0.93,18.605,20.0,20.0,2.937155778123887",
+        "1,fsc,1.0,0.935,0.99,19.96,20.0,20.0,4.804539674355166",
+    ]),
+    ((dict(task="match", k=6, noise=1.0), 1), [
+        "0,wsc,1.0,0.605,0.91,15.63,20.0,20.0,2.343707935375786",
+        "0,fsc,1.0,0.925,0.99,19.945,20.0,20.0,4.380440132398908",
+        "1,wsc,1.0,0.58,0.885,15.79,20.0,20.0,2.3398487019844003",
+        "1,fsc,1.0,0.78,0.955,19.5,20.0,20.0,3.684877373848641",
+    ]),
+]
+
+
+@pytest.mark.parametrize("setup,expected", GOLDEN_ROWS)
+def test_same_seed_same_csv_values(setup, expected):
+    kwargs, seed = setup
+    rows = run(ExperimentConfig(n=400, n_trials=2, seed=seed, **kwargs))
+    assert [r.csv_row().rsplit(",", 1)[0] for r in rows] == expected
+
+
+def test_truncation_means_more_than_m_max_members():
+    # k = 2 has two rankings; with m_max = 1 a record is truncated only when
+    # both score at or under the threshold
+    cfg = ExperimentConfig(task="rank", k=2, n=60, m_max=1, n_trials=1, seed=1)
+    results = run(cfg)
+    data = synth.gen_ranking(synth.RankingSimConfig(n=60, k=2, d=cfg.d, sigma=cfg.sigma,
+                                                    seed=_trial_seed(1, 0)))
+    tr, _, te = synth.three_way_split(cfg.n, cfg.split)
+    rel = predict_relevances(listnet_train(data.x[tr], data.y[tr])[0], data.x[te])
+    psi = cfg.psi()
+    for r in results:
+        both = [max(rank_score(row, (0, 1), psi), rank_score(row, (1, 0), psi)) <= r.threshold
+                for row in rel]
+        assert r.truncation_fraction == np.mean(both)
+        assert r.truncation_fraction < 1.0
+
+
+def _probe_thresholds(rng, scores):
+    """Thresholds at a score, between two distinct ones, below 0 and at +inf."""
+    distinct = np.unique(scores)
+    at = float(rng.choice(distinct))
+    between = float(rng.choice((distinct[:-1] + distinct[1:]) / 2)) if distinct.size > 1 else at + 0.25
+    return [at, between, -0.5, math.inf]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(2, 7),
+    integer_costs=st.booleans(),
+    cap=st.integers(1, 25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_assignment_table_equals_hungarian_and_engine(k, integer_costs, cap, seed):
+    # the full-space table must give the scores of min_matching_cost,
+    # matching_score and partial_matching_score, and the level-set counts of
+    # best-first enumeration, on continuous and heavily tied costs
+    rng = np.random.default_rng(seed)
+    n = 4
+    costs = rng.integers(0, 5, size=(n, k, k)) if integer_costs else rng.normal(size=(n, k, k))
+    costs = costs.astype(float)
+    truth = [tuple(int(v) for v in rng.permutation(k)) for _ in range(n)]
+    weak = []
+    for y in truth:
+        agents = rng.choice(k, size=int(rng.integers(0, k + 1)), replace=False)
+        weak.append(PartialMatching(tuple((int(u), y[u]) for u in agents), k))
+    data = synth.MatchingData(costs=costs, y=truth, weak=weak)
+    block = slice(0, n)
+    strong, weak_scores, count = _match_by_table(data, block, cap)
+    strong_ref, weak_ref, count_ref = _match_by_engine(data, block, cap)
+    assert strong.tolist() == strong_ref.tolist()
+    assert weak_scores.tolist() == weak_ref.tolist()
+    totals = costs[0][np.arange(k), np.array(list(permutations(range(k))))].sum(axis=1)
+    thresholds = _probe_thresholds(rng, totals - totals.min())
+    counts, flags = count(thresholds)
+    counts_ref, flags_ref = count_ref(thresholds)
+    assert counts.tolist() == counts_ref.tolist()
+    assert flags.tolist() == flags_ref.tolist()
+
+
+def test_block_counters_are_checked_against_the_engine_on_the_first_record(monkeypatch):
+    # a block-level result that disagrees with the per-record engine on the
+    # block's first record stops the trial instead of reaching the CSV
+    import weakconformal.harness as harness
+
+    batch, min_cost = harness.levelset_counts_batch, harness.min_matching_cost
+
+    def undercounted(rel, psi, thresholds, cap):
+        counts, flags = batch(rel, psi, thresholds, cap)
+        return counts - 1, flags
+
+    monkeypatch.setattr(harness, "levelset_counts_batch", undercounted)
+    with pytest.raises(RuntimeError, match="rank: block-level result"):
+        run(ExperimentConfig(task="rank", k=4, n=80, n_trials=1, seed=2, m_max=3))
+    # the table's base is its own minimum; the engine's comes from the solver
+    monkeypatch.setattr(harness, "min_matching_cost", lambda costs: min_cost(costs) - 1.0)
+    with pytest.raises(RuntimeError, match="match: block-level result"):
+        run(ExperimentConfig(task="match", k=4, n=80, n_trials=1, seed=2))

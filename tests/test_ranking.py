@@ -3,6 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakconformal import (
     PsiSpec,
@@ -18,7 +19,14 @@ from weakconformal import (
     rank_scores_batch,
     rescale_relevances,
 )
-from weakconformal.ranking import listnet_loss_grad, relevance_targets, _softmax
+from weakconformal.harness import _levelset_counts
+from weakconformal.ranking import (
+    _softmax,
+    _swap_deltas,
+    levelset_counts_batch,
+    listnet_loss_grad,
+    relevance_targets,
+)
 
 
 def test_psi_hinge_values():
@@ -183,3 +191,75 @@ def test_predict_relevances_shape():
     weights = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     x = np.array([[2.0, 3.0]])
     np.testing.assert_allclose(predict_relevances(weights, x), [[2.0, 3.0, 5.0]])
+
+
+# --- lockstep level-set counts ---------------------------------------------------
+
+PSIS = [PsiSpec.hinge(), PsiSpec.exp_weighted(0.5), PsiSpec.exp_weighted(2.0)]
+
+
+def _probe_thresholds(rng, scores):
+    """Thresholds at an emitted score, between two distinct ones, below 0 and
+    at +inf."""
+    distinct = np.unique(scores)
+    at = float(rng.choice(distinct))
+    between = (
+        float((distinct[-2] + distinct[-1]) / 2) if distinct.size > 1 else at + 0.25
+    )
+    return [at, between, -0.5, math.inf]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k=st.integers(2, 7),
+    tied=st.booleans(),
+    psi=st.sampled_from(PSIS),
+    cap=st.integers(1, 25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_counts_equal_the_engine(k, tied, psi, cap, seed):
+    rng = np.random.default_rng(seed)
+    n = 5
+    rel = (rng.integers(0, 3, size=(n, k)) if tied else rng.normal(size=(n, k))).astype(float)
+    emitted = m_best(RankingProblem(rel[0], psi), cap + 2).scores
+    thresholds = _probe_thresholds(rng, emitted)
+    counts, flags = levelset_counts_batch(rel, psi, thresholds, cap)
+    for j in range(n):
+        want_counts, want_flags = _levelset_counts(RankingProblem(rel[j], psi), thresholds, cap)
+        assert counts[j].tolist() == want_counts.tolist()
+        assert flags[j].tolist() == want_flags.tolist()
+
+
+def test_lockstep_counts_span_blocks_and_tight_caps():
+    # more records than one lockstep block; a cap of one flags every record
+    # with two or more rankings at or under the threshold
+    rng = np.random.default_rng(4)
+    rel = rng.normal(size=(300, 4))
+    psi = PsiSpec.hinge()
+    counts, flags = levelset_counts_batch(rel, psi, [0.4, math.inf], 1)
+    for j in range(rel.shape[0]):
+        scores = np.array([rank_score(rel[j], y, psi) for y in permutations(range(4))])
+        exact = [(scores <= 0.4).sum(), scores.size]
+        assert counts[j].tolist() == [min(e, 1) for e in exact]
+        assert flags[j].tolist() == [e > 1 for e in exact]
+
+
+@pytest.mark.parametrize("psi", PSIS)
+def test_swap_deltas_equal_psi_to_the_bit(psi):
+    # np.exp can differ from math.exp in the last bit; the table must not
+    rng = np.random.default_rng(8)
+    r = rng.normal(scale=3.0, size=(60, 7))
+    delta = _swap_deltas(r, psi)
+    for row, d in zip(r, delta):
+        for a in range(7):
+            for b in range(7):
+                assert d[a, b] == psi(row[b], row[a]) - psi(row[a], row[b])
+
+
+def test_levelset_counts_batch_rejects_bad_input():
+    with pytest.raises(ValueError):
+        levelset_counts_batch(np.zeros(4), PsiSpec.hinge(), [1.0], 3)
+    with pytest.raises(ValueError):
+        levelset_counts_batch(np.array([[0.0, math.nan]]), PsiSpec.hinge(), [1.0], 3)
+    with pytest.raises(ValueError):
+        levelset_counts_batch(np.zeros((2, 3)), PsiSpec.hinge(), [1.0], 0)
