@@ -58,6 +58,24 @@ def _load_config(path: str) -> dict:
 
 
 _RUN_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_config(loaded: dict) -> None:
+    """Reject a config value of the wrong type, naming its field."""
+    for name, value in loaded.items():
+        kind = _RUN_FIELDS[name].type  # e.g. "int", "float | None", "tuple[str, ...]"
+        if value is None and kind.endswith("| None"):
+            continue
+        if kind.startswith("tuple"):  # a list, or one comma-separated string
+            item = _SCALARS["str" if "str" in kind else "float"]
+            ok = isinstance(value, str) or (isinstance(value, list) and all(
+                isinstance(v, item) and not isinstance(v, bool) for v in value
+            ))
+        else:
+            ok = isinstance(value, _SCALARS[kind.split()[0]]) and not isinstance(value, bool)
+        if not ok:
+            raise FormatError(f"config field {name!r} must be {kind}, not {value!r}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -68,9 +86,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             settings[name] = flag
     if args.config:
         loaded = _load_config(args.config)
+        if not isinstance(loaded, dict):
+            raise FormatError("a config file must hold one table of settings")
         unknown = set(loaded) - set(_RUN_FIELDS)
         if unknown:
             raise FormatError(f"unknown config keys: {sorted(unknown)}")
+        _check_config(loaded)
         settings.update(loaded)
     if "methods" in settings and isinstance(settings["methods"], str):
         settings["methods"] = tuple(settings["methods"].split(","))
@@ -191,6 +212,8 @@ class _ConfigSet:
 
 
 def _set_from_payload(payload: dict, line: int):
+    if not isinstance(payload, dict):
+        raise FormatError("a prediction set must be a JSON object", line=line)
     kind = payload.get("kind")
     try:
         if kind == "set":
@@ -203,6 +226,8 @@ def _set_from_payload(payload: dict, line: int):
         raise FormatError(
             f"missing field {exc.args[0]!r} for prediction-set kind {kind!r}", line=line
         ) from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad {kind!r} prediction set: {exc}", line=line) from exc
     raise FormatError(f"unknown prediction-set kind {kind!r}", line=line)
 
 

@@ -23,6 +23,15 @@ greedy suboptimality (``wolsey_constant``), structure detection for the two
 families where greedy is provably size-optimal (``check_structure``), and a
 knapsack allocation of per-x coverage levels under a marginal coverage
 budget (``marginal_allocation``).
+
+All but the allocation runs on arrays. A distribution caches its (atoms, k)
+bit matrix (from uint64 masks, so k = 64 fits) and its greedy run, whose
+table of coverage increments after each prefix serves ``greedy_set`` and
+``wolsey_constant`` at every level; column sums add atoms in row order, as a
+loop over the atoms would. ``size_profile`` takes each subset's coverage as
+total - g(complement), g the subset-sum (zeta) transform: O(k 2^k) time,
+O(2^k) memory. ``wolsey_constant`` takes Wolsey's terms on the coverage
+truncated at eta, min(cov(S), eta), as his theorem states them (1982).
 """
 from __future__ import annotations
 
@@ -30,6 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,14 +84,7 @@ def _mask_of(labels: Iterable[int], k: int) -> int:
 
 
 def _labels_of(mask: int) -> tuple[int, ...]:
-    out = []
-    y = 0
-    while mask:
-        if mask & 1:
-            out.append(y)
-        mask >>= 1
-        y += 1
-    return tuple(out)
+    return tuple(y for y in range(mask.bit_length()) if (mask >> y) & 1)
 
 
 @dataclass(frozen=True)
@@ -101,22 +104,24 @@ class DiscreteWeakDistribution:
         k = int(self.k)
         if not 1 <= k <= 64:
             raise ValueError("k must be in [1, 64]")
-        masks = tuple(int(m) for m in self.masks)
-        probs = tuple(float(p) for p in self.probs)
+        masks = tuple(map(int, self.masks))
+        probs = tuple(map(float, self.probs))
         if len(masks) != len(probs) or not masks:
             raise ValueError("need matching, nonempty masks and probs")
-        full = (1 << k) - 1
-        if any(m == 0 or m & ~full for m in masks):
+        if min(masks) < 1 or max(masks) > (1 << k) - 1:  # m != 0 and m & ~full == 0
             raise ValueError("atoms must be nonempty subsets of the label space")
         if len(set(masks)) != len(masks):
             raise ValueError("atom masks must be distinct")
-        if any(p < -TOL for p in probs):
+        p = np.array(probs)
+        if np.any(p < -TOL):
             raise ValueError("atom probabilities must be nonnegative")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError(f"atom probabilities sum to {sum(probs)}, not 1")
+        if np.any(p < 0.0):
+            probs = tuple(max(v, 0.0) for v in probs)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "probs", tuple(max(p, 0.0) for p in probs))
+        object.__setattr__(self, "probs", probs)
 
     @classmethod
     def from_sets(
@@ -131,7 +136,7 @@ class DiscreteWeakDistribution:
     @classmethod
     def from_marginals(cls, k: int, q: Sequence[float]) -> "DiscreteWeakDistribution":
         """Independent label indicators with P(y in W) = q[y], conditioned on
-        W being nonempty, materialized atom by atom (k <= 20)."""
+        W being nonempty, with every atom materialized (k <= 20)."""
         q = np.asarray(q, dtype=float)
         if q.shape != (k,) or np.any((q < 0) | (q > 1)):
             raise ValueError("q must be k probabilities")
@@ -140,15 +145,22 @@ class DiscreteWeakDistribution:
         p_empty = float(np.prod(1.0 - q))
         if p_empty >= 1.0 - 1e-12:
             raise ValueError("W would be empty almost surely")
-        masks, probs = [], []
-        for m in range(1, 1 << k):
-            p = 1.0
-            for y in range(k):
-                p *= q[y] if (m >> y) & 1 else 1.0 - q[y]
-            if p > 0.0:
-                masks.append(m)
-                probs.append(p / (1.0 - p_empty))
-        return cls(k, tuple(masks), tuple(probs))
+        masks = np.arange(1, 1 << k)
+        p = np.ones(masks.size)
+        for y in range(k):  # one factor per label, in label order
+            p *= np.where((masks >> y) & 1, q[y], 1.0 - q[y])
+        keep = p > 0.0
+        return cls(k, tuple(masks[keep].tolist()), tuple((p[keep] / (1.0 - p_empty)).tolist()))
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        """(atoms, k) bool matrix; row i holds the labels of atom i."""
+        masks = np.array(self.masks, dtype=np.uint64)  # unsigned: label 63 fits
+        return ((masks[:, None] >> np.arange(self.k, dtype=np.uint64)) & np.uint64(1)) == 1
+
+    @cached_property
+    def _greedy(self) -> tuple["GreedySequence", np.ndarray]:
+        return _greedy_run(self)
 
     def atom_sets(self) -> list[tuple[tuple[int, ...], float]]:
         return [(_labels_of(m), p) for m, p in zip(self.masks, self.probs)]
@@ -214,36 +226,36 @@ def greedy_sequence(dist: DiscreteWeakDistribution) -> GreedySequence:
     """Order labels by marginal coverage gain (ties to the smallest id).
 
     The gain of y given already-picked set C is P(W disjoint from C, y in W);
-    cumulative coverages are the running sums of the picked gains.
+    cumulative coverages are the running sums of the picked gains. Computed
+    once per distribution and cached on it.
     """
+    return dist._greedy[0]
+
+
+def _greedy_run(dist: DiscreteWeakDistribution) -> tuple[GreedySequence, np.ndarray]:
+    """Greedy sequence and its (k+1, k) increment table: row j holds
+    delta(C_j, y) = P(W disjoint from the first j picks, y in W) for every y."""
     k = dist.k
-    atoms = list(zip(dist.masks, dist.probs))
-    chosen_mask = 0
+    bits = dist._bits
+    weighted = bits * np.asarray(dist.probs)[:, None]
+    deltas = np.zeros((k + 1, k))
+    free = np.ones(k, dtype=bool)
     picked: list[int] = []
     cum: list[float] = []
     covered = 0.0
-    remaining = set(range(k))
-    for _ in range(k):
-        best_y, best_gain = -1, -1.0
-        for y in sorted(remaining):
-            bit = 1 << y
-            gain = 0.0
-            for m, p in atoms:
-                if (m & chosen_mask) == 0 and (m & bit):
-                    gain += p
-            if gain > best_gain + 0.0:  # strict: first max wins
-                best_y, best_gain = y, gain
-        picked.append(best_y)
-        remaining.discard(best_y)
-        chosen_mask |= 1 << best_y
-        covered += best_gain
+    for j in range(k):
+        deltas[j] = weighted.sum(axis=0)  # axis-0 sums add the live atoms in row order
+        y = int(np.argmax(np.where(free, deltas[j], -1.0)))  # first max: smallest label
+        picked.append(y)
+        free[y] = False
+        covered += float(deltas[j, y])
         cum.append(covered)
-        # drop exhausted atoms for speed
-        atoms = [(m, p) for m, p in atoms if (m & chosen_mask) == 0]
+        live = ~bits[:, y]  # drop the atoms the pick covers
+        bits, weighted = bits[live], weighted[live]
     if abs(cum[-1] - 1.0) > 1e-6:
         raise AssertionError(f"cumulative coverage ended at {cum[-1]}, not 1")
     cum[-1] = 1.0
-    return GreedySequence(tuple(picked), tuple(cum))
+    return GreedySequence(tuple(picked), tuple(cum)), deltas
 
 
 def label_independent_sequence(q: Sequence[float]) -> GreedySequence:
@@ -413,16 +425,23 @@ def _upper_hull(covs: Sequence[float]) -> list[int]:
 
 
 def size_profile(dist: DiscreteWeakDistribution) -> SizeProfile:
-    """Exhaustive frontier over all 2^k subsets (k <= 20)."""
+    """Exhaustive frontier over all 2^k subsets (k <= 20) in O(k 2^k).
+
+    cov(S) = total - g(complement of S), where g(T) = sum of p_m over the
+    atoms m inside T is the subset-sum (zeta) transform, built in place one
+    label at a time.
+    """
     k = dist.k
     if k > _ENUM_CAP:
         raise ValueError(f"exhaustive enumeration capped at k={_ENUM_CAP}")
-    n_masks = 1 << k
-    m = np.arange(n_masks, dtype=np.int64)
-    cov = np.zeros(n_masks)
-    for amask, p in zip(dist.masks, dist.probs):
-        cov[(m & amask) != 0] += p
-    sizes = np.bitwise_count(m)
+    g = np.zeros(1 << k)
+    g[np.array(dist.masks, dtype=np.int64)] = dist.probs
+    for y in range(k):  # g[T] += g[T minus y] for every T holding y
+        half = g.reshape(-1, 2, 1 << y)
+        half[:, 1] += half[:, 0]
+    cov = math.fsum(dist.probs) - g[::-1]  # mask 2^k - 1 - S is the complement of S
+    cov[0] = 0.0  # the empty set covers nothing, without rounding residue
+    sizes = np.bitwise_count(np.arange(1 << k))
     best_covs = np.zeros(k + 1)
     best_masks = np.zeros(k + 1, dtype=np.int64)
     for s in range(k + 1):
@@ -459,51 +478,29 @@ def wolsey_constant(dist: DiscreteWeakDistribution, eta: float) -> float:
     The outer greedy set size is bounded by (1 + log K) times the smallest
     deterministic set with coverage >= eta. K is the minimum of three terms
     built from the coverage increments delta(C, y) = P(W disjoint from C and
-    y in W); any term with a vanishing denominator drops out (+inf).
+    y in W), read from the cached greedy run; any term with a vanishing
+    denominator drops out (+inf). With C_t the first t greedy labels and j
+    the outer size: eta / (eta - c_{j-1}); the largest ratio
+    delta(empty, y) / delta(C_t, y) over t <= j; and theta_1 / theta_j on the
+    coverage truncated at eta, theta_1 = min(max_y delta(empty, y), eta) and
+    theta_j = min(max_y delta(C_{j-1}, y), eta - c_{j-1}).
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
-    seq = greedy_sequence(dist)
+    seq, deltas = dist._greedy
     cum = seq.cum_coverage
     j = next(i + 1 for i, c in enumerate(cum) if c >= eta - TOL)
     cprev = cum[j - 2] if j >= 2 else 0.0
-    atoms = list(zip(dist.masks, dist.probs))
-    k = dist.k
-
-    def increments(chosen_mask: int) -> list[float]:
-        delta = [0.0] * k
-        for m, p in atoms:
-            if (m & chosen_mask) == 0:
-                mm = m
-                y = 0
-                while mm:
-                    if mm & 1:
-                        delta[y] += p
-                    mm >>= 1
-                    y += 1
-        return delta
-
-    delta_empty = increments(0)
 
     term1 = eta / (eta - cprev) if eta - cprev > TOL else math.inf
 
-    term2 = -math.inf
-    chosen = 0
-    for jj in range(0, j + 1):
-        delta_jj = delta_empty if jj == 0 else increments(chosen)
-        for y in range(k):
-            if delta_jj[y] > TOL:
-                term2 = max(term2, delta_empty[y] / delta_jj[y])
-        if jj < j:
-            chosen |= 1 << seq.order[jj]
-    if term2 == -math.inf:
-        term2 = math.inf
+    live = deltas[: j + 1] > TOL
+    ratios = deltas[0] / np.where(live, deltas[: j + 1], 1.0)
+    term2 = float(ratios[live].max()) if live.any() else math.inf
 
-    inner_mask = 0
-    for y in seq.order[: j - 1]:
-        inner_mask |= 1 << y
-    dmax_inner = max(increments(inner_mask))
-    term3 = max(delta_empty) / dmax_inner if dmax_inner > TOL else math.inf
+    theta_1 = min(float(deltas[0].max()), eta)
+    theta_j = min(float(deltas[j - 1].max()), eta - cprev)
+    term3 = theta_1 / theta_j if theta_j > TOL else math.inf
 
     return min(term1, term2, term3)
 
@@ -518,22 +515,20 @@ class Structure(Enum):
 
 
 def _is_tree(dist: DiscreteWeakDistribution) -> bool:
-    masks = dist.masks
-    for i in range(len(masks)):
-        for jj in range(i + 1, len(masks)):
-            inter = masks[i] & masks[jj]
-            if inter and inter != masks[i] and inter != masks[jj]:
-                return False
+    """Laminar support: two atoms meet only when nested, so the atoms that
+    hold any one label form a chain, each inside the next larger one."""
+    bits = dist._bits[np.argsort(dist._bits.sum(axis=1), kind="stable")]
+    for y in range(dist.k):
+        chain = bits[bits[:, y]]  # the atoms holding y, smallest first
+        if np.any(chain[:-1] & ~chain[1:]):
+            return False
     return True
 
 
 def _is_label_independent(dist: DiscreteWeakDistribution, tol: float) -> bool:
     k = dist.k
-    marg = np.zeros(k)
-    for m, p in zip(dist.masks, dist.probs):
-        for y in _labels_of(m):
-            marg[y] += p
-    marg = np.clip(marg, 0.0, 1.0)
+    bits, probs = dist._bits, np.asarray(dist.probs)
+    marg = np.clip((bits * probs[:, None]).sum(axis=0), 0.0, 1.0)  # row-order sums
     # Point mass on one singleton is product form with q = indicator.
     if len(dist.masks) == 1 and bin(dist.masks[0]).count("1") == 1:
         return True
@@ -558,14 +553,10 @@ def _is_label_independent(dist: DiscreteWeakDistribution, tol: float) -> bool:
     # Compare implied conditional atom probabilities. Matching the whole
     # support plus total mass 1 pins the off-support mass to ~0, so no
     # full subset enumeration is needed.
-    for m, p in zip(dist.masks, dist.probs):
-        implied = 1.0
-        for y in range(k):
-            implied *= q[y] if (m >> y) & 1 else 1.0 - q[y]
-        implied /= z
-        if abs(implied - p) > tol:
-            return False
-    return True
+    implied = np.ones(len(probs))
+    for y in range(k):  # one factor per label, in label order
+        implied *= np.where(bits[:, y], q[y], 1.0 - q[y])
+    return not np.any(np.abs(implied / z - probs) > tol)
 
 
 def check_structure(dist: DiscreteWeakDistribution, tol: float = 1e-9) -> Structure:

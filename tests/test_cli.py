@@ -209,6 +209,36 @@ def test_eval_set_missing_field_reports_field_and_line(tmp_path, capsys):
     assert "'k'" in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "command, text, located",
+    [
+        ("run", json.dumps({"n": "abc"}), "'n'"),  # was a TypeError traceback
+        ("run", json.dumps({"split": [0.25, "x", 0.5]}), "'split'"),
+        ("run", "5", "table of settings"),
+        ("eval", json.dumps([1, 2]), 1),  # was an AttributeError traceback
+        ("eval", json.dumps({"kind": "set", "labels": "ab", "k": 10}), 1),  # had no line
+    ],
+)
+def test_malformed_input_is_one_located_error(tmp_path, capsys, command, text, located):
+    path = tmp_path / "input"
+    path.write_text(text + "\n")
+    if command == "run":
+        argv = ["run", "--config", str(path)]
+    else:
+        data = tmp_path / "d.jsonl"
+        _run(capsys, "gen", "--task", "classify", "--n", "1", "--k", "3", "--seed", "0",
+             "--out", str(data))
+        argv = ["eval", "--sets", str(path), "--data", str(data)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    payload = json.loads(err)
+    if isinstance(located, int):
+        assert payload["line"] == located
+    else:
+        assert located in payload["error"]
+
+
 # --- run ----------------------------------------------------------------------
 
 

@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakconformal import (
     DiscreteWeakDistribution,
@@ -364,3 +366,334 @@ def test_marginal_allocation_validates():
         marginal_allocation([[0.9, 0.5]], [1.0], 0.1)  # decreasing curve
     with pytest.raises(ValueError):
         marginal_allocation([[0.5, 0.9]], [1.0], 0.1)  # does not reach 1
+
+
+# --- the array code against the loops it replaced --------------------------
+#
+# Plain loops over Python-int bitmasks, kept here as the reference for the
+# array implementation in ``greedy``. Where the arithmetic is unchanged
+# (greedy order and coverages, from_marginals, the increments behind the
+# Wolsey constant) the results must be bit-equal; size_profile sums in a new
+# order, so its coverages get 1e-12 and its masks are compared on dyadic
+# probabilities, where every sum is exact and ties must go to the smallest
+# mask.
+
+
+def _ref_greedy_sequence(dist):
+    atoms = list(zip(dist.masks, dist.probs))
+    chosen_mask, picked, cum, covered = 0, [], [], 0.0
+    remaining = set(range(dist.k))
+    for _ in range(dist.k):
+        best_y, best_gain = -1, -1.0
+        for y in sorted(remaining):
+            gain = 0.0
+            for m, p in atoms:
+                if (m & chosen_mask) == 0 and (m >> y) & 1:
+                    gain += p
+            if gain > best_gain:  # strict: first max wins
+                best_y, best_gain = y, gain
+        picked.append(best_y)
+        remaining.discard(best_y)
+        chosen_mask |= 1 << best_y
+        covered += best_gain
+        cum.append(covered)
+        atoms = [(m, p) for m, p in atoms if (m & chosen_mask) == 0]
+    cum[-1] = 1.0
+    return tuple(picked), tuple(cum)
+
+
+def _ref_from_marginals(k, q):
+    q = np.asarray(q, dtype=float)
+    p_empty = float(np.prod(1.0 - q))
+    masks, probs = [], []
+    for m in range(1, 1 << k):
+        p = 1.0
+        for y in range(k):
+            p *= q[y] if (m >> y) & 1 else 1.0 - q[y]
+        if p > 0.0:
+            masks.append(m)
+            probs.append(float(p / (1.0 - p_empty)))
+    return tuple(masks), tuple(probs)
+
+
+def _ref_size_profile(dist):
+    k = dist.k
+    m = np.arange(1 << k, dtype=np.int64)
+    cov = np.zeros(1 << k)
+    for amask, p in zip(dist.masks, dist.probs):
+        cov[(m & amask) != 0] += p
+    sizes = np.bitwise_count(m)
+    best_covs, best_masks = np.zeros(k + 1), []
+    for s in range(k + 1):
+        idx = np.flatnonzero(sizes == s)
+        top = idx[np.argmax(cov[idx])]
+        best_covs[s] = cov[top]
+        best_masks.append(int(top))
+    best_covs = np.maximum.accumulate(best_covs)
+    best_covs[k] = 1.0
+    return best_covs, tuple(best_masks)
+
+
+def _ref_increments(dist, chosen_mask):
+    delta = [0.0] * dist.k
+    for m, p in zip(dist.masks, dist.probs):
+        if (m & chosen_mask) == 0:
+            for y in range(dist.k):
+                if (m >> y) & 1:
+                    delta[y] += p
+    return delta
+
+
+def _ref_wolsey_constant(dist, eta):
+    order, cum = _ref_greedy_sequence(dist)
+    j = next(i + 1 for i, c in enumerate(cum) if c >= eta - 1e-9)
+    cprev = cum[j - 2] if j >= 2 else 0.0
+    prefix = [0]
+    for y in order:
+        prefix.append(prefix[-1] | (1 << y))
+    d0 = _ref_increments(dist, 0)
+    term1 = eta / (eta - cprev) if eta - cprev > 1e-9 else math.inf
+    ratios = [
+        d0[y] / d[y]
+        for d in (_ref_increments(dist, prefix[t]) for t in range(j + 1))
+        for y in range(dist.k)
+        if d[y] > 1e-9
+    ]
+    term2 = max(ratios) if ratios else math.inf
+    theta_1 = min(max(d0), eta)
+    theta_j = min(max(_ref_increments(dist, prefix[j - 1])), eta - cprev)
+    term3 = theta_1 / theta_j if theta_j > 1e-9 else math.inf
+    return min(term1, term2, term3)
+
+
+def _ref_structure(dist, tol=1e-9):
+    k, masks, probs = dist.k, dist.masks, dist.probs
+    marg = np.zeros(k)
+    for m, p in zip(masks, probs):
+        for y in range(k):
+            if (m >> y) & 1:
+                marg[y] += p
+    marg = np.clip(marg, 0.0, 1.0)
+    independent = False
+    if len(masks) == 1 and bin(masks[0]).count("1") == 1:
+        independent = True
+    elif marg.sum() > 1.0 + 1e-12:
+
+        def g(z):
+            return 1.0 - float(np.prod(1.0 - marg * z)) - z
+
+        lo, hi = 1e-12, 1.0
+        if g(lo) > 0:
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+            z = 0.5 * (lo + hi)
+            q = np.clip(marg * z, 0.0, 1.0)
+            independent = True
+            for m, p in zip(masks, probs):
+                implied = 1.0
+                for y in range(k):
+                    implied *= q[y] if (m >> y) & 1 else 1.0 - q[y]
+                if abs(implied / z - p) > tol:
+                    independent = False
+                    break
+    if independent:
+        return Structure.LABEL_INDEPENDENT
+    for a, b in itertools.combinations(masks, 2):
+        if a & b and a & b not in (a, b):
+            return Structure.GENERAL
+    return Structure.TREE
+
+
+def _dyadic_dist(rng, k, units=32):
+    """Atoms with probabilities in multiples of 1/units: every sum is exact."""
+    n = int(rng.integers(1, min((1 << k) - 1, 12, units) + 1))
+    masks = rng.choice(np.arange(1, 1 << k), size=n, replace=False)
+    cuts = np.sort(rng.choice(np.arange(1, units), size=n - 1, replace=False))
+    weights = np.diff(np.concatenate(([0], cuts, [units])))
+    return DiscreteWeakDistribution(k, tuple(masks.tolist()), tuple((weights / units).tolist()))
+
+
+def _laminar_dist(rng, k):
+    nodes, segments = [], [[int(v) for v in rng.permutation(k)]]
+    while segments:  # recursive halving of a shuffled label list
+        seg = segments.pop()
+        nodes.append(tuple(sorted(seg)))
+        if len(seg) > 1:
+            cut = int(rng.integers(1, len(seg)))
+            segments += [seg[:cut], seg[cut:]]
+    chosen = [nodes[i] for i in rng.choice(len(nodes), size=int(rng.integers(1, len(nodes) + 1)),
+                                          replace=False)]
+    probs = rng.dirichlet(np.ones(len(chosen)))
+    return DiscreteWeakDistribution.from_sets(k, list(zip(chosen, probs)))
+
+
+def _mixed_dists(seed, n=60):
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        k = int(rng.integers(1, 10))
+        kind = i % 4
+        if kind == 0:
+            yield _random_dist(rng, k) if k > 1 else _dyadic_dist(rng, k)
+        elif kind == 1:
+            yield _dyadic_dist(rng, k)
+        elif kind == 2:
+            yield _laminar_dist(rng, k)
+        else:
+            yield DiscreteWeakDistribution.from_marginals(k, rng.uniform(0.05, 0.95, size=k))
+
+
+def test_greedy_sequence_equals_the_loop_bit_for_bit():
+    for dist in _mixed_dists(20, n=120):
+        seq = greedy_sequence(dist)
+        assert (seq.order, seq.cum_coverage) == _ref_greedy_sequence(dist)
+
+
+def test_greedy_sequence_dyadic_ties_go_to_the_smallest_label():
+    rng = np.random.default_rng(21)
+    tied = 0
+    for _ in range(200):
+        dist = _dyadic_dist(rng, int(rng.integers(2, 8)), units=8)
+        seq = greedy_sequence(dist)
+        assert (seq.order, seq.cum_coverage) == _ref_greedy_sequence(dist)
+        gains = [sum(p for m, p in zip(dist.masks, dist.probs) if (m >> y) & 1)
+                 for y in range(dist.k)]
+        tied += gains.count(max(gains)) > 1
+        assert seq.order[0] == gains.index(max(gains))
+    assert tied > 20  # the inputs do exercise exact ties
+
+
+def test_from_marginals_equals_the_loop_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for k in range(1, 13):
+        q = rng.uniform(0.0, 1.0, size=k)
+        q[rng.random(k) < 0.2] = rng.choice([0.0, 1.0])  # zero-probability atoms drop out
+        if np.prod(1.0 - q) >= 1.0 - 1e-12:
+            continue
+        dist = DiscreteWeakDistribution.from_marginals(k, q)
+        assert (dist.masks, dist.probs) == _ref_from_marginals(k, q)
+
+
+def test_size_profile_equals_the_loop():
+    for dist in _mixed_dists(23, n=120):
+        prof = size_profile(dist)
+        covs, masks = _ref_size_profile(dist)
+        np.testing.assert_allclose(prof.best_covs, covs, rtol=0, atol=1e-12)
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        dist = _dyadic_dist(rng, int(rng.integers(1, 10)), units=16)
+        covs, masks = _ref_size_profile(dist)
+        prof = size_profile(dist)
+        assert prof.best_covs == tuple(covs.tolist())
+        assert prof.best_masks == masks
+
+
+def test_check_structure_equals_the_loop():
+    seen = set()
+    for dist in _mixed_dists(25, n=120):
+        got = check_structure(dist)
+        assert got is _ref_structure(dist)
+        seen.add(got)
+    assert seen == set(Structure)
+
+
+def test_wolsey_constant_equals_the_loop():
+    rng = np.random.default_rng(26)
+    for dist in _mixed_dists(27, n=80):
+        for eta in (*rng.uniform(0.01, 1.0, size=4), 1.0):
+            assert wolsey_constant(dist, eta) == pytest.approx(
+                _ref_wolsey_constant(dist, eta), rel=0, abs=1e-12
+            )
+
+
+def test_label_63_fits_the_bit_matrix():
+    atoms = [((63,), 0.5), ((0, 63), 0.25), ((5,), 0.25)]
+    dist = DiscreteWeakDistribution.from_sets(64, atoms)
+    seq = greedy_sequence(dist)
+    assert (seq.order, seq.cum_coverage) == _ref_greedy_sequence(dist)
+    assert seq.order[:2] == (63, 5) and seq.cum_coverage[0] == 0.75
+    assert greedy_set(dist, 0.7).outer == frozenset({63})
+    assert greedy_set(dist, 0.9).outer == frozenset({63, 5})
+    for eta in (0.5, 0.9, 1.0):
+        assert wolsey_constant(dist, eta) == _ref_wolsey_constant(dist, eta)
+    assert wolsey_constant(dist, 0.9) == 1.0
+    assert check_structure(dist) is Structure.TREE
+    crossing = DiscreteWeakDistribution.from_sets(64, [((0, 63), 0.5), ((62, 63), 0.5)])
+    assert check_structure(crossing) is _ref_structure(crossing) is Structure.GENERAL
+
+
+# --- the Wolsey bound -------------------------------------------------------
+
+# Input `general18` #2 of the greedy-exact benchmark at seed 1. At eta = 0.5
+# the greedy outer set has 3 labels and the smallest cover 2; a third term
+# taken on untruncated increments gave K = 1.437 and a bound of 2.73.
+SEED1_GENERAL18 = (
+    '{"k": 18, "atoms": ['
+    '{"set": [0, 1, 2, 7, 11], "p": 0.047330345479199815}, '
+    '{"set": [0, 1, 3, 10, 12], "p": 0.03960605611964072}, '
+    '{"set": [0, 1, 3, 13], "p": 0.07682129083462609}, '
+    '{"set": [0, 1, 5, 7, 9], "p": 0.03760526195130811}, '
+    '{"set": [0, 1, 5, 7, 16], "p": 0.01269483913437606}, '
+    '{"set": [0, 2], "p": 0.033752329140942575}, '
+    '{"set": [0, 4, 6, 11], "p": 0.031236047445457688}, '
+    '{"set": [0, 7, 8, 12, 15, 16], "p": 0.007461491450145925}, '
+    '{"set": [1, 3, 10], "p": 0.00943712027563838}, '
+    '{"set": [1, 8], "p": 0.035257151309352315}, '
+    '{"set": [2], "p": 0.0035886005853729298}, '
+    '{"set": [2, 4, 7, 10, 16], "p": 0.012457368021816998}, '
+    '{"set": [2, 4, 9, 13], "p": 0.013658465377434134}, '
+    '{"set": [2, 6, 8, 14], "p": 0.0038103143266156477}, '
+    '{"set": [2, 11, 15], "p": 0.0076399354055952965}, '
+    '{"set": [3, 4, 6, 17], "p": 0.0029795880616358154}, '
+    '{"set": [3, 4, 8, 9, 14, 15], "p": 0.0014121892432869042}, '
+    '{"set": [3, 4, 11], "p": 0.0054614631080157645}, '
+    '{"set": [3, 5, 8, 12, 17], "p": 0.008867468806150679}, '
+    '{"set": [3, 8, 13], "p": 0.04186944596414531}, '
+    '{"set": [3, 10, 16, 17], "p": 0.07570965554489978}, '
+    '{"set": [4, 7, 11], "p": 0.08349275607876422}, '
+    '{"set": [4, 10, 14, 16], "p": 0.02880121194392605}, '
+    '{"set": [4, 11, 12, 13, 16], "p": 0.00182279102489902}, '
+    '{"set": [4, 17], "p": 0.050655132427205325}, '
+    '{"set": [5, 6, 16, 17], "p": 0.012185886265321057}, '
+    '{"set": [6, 8, 11], "p": 0.06417724164250736}, '
+    '{"set": [6, 10], "p": 0.019561696767775184}, '
+    '{"set": [6, 11], "p": 0.0003834774296539757}, '
+    '{"set": [6, 11, 12, 14, 15], "p": 0.011211261805967937}, '
+    '{"set": [6, 12], "p": 0.04305951837508833}, '
+    '{"set": [7], "p": 0.021312486208914797}, '
+    '{"set": [8], "p": 0.05445240619300935}, '
+    '{"set": [10], "p": 0.009575658096624492}, '
+    '{"set": [11, 16], "p": 0.0223427935050495}, '
+    '{"set": [12], "p": 0.011657131695909324}, '
+    '{"set": [13], "p": 0.03145858403521333}, '
+    '{"set": [15], "p": 0.02519353891851373}'
+    ']}'
+)
+
+
+def test_wolsey_bound_holds_on_the_seed1_benchmark_input():
+    dist = DiscreteWeakDistribution.from_json(SEED1_GENERAL18)
+    assert DiscreteWeakDistribution.from_json(dist.to_json()) == dist
+    prof = size_profile(dist)
+    for eta in (0.5, 0.8, 0.9, 0.95):
+        K = wolsey_constant(dist, eta)
+        outer = greedy_set(dist, eta).outer
+        assert len(outer) <= (1.0 + math.log(K)) * prof.min_cover_size(eta) + 1e-9
+    assert len(greedy_set(dist, 0.5).outer) == 3 and prof.min_cover_size(0.5) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_greedy_outer_set_is_within_the_wolsey_bound(data):
+    k = data.draw(st.integers(1, 8), label="k")
+    weights = data.draw(
+        st.dictionaries(st.integers(1, (1 << k) - 1), st.integers(1, 60), min_size=1, max_size=14),
+        label="atoms",
+    )
+    total = sum(weights.values())
+    dist = DiscreteWeakDistribution(k, tuple(weights), tuple(w / total for w in weights.values()))
+    eta = data.draw(st.floats(0.01, 1.0), label="eta")
+    K = wolsey_constant(dist, eta)
+    outer = greedy_set(dist, eta).outer
+    assert 1.0 <= K < math.inf
+    assert len(outer) <= (1.0 + math.log(K)) * size_profile(dist).min_cover_size(eta) + 1e-9
