@@ -21,6 +21,7 @@ from .conformal import (
     partial_score,
     pessimistic_score,
     pessimistic_threshold,
+    set_block_scores,
 )
 from .greedy import (
     DiscreteWeakDistribution,
@@ -59,6 +60,7 @@ from .labels import (
 from .matching import (
     MatchingProblem,
     hungarian,
+    matching_block_scores,
     matching_score,
     min_matching_cost,
     pad_costs,
@@ -84,6 +86,7 @@ from .ranking import (
     listnet_train,
     partial_rank_score,
     predict_relevances,
+    prefix_block_scores,
     rank_score,
     rank_scores_batch,
     rescale_relevances,
@@ -91,6 +94,7 @@ from .ranking import (
 from .regression import (
     IntervalScoreOracle,
     abs_score,
+    interval_block_scores,
     interval_partial_score,
     interval_pessimistic_score,
     interval_predict,
@@ -121,7 +125,8 @@ __all__ = [
     # conformal core
     "ConformalThreshold", "conformal_threshold", "ClasswiseScoreOracle",
     "partial_score",
-    "pessimistic_score", "pessimistic_threshold", "UnsupportedWeakLabel",
+    "pessimistic_score", "pessimistic_threshold", "set_block_scores",
+    "UnsupportedWeakLabel",
     "CoverageReport", "LabelSet", "PredictionInterval", "ScoreLevelSet",
     "evaluate",
     # greedy randomized sets
@@ -137,13 +142,16 @@ __all__ = [
     "EnumerationCapExceeded",
     # matching
     "hungarian", "matching_score", "min_matching_cost", "translated_score",
-    "partial_matching_score", "pad_costs", "read_cost_csv", "MatchingProblem",
+    "partial_matching_score", "matching_block_scores",
+    "pad_costs", "read_cost_csv", "MatchingProblem",
     # ranking
     "PsiSpec", "rank_score", "rank_scores_batch", "best_ranking",
-    "complete_prefix", "partial_rank_score", "rescale_relevances",
+    "complete_prefix", "partial_rank_score", "prefix_block_scores",
+    "rescale_relevances",
     "RankingProblem", "listnet_train", "predict_relevances",
     # regression
     "abs_score", "interval_partial_score", "interval_pessimistic_score",
+    "interval_block_scores",
     "interval_predict", "IntervalScoreOracle",
     # synthetic data and trainers
     "MulticlassConfig", "RankingSimConfig", "gen_multiclass", "gen_ranking",

@@ -24,6 +24,7 @@ from . import synth
 from .conformal import (
     LabelSet,
     PredictionInterval,
+    UnsupportedWeakLabel,
     conformal_threshold,
     evaluate,
 )
@@ -233,7 +234,7 @@ def _set_from_payload(payload: dict, line: int):
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     records = list(read_jsonl(args.data))
-    sets = []
+    sets, lines = [], []
     with open(args.sets, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -244,7 +245,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             except json.JSONDecodeError as exc:
                 raise FormatError(f"bad JSON: {exc}", line=line_no) from exc
             sets.append(_set_from_payload(payload, line_no))
-    report = evaluate(sets, records)
+            lines.append(line_no)
+    try:
+        report = evaluate(sets, records)
+    except UnsupportedWeakLabel as exc:
+        raise FormatError(
+            f"prediction set does not fit its record: {exc}", line=lines[exc.index]
+        ) from exc
     out = {
         "n": report.n,
         "strong_coverage": report.strong_coverage,
@@ -260,42 +267,30 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # --- gen -------------------------------------------------------------------
 
 
+# the settings each generator takes; flags it does not take are ignored
+_GEN_SETTINGS = {
+    "classify": ("n", "k", "d", "sigma", "min_weak_size", "seed"),
+    "rank": ("n", "k", "d", "sigma", "seed"),
+    "match": ("n", "k", "noise", "seed"),
+    "regress": ("n", "d", "mu", "seed", "min_half_width"),
+}
+_GENERATORS = {
+    "classify": lambda **kw: synth.gen_multiclass(synth.MulticlassConfig(**kw)),
+    "rank": lambda **kw: synth.gen_ranking(synth.RankingSimConfig(**kw)),
+    "match": synth.gen_matching,
+    "regress": synth.gen_regression,
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    task = args.task
-    seed = args.seed if args.seed is not None else 0
-    n = args.n if args.n is not None else 1000
-    d = args.d if args.d is not None else 2
-    if task == "classify":
-        k = args.k if args.k is not None else 10
-        data = synth.gen_multiclass(
-            synth.MulticlassConfig(
-                n=n, k=k, d=d, sigma=args.sigma if args.sigma is not None else 1.0,
-                seed=seed,
-                min_weak_size=args.min_weak_size if args.min_weak_size is not None else 1,
-            )
-        )
-    elif task == "rank":
-        k = args.k if args.k is not None else 7
-        data = synth.gen_ranking(
-            synth.RankingSimConfig(
-                n=n, k=k, d=d,
-                sigma=args.sigma if args.sigma is not None else 1.0, seed=seed,
-            )
-        )
-    elif task == "match":
-        k = args.k if args.k is not None else 6
-        data = synth.gen_matching(
-            n, k, args.noise if args.noise is not None else 0.25, seed
-        )
-    elif task == "regress":
-        data = synth.gen_regression(
-            n, d, args.mu if args.mu is not None else 0.05, seed,
-            min_half_width=args.min_half_width,
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        raise FormatError(f"unknown task {task!r}")
+    given = {
+        name: getattr(args, name)
+        for name in _GEN_SETTINGS[args.task]
+        if getattr(args, name) is not None
+    }
+    data = _GENERATORS[args.task](**given)
     write_jsonl(args.out, synth.to_records(data))
-    print(json.dumps({"task": task, "n": n, "out": args.out}))
+    print(json.dumps({"task": args.task, "n": args.n, "out": args.out}))
     return 0
 
 
@@ -351,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write a synthetic dataset as JSONL")
     p_gen.add_argument("--task", required=True,
                        choices=["classify", "rank", "match", "regress"])
-    p_gen.add_argument("--n", type=int)
+    p_gen.add_argument("--n", type=int, default=1000)
     p_gen.add_argument("--k", type=int)
     p_gen.add_argument("--d", type=int)
     p_gen.add_argument("--sigma", type=float)

@@ -35,6 +35,7 @@ __all__ = [
     "pessimistic_threshold",
     "partial_score",
     "pessimistic_score",
+    "set_block_scores",
     "ScoreOracle",
     "ClasswiseScoreOracle",
     "CoverageReport",
@@ -50,7 +51,13 @@ TOL = 1e-9
 
 
 class UnsupportedWeakLabel(TypeError):
-    """The score oracle cannot minimize/maximize over this weak-label kind."""
+    """The score oracle cannot minimize/maximize over this weak-label kind.
+
+    When evaluate raises it, ``index`` is the position of the offending
+    (set, record) pair.
+    """
+
+    index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,27 @@ def pessimistic_score(oracle, x: np.ndarray, w: WeakLabel) -> float:
     return float(fn(x, w))
 
 
+def set_block_scores(
+    scores, y, member
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strong, weak and pessimistic scores of a block of label-set records.
+
+    scores is (n, k), record i's score of each label; y holds the true
+    labels and member is the (n, k) boolean weak-set mask. The strong score
+    is the true label's, the weak score the minimum over the weak set and
+    the pessimistic score its maximum.
+    """
+    scores = np.asarray(scores, dtype=float)
+    member = np.asarray(member, dtype=bool)
+    if scores.ndim != 2 or member.shape != scores.shape:
+        raise ValueError("scores and member must both be (n, k)")
+    return (
+        scores[np.arange(scores.shape[0]), y],
+        np.where(member, scores, np.inf).min(axis=1),
+        np.where(member, scores, -np.inf).max(axis=1),
+    )
+
+
 def pessimistic_threshold(
     oracle, records: Iterable[WeakRecord], alpha: float
 ) -> ConformalThreshold:
@@ -281,7 +309,9 @@ def evaluate(sets: Sequence, records: Sequence[WeakRecord]) -> CoverageReport:
 
     Every record must carry both labels; a record whose strong label falls
     outside its weak label is rejected (inconsistent data). Weak coverage
-    counts W-intersection hits, strong coverage counts true-label hits.
+    counts W-intersection hits, strong coverage counts true-label hits. A
+    set that cannot be intersected with its record's weak-label kind raises
+    UnsupportedWeakLabel carrying the pair's index.
     """
     if len(sets) != len(records):
         raise ValueError("one prediction set per record required")
@@ -290,13 +320,17 @@ def evaluate(sets: Sequence, records: Sequence[WeakRecord]) -> CoverageReport:
     strong_hits = 0
     weak_hits = 0
     sizes = []
-    for pred, rec in zip(sets, records):
+    for i, (pred, rec) in enumerate(zip(sets, records)):
         if rec.y is None:
             raise ValueError("evaluation records need strong labels")
         if not weak_contains(rec.weak, rec.y):
             raise ValueError("inconsistent record: y is not in its weak label")
         s_hit = rec.y in pred
-        w_hit = pred.intersects(rec.weak)
+        try:
+            w_hit = pred.intersects(rec.weak)
+        except UnsupportedWeakLabel as exc:
+            exc.index = i
+            raise
         if s_hit and not w_hit:
             raise ValueError("set contains y but misses its weak label")
         strong_hits += s_hit

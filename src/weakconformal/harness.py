@@ -18,6 +18,17 @@ Methods:
 Reported seconds cover calibration plus evaluation for the method's row;
 model fitting is shared across methods and excluded.
 
+Every trial scores whole blocks of records: the generators hold each weak
+label kind as an array block (synth), and one block-score function per task
+turns a block's scores, relevances or costs plus its weak block into the
+strong, weak and, where defined, pessimistic scores:
+  classify  conformal.set_block_scores       a masked min and max
+  rank      ranking.prefix_block_scores      the completed prefix
+  match     matching.matching_block_scores   the pinned columns of the table
+  regress   regression.interval_block_scores a clamp
+No per-record weak-label object is built on these paths, except for the
+per-record engine checks below and matchings of k >= 8.
+
 Rank and match share one permutation-space trial; the tasks differ only in
 data, fitting, scores and how the test block's level sets are counted. Set
 sizes there are level-set counts capped at m_max (coverage columns stay
@@ -39,7 +50,6 @@ tell. The truncated fraction is in the JSON rows, not the CSV.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -52,21 +62,25 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__, synth
-from .conformal import TOL, conformal_threshold
+from .conformal import TOL, conformal_threshold, set_block_scores
 from .greedy import label_independent_nested_scores
-from .labels import ExplicitSet
-from .matching import MatchingProblem, matching_score, min_matching_cost, partial_matching_score
+from .matching import (
+    MatchingProblem,
+    matching_block_scores,
+    matching_score,
+    min_matching_cost,
+    partial_matching_score,
+)
 from .mbest import enumerate_until
 from .ranking import (
     PsiSpec,
     RankingProblem,
-    complete_prefix,
     levelset_counts_batch,
     listnet_train,
     predict_relevances,
-    rank_scores_batch,
+    prefix_block_scores,
 )
-from .regression import interval_partial_score, interval_pessimistic_score
+from .regression import interval_block_scores
 
 __all__ = ["ExperimentConfig", "TrialResult", "run", "CSV_COLUMNS"]
 
@@ -87,8 +101,6 @@ _TASKS = ("classify", "rank", "match", "regress")
 _DEFAULT_K = {"classify": 10, "rank": 7, "match": 6, "regress": 0}
 # full-space scoring beats per-record best-first enumeration up to this size
 _EXHAUSTIVE_SPACE_CAP = 10_000
-# assignment totals per chunk of the full-space table (64 records at k = 6)
-_TABLE_ENTRIES = 64 * 720
 _METHODS = {
     "classify": ("wsc", "fsc", "gws", "pessimistic"),
     "rank": ("wsc", "fsc"),
@@ -167,13 +179,6 @@ class TrialResult:
 
 def _trial_seed(seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
-
-
-def _weak_mask(weak: Sequence[ExplicitSet], k: int) -> np.ndarray:
-    mask = np.zeros((len(weak), k), dtype=bool)
-    for i, w in enumerate(weak):
-        mask[i, list(w.labels)] = True
-    return mask
 
 
 def _size_stats(sizes: np.ndarray) -> tuple[float, float, float]:
@@ -271,12 +276,11 @@ def _classify_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
         )
     )
     tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
-    mask_ca = _weak_mask(data.weak[ca], k)
-    mask_te = _weak_mask(data.weak[te], k)
+    mask_ca, mask_te = data.member[ca], data.member[te]
 
     need_probs = any(m in cfg.methods for m in ("wsc", "fsc", "pessimistic"))
     cal_scores: dict[str, np.ndarray] = {}
-    score_ca = score_te = None
+    score_te = None
     if need_probs:
         w_model, _ = synth.train_multinomial_logistic(data.x[tr], data.y[tr], k)
         score_ca = synth.cumulative_probability_scores(
@@ -285,17 +289,11 @@ def _classify_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
         score_te = synth.cumulative_probability_scores(
             synth.predict_class_probs(w_model, data.x[te])
         )
-        if "wsc" in cfg.methods:
-            cal_scores["wsc"] = np.where(mask_ca, score_ca, np.inf).min(axis=1)
-        if "fsc" in cfg.methods:
-            cal_scores["fsc"] = score_ca[np.arange(score_ca.shape[0]), data.y[ca]]
-        if "pessimistic" in cfg.methods:
-            cal_scores["pessimistic"] = np.where(mask_ca, score_ca, -np.inf).max(axis=1)
+        strong, weak, pessimistic = set_block_scores(score_ca, data.y[ca], mask_ca)
+        cal_scores.update(wsc=weak, fsc=strong, pessimistic=pessimistic)
     nested_ca = nested_te = None
     if "gws" in cfg.methods:
-        w_marg, _ = synth.train_per_label_logistic(
-            data.x[tr], _weak_mask(data.weak[tr], k).astype(float)
-        )
+        w_marg, _ = synth.train_per_label_logistic(data.x[tr], data.member[tr].astype(float))
         q_ca = synth.predict_label_marginals(w_marg, data.x[ca])
         q_te = synth.predict_label_marginals(w_marg, data.x[te])
         u_ca = np.random.default_rng(np.random.SeedSequence([seed, 101])).uniform(
@@ -306,7 +304,7 @@ def _classify_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
         )
         nested_ca = label_independent_nested_scores(q_ca, u_ca)
         nested_te = label_independent_nested_scores(q_te, u_te)
-        cal_scores["gws"] = np.where(mask_ca, nested_ca, np.inf).min(axis=1)
+        cal_scores["gws"] = set_block_scores(nested_ca, data.y[ca], mask_ca)[1]
 
     y_te = data.y[te]
 
@@ -329,13 +327,11 @@ def _rank_task(cfg: ExperimentConfig, seed: int):
     )
     tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
     psi = cfg.psi()
-    weights, _ = listnet_train(data.x[tr], data.y[tr])
+    weights, _ = listnet_train(data.x[tr], data.order[tr])
 
     def scored(block: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rel = predict_relevances(weights, data.x[block])
-        completed = [complete_prefix(rel[i], w) for i, w in enumerate(data.weak[block])]
-        strong = rank_scores_batch(rel, np.array(data.y[block]), psi)
-        return rel, strong, rank_scores_batch(rel, np.array(completed), psi)
+        return (rel, *prefix_block_scores(rel, data.order[block], data.lengths[block], psi))
 
     _, strong_ca, weak_ca = scored(ca)
     rel_te, strong_te, weak_te = scored(te)
@@ -352,41 +348,14 @@ def _rank_task(cfg: ExperimentConfig, seed: int):
 
 def _match_by_table(data, block: slice, cap: int):
     """Translated (strong, weak) scores of a block of matching records from
-    one table of all k! assignment totals per chunk of records, and a
-    counter of their level sets from each record's cap + 1 smallest
-    translated totals. The first record's scores are checked against the
-    Hungarian solves of _match_by_engine."""
-    costs = data.costs[block]
-    n, k = costs.shape[:2]
-    perms = list(itertools.permutations(range(k)))
-    column = {perm: j for j, perm in enumerate(perms)}
-    truth = np.array([column[y] for y in data.y[block]])
-    perms = np.array(perms)
-    revealed = np.full((n, k), -1)
-    for i, w in enumerate(data.weak[block]):
-        for u, v in w.pairs:
-            revealed[i, u] = v
-    keep = min(cap + 1, perms.shape[0])
-    strong, weak, smallest = np.empty(n), np.empty(n), np.empty((n, keep))
-    step = max(1, _TABLE_ENTRIES // perms.shape[0])
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        chunk = costs[rows]
-        totals = chunk[:, 0, perms[:, 0]]  # added row by row, like every matching score
-        for u in range(1, k):
-            totals += chunk[:, u, perms[:, u]]
-        base = totals.min(axis=1)
-        strong[rows] = totals[np.arange(totals.shape[0]), truth[rows]] - base
-        fits = np.ones(totals.shape, dtype=bool)  # extends the revealed pairs
-        for u in range(k):
-            pin = revealed[rows, u, None]
-            fits &= (perms[:, u] == pin) | (pin < 0)
-        weak[rows] = np.where(fits, totals, np.inf).min(axis=1) - base
-        totals -= base[:, None]
-        if keep < perms.shape[0]:
-            totals = np.partition(totals, keep - 1, axis=1)[:, :keep]
-        smallest[rows] = totals
-    if n:
+    matching_block_scores' table of all k! assignment totals, and a counter
+    of their level sets from each record's cap + 1 smallest translated
+    totals. The first record's scores are checked against the Hungarian
+    solves of _match_by_engine."""
+    strong, weak, smallest = matching_block_scores(
+        data.costs[block], data.planted[block], data.revealed[block], cap + 1
+    )
+    if len(strong):
         first = range(len(data.costs))[block][0]
         strong_ref, weak_ref, _ = _match_by_engine(data, slice(first, first + 1), cap)
         _check_first_record("match", [strong[0], weak[0]], [strong_ref[0], weak_ref[0]], TOL)
@@ -459,26 +428,12 @@ def _regress_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     )
     tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
     beta = synth.fit_ols(data.x[tr], data.y[tr])
-    pred_ca = data.x[ca] @ beta
-    pred_te = data.x[te] @ beta
-
-    weak_ca_labels = data.weak[ca]
-    weak_te_labels = data.weak[te]
-    cal_scores: dict[str, np.ndarray] = {}
-    if "wsc" in cfg.methods:
-        cal_scores["wsc"] = np.array(
-            [interval_partial_score(p, w) for p, w in zip(pred_ca, weak_ca_labels)]
-        )
-    if "fsc" in cfg.methods:
-        cal_scores["fsc"] = np.abs(pred_ca - data.y[ca])
-    if "pessimistic" in cfg.methods:
-        cal_scores["pessimistic"] = np.array(
-            [interval_pessimistic_score(p, w) for p, w in zip(pred_ca, weak_ca_labels)]
-        )
-
-    strong_te = np.abs(pred_te - data.y[te])
-    weak_te = np.array(
-        [interval_partial_score(p, w) for p, w in zip(pred_te, weak_te_labels)]
+    strong_ca, weak_ca, pessimistic_ca = interval_block_scores(
+        data.x[ca] @ beta, data.y[ca], data.lo[ca], data.hi[ca]
+    )
+    cal_scores = {"wsc": weak_ca, "fsc": strong_ca, "pessimistic": pessimistic_ca}
+    strong_te, weak_te, _ = interval_block_scores(
+        data.x[te] @ beta, data.y[te], data.lo[te], data.hi[te]
     )
 
     def evaluate(t_value: float, method: str):

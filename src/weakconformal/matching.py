@@ -15,6 +15,7 @@ its parent instead of solving from scratch.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -27,6 +28,7 @@ __all__ = [
     "hungarian",
     "matching_score",
     "partial_matching_score",
+    "matching_block_scores",
     "min_matching_cost",
     "translated_score",
     "pad_costs",
@@ -205,6 +207,67 @@ def partial_matching_score(costs, w: PartialMatching) -> float:
     result = hungarian(arr, forced=w.pairs)
     assert result is not None  # no forbidden pairs: always feasible
     return result[1]
+
+
+# assignment totals per chunk of matching_block_scores' table (64 records at k = 6)
+_TABLE_ENTRIES = 64 * 720
+
+
+def _permutation_index(perms) -> np.ndarray:
+    """Each row's place among the permutations of [0, k) in lexicographic
+    order, the order of itertools.permutations(range(k)).
+
+    This is the Lehmer code: the sum over positions u of the number of later
+    entries smaller than the row's entry at u, times (k - 1 - u)!.
+    """
+    p = np.asarray(perms)
+    k = p.shape[1]
+    later = np.triu(np.ones((k, k), dtype=bool), 1)  # later[u, v]: v comes after u
+    smaller = ((p[:, None, :] < p[:, :, None]) & later).sum(axis=2)
+    return smaller @ np.array([math.factorial(k - 1 - u) for u in range(k)])
+
+
+def matching_block_scores(
+    costs, planted, revealed, keep: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Translated strong and weak scores of a block of matching records, from
+    one table of all k! assignment totals per chunk of records.
+
+    costs is (n, k, k). Row i of planted is record i's true assignment, and
+    revealed[i, u] the position its weak label pins agent u to, or -1. Totals
+    are added row by row, like every matching score, and translated by the
+    record's optimal cost, the table's minimum. The strong score is the
+    truth's total; the weak score is the smallest total among assignments
+    that keep the pinned pairs. Also returns each record's keep smallest
+    translated totals, in no particular order, from which level sets are
+    counted. The table holds k! columns, so this suits small k.
+    """
+    costs = np.asarray(costs, dtype=float)
+    revealed = np.asarray(revealed)
+    n, k = costs.shape[:2]
+    perms = np.array(list(itertools.permutations(range(k))))
+    truth = _permutation_index(planted)
+    keep = min(keep, perms.shape[0])
+    strong, weak, smallest = np.empty(n), np.empty(n), np.empty((n, keep))
+    step = max(1, _TABLE_ENTRIES // perms.shape[0])
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        chunk = costs[rows]
+        totals = chunk[:, 0, perms[:, 0]]
+        for u in range(1, k):
+            totals += chunk[:, u, perms[:, u]]
+        base = totals.min(axis=1)
+        strong[rows] = totals[np.arange(totals.shape[0]), truth[rows]] - base
+        fits = np.ones(totals.shape, dtype=bool)
+        for u in range(k):
+            pin = revealed[rows, u, None]
+            fits &= (perms[:, u] == pin) | (pin < 0)
+        weak[rows] = np.where(fits, totals, np.inf).min(axis=1) - base
+        totals -= base[:, None]
+        if keep < perms.shape[0]:
+            totals = np.partition(totals, keep - 1, axis=1)[:, :keep]
+        smallest[rows] = totals
+    return strong, weak, smallest
 
 
 def pad_costs(costs, dummy_cost: float = 0.0) -> np.ndarray:

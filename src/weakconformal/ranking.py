@@ -31,6 +31,7 @@ __all__ = [
     "rank_scores_batch",
     "complete_prefix",
     "partial_rank_score",
+    "prefix_block_scores",
     "best_ranking",
     "rescale_relevances",
     "RankingCell",
@@ -132,6 +133,41 @@ def complete_prefix(r, prefix: RankingPrefix) -> tuple[int, ...]:
 def partial_rank_score(r, prefix: RankingPrefix, psi: PsiSpec) -> float:
     """min over rankings compatible with the prefix of rank_score."""
     return rank_score(r, complete_prefix(r, prefix), psi)
+
+
+def _complete_prefixes(rel, order, lengths) -> np.ndarray:
+    """complete_prefix for a block of records, as an (n, k) array.
+
+    Row i keeps the prefix order[i, :lengths[i]] and ranks the remaining
+    items relevance-descending, ties by item id. Entries of order past a
+    row's prefix are ignored.
+    """
+    r = np.asarray(rel, dtype=float)
+    order = np.asarray(order)
+    n, k = r.shape
+    position = np.full((n, k), k)  # an item's place in its row's prefix; k off it
+    rows, cols = np.nonzero(np.arange(k) < np.asarray(lengths)[:, None])
+    position[rows, order[rows, cols]] = cols
+    # lexsort is stable, so items equal on both keys stay in id order
+    return np.lexsort((-r, position), axis=1)
+
+
+def prefix_block_scores(
+    rel, order, lengths, psi: PsiSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Strong and weak scores of a block of ranking records.
+
+    order is (n, k) with row i the true ranking, of which the first
+    lengths[i] items are the revealed prefix. The strong score is
+    rank_scores_batch of the truth, the weak score that of the cheapest
+    ranking extending the prefix: the remaining items relevance-descending,
+    ties by item id, as complete_prefix does per record.
+    """
+    r = np.asarray(rel, dtype=float)
+    return (
+        rank_scores_batch(r, order, psi),
+        rank_scores_batch(r, _complete_prefixes(r, order, lengths), psi),
+    )
 
 
 def rescale_relevances(raw) -> np.ndarray:
@@ -367,12 +403,18 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def relevance_targets(rankings: Sequence[Sequence[int]], k: int) -> np.ndarray:
-    """Proxy relevance of each item: k - 1 minus its position in the truth."""
-    out = np.empty((len(rankings), k))
-    for i, y in enumerate(rankings):
-        y = _as_permutation(y, k)
-        for pos, item in enumerate(y):
-            out[i, item] = k - 1 - pos
+    """Proxy relevance of each item: k - 1 minus its position in the truth.
+
+    rankings holds one permutation of [0, k) per row (a list of tuples or an
+    (n, k) array); anything else is a ValueError.
+    """
+    y = np.asarray(rankings)
+    if y.ndim != 2 or y.shape[1] != k or not np.array_equal(
+        np.sort(y, axis=1), np.broadcast_to(np.arange(k), y.shape)
+    ):
+        raise ValueError(f"not a permutation of [0, {k})")
+    out = np.empty(y.shape)
+    out[np.arange(y.shape[0])[:, None], y.astype(np.intp)] = np.arange(k - 1, -1, -1)
     return out
 
 
@@ -388,10 +430,11 @@ def listnet_loss_grad(
     n = x.shape[0]
     scores = x @ weights.T
     shifted = scores - scores.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
+    e = np.exp(shifted)  # shared by the loss and the softmax in the gradient
+    total = e.sum(axis=1, keepdims=True)
+    logp = shifted - np.log(total)
     loss = float(-(target_p * logp).sum() / n)
-    grad = (_softmax(scores) - target_p).T @ x / n
+    grad = (e / total - target_p).T @ x / n
     return loss, grad
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "abs_score",
     "interval_partial_score",
     "interval_pessimistic_score",
+    "interval_block_scores",
     "interval_predict",
     "IntervalScoreOracle",
 ]
@@ -38,6 +39,23 @@ def interval_pessimistic_score(y_hat: float, w: Interval) -> float:
     """max over y in [lo, hi] of |y_hat - y|: far-endpoint distance."""
     y_hat = float(y_hat)
     return max(abs(y_hat - w.lo), abs(y_hat - w.hi))
+
+
+def interval_block_scores(
+    y_hat, y, lo, hi
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strong, weak and pessimistic scores of a block of interval records:
+    |y_hat - y|, the clamp distance to [lo, hi] and the far-endpoint
+    distance, elementwise (interval_partial_score and
+    interval_pessimistic_score on arrays, to the bit)."""
+    y_hat = np.asarray(y_hat, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    return (
+        np.abs(y_hat - np.asarray(y, dtype=float)),
+        np.abs(y_hat - np.minimum(np.maximum(y_hat, lo), hi)),
+        np.maximum(np.abs(y_hat - lo), np.abs(y_hat - hi)),
+    )
 
 
 def interval_predict(y_hat: float, threshold: ConformalThreshold | float) -> PredictionInterval:

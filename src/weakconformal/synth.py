@@ -5,6 +5,16 @@ truth; fixed seed means byte-identical output. Randomness is split into one
 child stream per role (parameters, features, noise, thresholds, counts) via
 SeedSequence, so adding a role never perturbs the others.
 
+A dataset holds its weak labels as array blocks, one per kind: a boolean
+(n, k) membership mask for label sets, an (n, k) order array plus prefix
+lengths for rankings, an (n, k) block of revealed columns (-1 where a row
+reveals nothing) for matchings, and lo/hi arrays for intervals. The
+harness scores whole blocks at once. Per-record ExplicitSet, RankingPrefix,
+PartialMatching and Interval objects, and tuple rankings and assignments,
+are built only on demand: by the read-only ``weak`` and ``y`` views (record
+i is built when it is read) and by ``to_records``, which feeds the JSONL
+writer.
+
 The trainers are deliberately plain full-batch gradient-descent linear
 models (per-label logistic, multinomial logistic) with explicit
 loss-and-gradient functions so their gradients can be checked against
@@ -12,8 +22,8 @@ finite differences.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -95,37 +105,99 @@ class RankingSimConfig:
             raise ValueError("sigma and prefix_rate must be nonnegative")
 
 
+class _Built(Sequence):
+    """Read-only sequence whose item i is built from the blocks when read.
+
+    Slices give lists, like the per-record lists these views stand in for.
+    """
+
+    def __init__(self, n: int, build: Callable[[int], object]):
+        self._n = n
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._build(j) for j in range(*i.indices(self._n))]
+        return self._build(range(self._n)[i])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass
 class MulticlassData:
     x: np.ndarray
     y: np.ndarray
-    weak: list[ExplicitSet]
+    member: np.ndarray  # (n, k) bool: label j is in record i's weak set
     oracle_scores: np.ndarray
     theta: np.ndarray
+
+    @property
+    def weak(self) -> Sequence[ExplicitSet]:
+        member = self.member
+        return _Built(len(member), lambda i: ExplicitSet(tuple(np.flatnonzero(member[i]).tolist())))
 
 
 @dataclass
 class RankingData:
     x: np.ndarray
-    y: list[tuple[int, ...]]
-    weak: list[RankingPrefix]
+    order: np.ndarray  # (n, k): row i is the true ranking, its first lengths[i] items revealed
+    lengths: np.ndarray  # (n,)
     oracle_scores: np.ndarray
     theta: np.ndarray
+
+    @property
+    def y(self) -> Sequence[tuple[int, ...]]:
+        order = self.order
+        return _Built(len(order), lambda i: tuple(order[i].tolist()))
+
+    @property
+    def weak(self) -> Sequence[RankingPrefix]:
+        order, lengths = self.order, self.lengths
+        k = order.shape[1]
+        return _Built(
+            len(order), lambda i: RankingPrefix(tuple(order[i, : lengths[i]].tolist()), k)
+        )
 
 
 @dataclass
 class MatchingData:
     costs: np.ndarray  # (n, k, k)
-    y: list[tuple[int, ...]]
-    weak: list[PartialMatching]
+    planted: np.ndarray  # (n, k): row i's true assignment, agent u -> planted[i, u]
+    revealed: np.ndarray  # (n, k): planted[i, u] where row i reveals agent u's pair, else -1
+
+    @property
+    def y(self) -> Sequence[tuple[int, ...]]:
+        planted = self.planted
+        return _Built(len(planted), lambda i: tuple(planted[i].tolist()))
+
+    @property
+    def weak(self) -> Sequence[PartialMatching]:
+        revealed = self.revealed
+        k = revealed.shape[1]
+
+        def build(i: int) -> PartialMatching:
+            agents = np.flatnonzero(revealed[i] >= 0)
+            return PartialMatching(tuple(zip(agents.tolist(), revealed[i, agents].tolist())), k)
+
+        return _Built(len(revealed), build)
 
 
 @dataclass
 class RegressionData:
     x: np.ndarray
     y: np.ndarray
-    weak: list[Interval]
+    lo: np.ndarray  # (n,): record i's weak label is [lo[i], hi[i]]
+    hi: np.ndarray
     beta: np.ndarray
+
+    @property
+    def weak(self) -> Sequence[Interval]:
+        lo, hi = self.lo, self.hi
+        return _Built(len(lo), lambda i: Interval(lo[i], hi[i]))
 
 
 def _oracle_scores(cfg, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,8 +228,7 @@ def gen_multiclass(cfg: MulticlassConfig) -> MulticlassData:
         kth = np.partition(scores, cfg.min_weak_size - 1, axis=1)[:, cfg.min_weak_size - 1]
         cut = np.maximum(cut, kth)
     member = scores <= cut[:, None]
-    weak = [ExplicitSet(tuple(np.flatnonzero(row))) for row in member]
-    return MulticlassData(x=x, y=y, weak=weak, oracle_scores=scores, theta=theta)
+    return MulticlassData(x=x, y=y, member=member, oracle_scores=scores, theta=theta)
 
 
 def gen_ranking(cfg: RankingSimConfig) -> RankingData:
@@ -168,38 +239,32 @@ def gen_ranking(cfg: RankingSimConfig) -> RankingData:
     order = np.argsort(-scores, axis=1, kind="stable")
     lengths = 1 + _rng(cfg.seed, _COUNTS).poisson(cfg.prefix_rate, size=cfg.n)
     lengths = np.minimum(lengths, cfg.k)
-    rankings = [tuple(int(v) for v in row) for row in order]
-    weak = [RankingPrefix(r[:m], cfg.k) for r, m in zip(rankings, lengths)]
-    return RankingData(x=x, y=rankings, weak=weak, oracle_scores=scores, theta=theta)
+    return RankingData(x=x, order=order, lengths=lengths, oracle_scores=scores, theta=theta)
 
 
-def gen_matching(n: int, k: int, noise: float, seed: int = 0) -> MatchingData:
+def gen_matching(n: int, k: int = 6, noise: float = 0.25, seed: int = 0) -> MatchingData:
     """Weak matching data: iid noise costs with the planted assignment's
     entries lowered by 1 (the unique minimizer at noise 0); the weak label
     reveals min(k, 1 + Poisson(0.5)) of the planted pairs."""
     if n < 1 or k < 2 or noise < 0:
         raise ValueError("need n >= 1, k >= 2, noise >= 0")
-    rng_p = _rng(seed, _PARAMS)
-    planted = np.array([rng_p.permutation(k) for _ in range(n)])
+    # one permutation per row, drawn in the order of n rng.permutation(k) calls
+    planted = _rng(seed, _PARAMS).permuted(np.tile(np.arange(k), (n, 1)), axis=1)
     costs = noise * _rng(seed, _NOISE).standard_normal((n, k, k))
-    rows = np.arange(k)
-    for i in range(n):
-        costs[i, rows, planted[i]] -= 1.0
+    costs[np.arange(n)[:, None], np.arange(k), planted] -= 1.0
     rng_c = _rng(seed, _COUNTS)
     lengths = np.minimum(1 + rng_c.poisson(0.5, size=n), k)
-    weak = []
-    for i in range(n):
-        revealed = rng_c.choice(k, size=int(lengths[i]), replace=False)
-        pairs = tuple((int(uu), int(planted[i, uu])) for uu in revealed)
-        weak.append(PartialMatching(pairs, k))
-    y = [tuple(int(v) for v in row) for row in planted]
-    return MatchingData(costs=costs, y=y, weak=weak)
+    revealed = np.full((n, k), -1, dtype=planted.dtype)
+    for i, m in enumerate(lengths.tolist()):
+        agents = rng_c.choice(k, size=m, replace=False)
+        revealed[i, agents] = planted[i, agents]
+    return MatchingData(costs=costs, planted=planted, revealed=revealed)
 
 
 def gen_regression(
     n: int,
-    d: int,
-    mu: float,
+    d: int = 2,
+    mu: float = 0.05,
     seed: int = 0,
     min_half_width: float | None = None,
 ) -> RegressionData:
@@ -222,32 +287,23 @@ def gen_regression(
         z[bad] = mu + 0.01 * rng_t.standard_normal(int(bad.sum()))
     else:  # pragma: no cover
         raise RuntimeError("half-width resampling did not terminate")
-    weak = [Interval(yi - zi, yi + zi) for yi, zi in zip(y, z)]
-    return RegressionData(x=x, y=y, weak=weak, beta=beta)
+    return RegressionData(x=x, y=y, lo=y - z, hi=y + z, beta=beta)
 
 
 def to_records(data) -> list[WeakRecord]:
-    """Flatten a generated dataset into WeakRecords (costs become features)."""
-    if isinstance(data, MatchingData):
-        return [
-            WeakRecord(data.costs[i].ravel(), data.weak[i], data.y[i])
-            for i in range(len(data.y))
-        ]
-    return [
-        WeakRecord(data.x[i], data.weak[i], data.y[i]) for i in range(len(data.weak))
-    ]
+    """Flatten a generated dataset into WeakRecords (costs become features);
+    the per-record weak labels and truths are built here."""
+    x = data.costs.reshape(len(data.costs), -1) if isinstance(data, MatchingData) else data.x
+    return [WeakRecord(xi, w, yi) for xi, w, yi in zip(x, data.weak, data.y)]
 
 
 # --- trainers ----------------------------------------------------------------
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # one exponential that cannot overflow: exp(-z) above 0, exp(z) below
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _with_bias(x: np.ndarray) -> np.ndarray:

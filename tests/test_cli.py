@@ -217,6 +217,8 @@ def test_eval_set_missing_field_reports_field_and_line(tmp_path, capsys):
         ("run", "5", "table of settings"),
         ("eval", json.dumps([1, 2]), 1),  # was an AttributeError traceback
         ("eval", json.dumps({"kind": "set", "labels": "ab", "k": 10}), 1),  # had no line
+        # an interval set against a label-set record was an UnsupportedWeakLabel traceback
+        ("eval", json.dumps({"kind": "interval", "lo": 0, "hi": 1}), 1),
     ],
 )
 def test_malformed_input_is_one_located_error(tmp_path, capsys, command, text, located):

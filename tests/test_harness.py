@@ -18,7 +18,6 @@ from weakconformal.harness import (
     _trial_seed,
     run,
 )
-from weakconformal.labels import PartialMatching
 from weakconformal.ranking import listnet_train, predict_relevances, rank_score
 
 
@@ -327,12 +326,12 @@ def test_assignment_table_equals_hungarian_and_engine(k, integer_costs, cap, see
     n = 4
     costs = rng.integers(0, 5, size=(n, k, k)) if integer_costs else rng.normal(size=(n, k, k))
     costs = costs.astype(float)
-    truth = [tuple(int(v) for v in rng.permutation(k)) for _ in range(n)]
-    weak = []
-    for y in truth:
+    truth = np.array([rng.permutation(k) for _ in range(n)])
+    revealed = np.full((n, k), -1)
+    for i in range(n):
         agents = rng.choice(k, size=int(rng.integers(0, k + 1)), replace=False)
-        weak.append(PartialMatching(tuple((int(u), y[u]) for u in agents), k))
-    data = synth.MatchingData(costs=costs, y=truth, weak=weak)
+        revealed[i, agents] = truth[i, agents]
+    data = synth.MatchingData(costs=costs, planted=truth, revealed=revealed)
     block = slice(0, n)
     strong, weak_scores, count = _match_by_table(data, block, cap)
     strong_ref, weak_ref, count_ref = _match_by_engine(data, block, cap)

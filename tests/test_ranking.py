@@ -20,8 +20,10 @@ from weakconformal import (
     rescale_relevances,
 )
 from weakconformal.harness import _levelset_counts
+from weakconformal.labels import _as_permutation
 from weakconformal.ranking import (
     _softmax,
+    _complete_prefixes,
     _swap_deltas,
     levelset_counts_batch,
     listnet_loss_grad,
@@ -138,6 +140,80 @@ def test_rescale_relevances():
     assert out.max() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         rescale_relevances([3.0, 3.0])
+
+
+# --- block prefix completion -------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    k=st.integers(2, 7),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_complete_prefixes_equals_complete_prefix(n, k, tied, seed):
+    # tied relevances (values in {0, 1, 2}, with -0.0 for 0) must break by item
+    # id, as the per-record sort does; prefix lengths run over 0..k
+    rng = np.random.default_rng(seed)
+    rel = rng.integers(0, 3, size=(n, k)) * 1.0 if tied else rng.normal(size=(n, k))
+    rel[:, 0] *= -1.0
+    order = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+    lengths = rng.integers(0, k + 1, size=n)
+    lengths[0] = int(rng.choice([0, k]))
+    expected = [complete_prefix(rel[i], RankingPrefix(tuple(order[i, : lengths[i]]), k))
+                for i in range(n)]
+    assert _complete_prefixes(rel, order, lengths).tolist() == [list(e) for e in expected]
+
+
+def test_complete_prefixes_ignores_entries_past_the_prefix():
+    rel = np.array([[0.5, 0.1, 0.9, 0.3]])
+    padded = np.array([[1, -1, -1, -1]])  # only item 1 revealed
+    assert _complete_prefixes(rel, padded, [1]).tolist() == [[1, 2, 0, 3]]
+
+
+# --- trainers against their per-record and two-exponential forms ----------------------
+
+
+def _relevance_targets_reference(rankings, k):
+    out = np.empty((len(rankings), k))
+    for i, y in enumerate(rankings):
+        for pos, item in enumerate(_as_permutation(y, k)):
+            out[i, item] = k - 1 - pos
+    return out
+
+
+def _listnet_loss_grad_reference(weights, x, target_p):
+    n = x.shape[0]
+    scores = x @ weights.T
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-(target_p * logp).sum() / n)
+    return loss, (_softmax(scores) - target_p).T @ x / n
+
+
+def test_relevance_targets_scatter_equals_the_loop_and_validates():
+    rng = np.random.default_rng(48)
+    for k in (2, 5, 9):
+        perms = [tuple(int(v) for v in rng.permutation(k)) for _ in range(30)]
+        expected = _relevance_targets_reference(perms, k)
+        assert relevance_targets(perms, k).tobytes() == expected.tobytes()
+        assert relevance_targets(np.array(perms), k).tobytes() == expected.tobytes()
+    for bad in ([(0, 0, 2)], [(0, 1)], [(0, 1, 3)], [(0, 1, 2), (1, 2)], [(0, 1, 2, 3)]):
+        with pytest.raises(ValueError):
+            relevance_targets(bad, 3)
+
+
+def test_listnet_loss_grad_is_bit_equal_to_the_two_exponential_form():
+    rng = np.random.default_rng(49)
+    for scale in (0.1, 1.0, 40.0, 400.0):  # scores past 40 and past exp's range
+        x = rng.normal(size=(50, 3))
+        weights = rng.normal(size=(6, 3)) * scale
+        perms = [tuple(rng.permutation(6)) for _ in range(50)]
+        target = _softmax(relevance_targets(perms, 6))
+        loss, grad = listnet_loss_grad(weights, x, target)
+        loss_ref, grad_ref = _listnet_loss_grad_reference(weights, x, target)
+        assert loss == loss_ref and grad.tobytes() == grad_ref.tobytes()
 
 
 def test_relevance_targets_penalize_position():

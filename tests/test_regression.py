@@ -9,6 +9,7 @@ from weakconformal import (
     IntervalScoreOracle,
     abs_score,
     conformal_threshold,
+    interval_block_scores,
     interval_partial_score,
     interval_pessimistic_score,
     interval_predict,
@@ -74,3 +75,22 @@ def test_interval_oracle():
     assert oracle.max_score(x, w) == pytest.approx(7.0)
     inside = Interval(2.0, 4.0)
     assert oracle.min_score(x, inside) == 0.0
+
+
+def test_interval_block_scores_are_the_per_record_scores_to_the_bit():
+    rng = np.random.default_rng(42)
+    n = 400
+    y = rng.normal(scale=5.0, size=n)
+    lo = y - rng.exponential(0.3, size=n)
+    hi = y + rng.exponential(0.3, size=n)
+    lo[:20] = hi[:20] = y[:20]  # zero-width intervals
+    pred = y + rng.normal(scale=0.5, size=n)
+    pred[20:40], pred[40:60] = lo[20:40], hi[40:60]  # on an endpoint
+    pred[60:80] = (lo[60:80] + hi[60:80]) / 2  # inside
+    strong, weak, pessimistic = interval_block_scores(pred, y, lo, hi)
+    w = [Interval(a, b) for a, b in zip(lo, hi)]
+    assert strong.tobytes() == np.abs(pred - y).tobytes()
+    assert weak.tobytes() == np.array(
+        [interval_partial_score(p, wi) for p, wi in zip(pred, w)]).tobytes()
+    assert pessimistic.tobytes() == np.array(
+        [interval_pessimistic_score(p, wi) for p, wi in zip(pred, w)]).tobytes()
