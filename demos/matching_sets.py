@@ -6,15 +6,13 @@ Each record is a cost matrix whose true assignment is planted; supervision
 reveals only a few of the matched pairs. Conformal calibration on the
 partial scores still produces valid sets of assignments.
 """
-import numpy as np
 
 from weakconformal.conformal import conformal_threshold
 from weakconformal.matching import (
     MatchingProblem,
     hungarian,
-    matching_score,
+    matching_block_scores,
     min_matching_cost,
-    partial_matching_score,
 )
 from weakconformal.mbest import enumerate_until
 from weakconformal.synth import gen_matching
@@ -30,22 +28,19 @@ perm, cost = hungarian(data.costs[0])
 print("cheapest assignment", tuple(perm), f"cost {cost:.3f}")
 
 # translated scores: cost of an assignment minus the record's minimum cost,
-# so 0 means "the model's favourite" on every record
-cal, test = range(0, 600), range(600, 1200)
+# so 0 means "the model's favourite" on every record; the weak score is the
+# cheapest assignment that keeps the revealed pairs
 
 
-def scores(indices):
-    strong, weak, base = [], [], []
-    for i in indices:
-        b = min_matching_cost(data.costs[i])
-        strong.append(matching_score(data.costs[i], data.y[i]) - b)
-        weak.append(partial_matching_score(data.costs[i], data.weak[i]) - b)
-        base.append(b)
-    return np.array(strong), np.array(weak), base
+def scores(block):
+    strong, weak, _ = matching_block_scores(
+        data.costs[block], data.planted[block], data.revealed[block], keep=1
+    )
+    return strong, weak
 
 
-strong_cal, weak_cal, _ = scores(cal)
-strong_te, weak_te, bases_te = scores(test)
+strong_cal, weak_cal = scores(slice(0, 600))
+strong_te, weak_te = scores(slice(600, 1200))
 
 t_weak = conformal_threshold(weak_cal, 0.1).value
 t_strong = conformal_threshold(strong_cal, 0.1).value
@@ -53,7 +48,7 @@ print(f"\nthresholds: weak {t_weak:.3f}  strong {t_strong:.3f}")
 
 # materialize one test record's confidence set by best-first enumeration
 i = 605
-problem = MatchingProblem(data.costs[i], offset=bases_te[i - 600])
+problem = MatchingProblem(data.costs[i], offset=min_matching_cost(data.costs[i]))
 level_set = enumerate_until(problem, t_weak, cap=50)
 print(f"record {i}: {len(level_set.configs)} assignments in the weak-level set"
       f" (truncated: {level_set.truncated})")

@@ -9,7 +9,7 @@ than what fully supervised calibration would give.
 """
 import numpy as np
 
-from weakconformal.conformal import conformal_threshold
+from weakconformal.conformal import conformal_threshold, set_block_scores
 from weakconformal.synth import (
     MulticlassConfig,
     cumulative_probability_scores,
@@ -26,8 +26,8 @@ K = 8
 #    weak set W collects every label whose score fell below a random cut
 data = gen_multiclass(MulticlassConfig(n=6000, k=K, d=2, sigma=1.0, seed=7))
 tr, ca, te = three_way_split(6000, (0.3, 0.2, 0.5))
-print(f"weak-set sizes: mean {np.mean([len(w.labels) for w in data.weak]):.2f}, "
-      f"max {max(len(w.labels) for w in data.weak)}")
+sizes = data.member.sum(axis=1)  # (n, k) weak-set mask: label j is in W_i
+print(f"weak-set sizes: mean {sizes.mean():.2f}, max {sizes.max()}")
 
 # 2. fit a softmax classifier on the training third (strong labels there)
 weights, losses = train_multinomial_logistic(data.x[tr], data.y[tr], K)
@@ -37,15 +37,10 @@ print(f"trainer loss {losses[0]:.3f} -> {losses[-1]:.3f}")
 scores_ca = cumulative_probability_scores(predict_class_probs(weights, data.x[ca]))
 scores_te = cumulative_probability_scores(predict_class_probs(weights, data.x[te]))
 
-mask_ca = np.zeros_like(scores_ca, dtype=bool)
-for i, w in enumerate(data.weak[ca]):
-    mask_ca[i, list(w.labels)] = True
-
 # 4. calibrate two ways on the SAME score function:
 #    weak:   min over the weak set (needs no true labels)
 #    strong: score at the true label (the supervised baseline)
-weak_scores = np.where(mask_ca, scores_ca, np.inf).min(axis=1)
-strong_scores = scores_ca[np.arange(scores_ca.shape[0]), data.y[ca]]
+strong_scores, weak_scores, _ = set_block_scores(scores_ca, data.y[ca], data.member[ca])
 t_weak = conformal_threshold(weak_scores, ALPHA)
 t_strong = conformal_threshold(strong_scores, ALPHA)
 print(f"weak threshold {t_weak.value:.4f} <= strong threshold {t_strong.value:.4f}")
@@ -55,9 +50,7 @@ for name, t in [("weak-calibrated", t_weak), ("strong-calibrated", t_strong)]:
     sets = scores_te <= t.value
     y_te = data.y[te]
     strong_cov = sets[np.arange(sets.shape[0]), y_te].mean()
-    weak_cov = np.mean(
-        [sets[i, list(w.labels)].any() for i, w in enumerate(data.weak[te])]
-    )
+    weak_cov = (sets & data.member[te]).any(axis=1).mean()
     print(f"{name:18s} strong coverage {strong_cov:.3f}  "
           f"weak coverage {weak_cov:.3f}  avg size {sets.sum(axis=1).mean():.2f}")
 

@@ -9,18 +9,13 @@ distributions and best-first enumeration of structured prediction sets.
 __version__ = "0.1.0"  # before the submodules: the harness records it
 
 from .conformal import (
-    ClasswiseScoreOracle,
     ConformalThreshold,
     CoverageReport,
     LabelSet,
     PredictionInterval,
-    ScoreLevelSet,
     UnsupportedWeakLabel,
     conformal_threshold,
     evaluate,
-    partial_score,
-    pessimistic_score,
-    pessimistic_threshold,
     set_block_scores,
 )
 from .greedy import (
@@ -82,7 +77,6 @@ from .ranking import (
     PsiSpec,
     RankingProblem,
     best_ranking,
-    complete_prefix,
     listnet_train,
     partial_rank_score,
     predict_relevances,
@@ -91,14 +85,7 @@ from .ranking import (
     rank_scores_batch,
     rescale_relevances,
 )
-from .regression import (
-    IntervalScoreOracle,
-    abs_score,
-    interval_block_scores,
-    interval_partial_score,
-    interval_pessimistic_score,
-    interval_predict,
-)
+from .regression import interval_block_scores, interval_predict
 from .synth import (
     MulticlassConfig,
     RankingSimConfig,
@@ -123,11 +110,8 @@ __all__ = [
     "WeakRecord", "FormatError", "weak_contains", "weak_to_payload",
     "weak_from_payload", "read_jsonl", "write_jsonl",
     # conformal core
-    "ConformalThreshold", "conformal_threshold", "ClasswiseScoreOracle",
-    "partial_score",
-    "pessimistic_score", "pessimistic_threshold", "set_block_scores",
-    "UnsupportedWeakLabel",
-    "CoverageReport", "LabelSet", "PredictionInterval", "ScoreLevelSet",
+    "ConformalThreshold", "conformal_threshold", "set_block_scores",
+    "UnsupportedWeakLabel", "CoverageReport", "LabelSet", "PredictionInterval",
     "evaluate",
     # greedy randomized sets
     "DiscreteWeakDistribution", "GreedySequence", "RandomizedSet",
@@ -146,13 +130,10 @@ __all__ = [
     "pad_costs", "read_cost_csv", "MatchingProblem",
     # ranking
     "PsiSpec", "rank_score", "rank_scores_batch", "best_ranking",
-    "complete_prefix", "partial_rank_score", "prefix_block_scores",
-    "rescale_relevances",
+    "partial_rank_score", "prefix_block_scores", "rescale_relevances",
     "RankingProblem", "listnet_train", "predict_relevances",
     # regression
-    "abs_score", "interval_partial_score", "interval_pessimistic_score",
-    "interval_block_scores",
-    "interval_predict", "IntervalScoreOracle",
+    "interval_block_scores", "interval_predict",
     # synthetic data and trainers
     "MulticlassConfig", "RankingSimConfig", "gen_multiclass", "gen_ranking",
     "gen_matching", "gen_regression", "to_records", "three_way_split",

@@ -8,12 +8,14 @@ every weak label, the resulting sets hit the weak set with probability at
 least ``1 - alpha`` (weak coverage); they do not, and in general cannot,
 guarantee coverage of the true label itself.
 
+Each task defines its scores once, on a block of records: label sets here
+(``set_block_scores``), rankings, matchings and intervals in their modules.
 Two reference points share the quantile rule:
 
-* the fully supervised threshold, ``conformal_threshold`` applied to the
-  true-label scores ``s(X_i, Y_i)`` (an oracle upper envelope: it always
-  dominates the weak threshold).
-* ``pessimistic_threshold`` calibrates on the *worst case*
+* the fully supervised threshold, calibrated on the true-label scores
+  ``s(X_i, Y_i)`` (an oracle upper envelope: it always dominates the weak
+  threshold).
+* the pessimistic threshold, calibrated on the *worst case*
   ``max(s(X_i, y) for y in W_i)``, forcing the prediction set to swallow
   whole weak sets; useful as the strong-coverage baseline whose sets blow
   up with the weak labels' size.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,17 +34,11 @@ __all__ = [
     "TOL",
     "ConformalThreshold",
     "conformal_threshold",
-    "pessimistic_threshold",
-    "partial_score",
-    "pessimistic_score",
     "set_block_scores",
-    "ScoreOracle",
-    "ClasswiseScoreOracle",
     "CoverageReport",
     "evaluate",
     "LabelSet",
     "PredictionInterval",
-    "ScoreLevelSet",
     "UnsupportedWeakLabel",
 ]
 
@@ -51,7 +47,7 @@ TOL = 1e-9
 
 
 class UnsupportedWeakLabel(TypeError):
-    """The score oracle cannot minimize/maximize over this weak-label kind.
+    """A prediction set cannot be intersected with this weak-label kind.
 
     When evaluate raises it, ``index`` is the position of the offending
     (set, record) pair.
@@ -115,70 +111,6 @@ def conformal_threshold(scores: Sequence[float] | np.ndarray, alpha: float) -> C
     return ConformalThreshold(value=value, alpha=float(alpha), n=n, k=k)
 
 
-class ScoreOracle(Protocol):
-    """Module-specific score access used by the calibration helpers.
-
-    ``score(x, y)`` evaluates one candidate; ``min_score(x, w)`` returns
-    ``min_{y in w} score(x, y)`` exactly (each task module implements the
-    constrained minimization natively); ``max_score`` is only available for
-    weak-label kinds where the maximum is tractable (explicit sets,
-    intervals) and powers the pessimistic baseline.
-    """
-
-    def score(self, x: np.ndarray, y: Any) -> float: ...
-
-    def min_score(self, x: np.ndarray, w: WeakLabel) -> float: ...
-
-
-class ClasswiseScoreOracle:
-    """Oracle over a finite label space given per-class scores.
-
-    score_fn maps a feature vector to the length-k vector of class scores.
-    """
-
-    def __init__(self, score_fn: Callable[[np.ndarray], np.ndarray], k: int):
-        self._fn = score_fn
-        self.k = int(k)
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        vec = np.asarray(self._fn(x), dtype=float).ravel()
-        if vec.size != self.k:
-            raise ValueError(f"score_fn returned {vec.size} scores, expected {self.k}")
-        return vec
-
-    def score(self, x: np.ndarray, y: int) -> float:
-        return float(self.scores(x)[int(y)])
-
-    def _members(self, w: WeakLabel) -> list[int]:
-        if not isinstance(w, ExplicitSet):
-            raise UnsupportedWeakLabel(
-                f"classwise oracle needs an explicit label set, got {type(w).__name__}"
-            )
-        w.validate_k(self.k)
-        return list(w.labels)
-
-    def min_score(self, x: np.ndarray, w: WeakLabel) -> float:
-        return float(self.scores(x)[self._members(w)].min())
-
-    def max_score(self, x: np.ndarray, w: WeakLabel) -> float:
-        return float(self.scores(x)[self._members(w)].max())
-
-
-def partial_score(oracle: ScoreOracle, x: np.ndarray, w: WeakLabel) -> float:
-    """Best-case score of a weak label: min over its members."""
-    return float(oracle.min_score(x, w))
-
-
-def pessimistic_score(oracle, x: np.ndarray, w: WeakLabel) -> float:
-    """Worst-case score of a weak label: max over its members."""
-    fn = getattr(oracle, "max_score", None)
-    if fn is None:
-        raise UnsupportedWeakLabel(
-            f"{type(oracle).__name__} does not support worst-case scoring"
-        )
-    return float(fn(x, w))
-
-
 def set_block_scores(
     scores, y, member
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,18 +130,6 @@ def set_block_scores(
         np.where(member, scores, np.inf).min(axis=1),
         np.where(member, scores, -np.inf).max(axis=1),
     )
-
-
-def pessimistic_threshold(
-    oracle, records: Iterable[WeakRecord], alpha: float
-) -> ConformalThreshold:
-    """Calibrate on worst-case scores so sets must engulf whole weak labels.
-
-    Only meaningful for weak-label kinds with a tractable in-set maximum
-    (explicit sets, intervals); raises UnsupportedWeakLabel otherwise.
-    """
-    scores = [pessimistic_score(oracle, rec.x, rec.weak) for rec in records]
-    return conformal_threshold(scores, alpha)
 
 
 # --- evaluation -----------------------------------------------------------
@@ -272,36 +192,6 @@ class PredictionInterval:
 
     def size(self) -> float:
         return self.hi - self.lo
-
-
-class ScoreLevelSet:
-    """Implicit prediction set {y : score(y) <= threshold} over a large space.
-
-    Membership and weak-label intersection are exact (intersection via the
-    partial score); the reported size may be a truncated count, supplied
-    lazily by size_fn.
-    """
-
-    def __init__(
-        self,
-        threshold: float,
-        score_fn: Callable[[Any], float],
-        partial_score_fn: Callable[[WeakLabel], float],
-        size_fn: Callable[[], float],
-    ):
-        self.threshold = float(threshold)
-        self._score = score_fn
-        self._partial = partial_score_fn
-        self._size = size_fn
-
-    def __contains__(self, y) -> bool:
-        return self._score(y) <= self.threshold
-
-    def intersects(self, w: WeakLabel) -> bool:
-        return self._partial(w) <= self.threshold
-
-    def size(self) -> float:
-        return float(self._size())
 
 
 def evaluate(sets: Sequence, records: Sequence[WeakRecord]) -> CoverageReport:

@@ -258,6 +258,20 @@ def _greedy_run(dist: DiscreteWeakDistribution) -> tuple[GreedySequence, np.ndar
     return GreedySequence(tuple(picked), tuple(cum)), deltas
 
 
+def _label_independent_runs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy order and prefix coverages of each row of marginals q (n, k):
+    q descending (stable), and c_j = (1 - prod_{i<=j}(1 - q_(i))) / Z with
+    Z = 1 - prod_i(1 - q_i) the probability that W is nonempty."""
+    order = np.argsort(-q, axis=1, kind="stable")
+    cp = np.cumprod(1.0 - np.take_along_axis(q, order, axis=1), axis=1)
+    z = 1.0 - cp[:, -1:]
+    if np.any(z <= 1e-15):
+        raise ValueError("W would be empty almost surely")
+    cum = (1.0 - cp) / z
+    cum[:, -1] = 1.0
+    return order, cum
+
+
 def label_independent_sequence(q: Sequence[float]) -> GreedySequence:
     """Greedy sequence for independent label indicators conditioned nonempty.
 
@@ -269,14 +283,8 @@ def label_independent_sequence(q: Sequence[float]) -> GreedySequence:
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or np.any((q < 0) | (q > 1)):
         raise ValueError("q must be a vector of probabilities")
-    order = np.argsort(-q, kind="stable")
-    cp = np.cumprod(1.0 - q[order])
-    z = 1.0 - cp[-1]
-    if z <= 1e-15:
-        raise ValueError("W would be empty almost surely")
-    cum = (1.0 - cp) / z
-    cum[-1] = 1.0
-    return GreedySequence(tuple(int(v) for v in order), tuple(float(c) for c in cum))
+    order, cum = _label_independent_runs(q[None])
+    return GreedySequence(tuple(order[0].tolist()), tuple(cum[0].tolist()))
 
 
 def set_from_sequence(seq: GreedySequence, eta: float) -> RandomizedSet:
@@ -333,14 +341,7 @@ def label_independent_nested_scores(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float).reshape(-1, 1)
     if q.ndim != 2 or q.shape[0] != u.shape[0]:
         raise ValueError("q must be (n, k) with one u per row")
-    order = np.argsort(-q, axis=1, kind="stable")
-    q_sorted = np.take_along_axis(q, order, axis=1)
-    cp = np.cumprod(1.0 - q_sorted, axis=1)
-    z = 1.0 - cp[:, -1:]
-    if np.any(z <= 1e-15):
-        raise ValueError("some rows make W empty almost surely")
-    cum = (1.0 - cp) / z
-    cum[:, -1] = 1.0
+    order, cum = _label_independent_runs(q)
     cprev = np.concatenate([np.zeros((cum.shape[0], 1)), cum[:, :-1]], axis=1)
     by_pos = cprev + u * (cum - cprev)
     out = np.empty_like(by_pos)

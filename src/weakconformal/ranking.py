@@ -29,7 +29,6 @@ __all__ = [
     "PsiSpec",
     "rank_score",
     "rank_scores_batch",
-    "complete_prefix",
     "partial_rank_score",
     "prefix_block_scores",
     "best_ranking",
@@ -119,24 +118,19 @@ def best_ranking(r) -> tuple[int, ...]:
     return tuple(sorted(range(r.size), key=lambda i: (-r[i], i)))
 
 
-def complete_prefix(r, prefix: RankingPrefix) -> tuple[int, ...]:
-    """Cheapest ranking starting with the observed prefix: remaining items
-    relevance-descending."""
+def partial_rank_score(r, prefix: RankingPrefix, psi: PsiSpec) -> float:
+    """min over rankings compatible with the prefix of rank_score: the score
+    of the prefix completed as prefix_block_scores completes it."""
     r = _check_relevances(r)
     if prefix.k != r.size:
         raise ValueError("prefix and relevances disagree on k")
-    head = prefix.items
-    rest = sorted(set(range(r.size)) - set(head), key=lambda i: (-r[i], i))
-    return head + tuple(rest)
-
-
-def partial_rank_score(r, prefix: RankingPrefix, psi: PsiSpec) -> float:
-    """min over rankings compatible with the prefix of rank_score."""
-    return rank_score(r, complete_prefix(r, prefix), psi)
+    head = list(prefix.items)
+    order = np.array([head + [0] * (r.size - len(head))])  # past the prefix: ignored
+    return rank_score(r, _complete_prefixes(r[None], order, [len(head)])[0], psi)
 
 
 def _complete_prefixes(rel, order, lengths) -> np.ndarray:
-    """complete_prefix for a block of records, as an (n, k) array.
+    """The cheapest completion of each record's prefix, as an (n, k) array.
 
     Row i keeps the prefix order[i, :lengths[i]] and ranks the remaining
     items relevance-descending, ties by item id. Entries of order past a
@@ -161,13 +155,15 @@ def prefix_block_scores(
     lengths[i] items are the revealed prefix. The strong score is
     rank_scores_batch of the truth, the weak score that of the cheapest
     ranking extending the prefix: the remaining items relevance-descending,
-    ties by item id, as complete_prefix does per record.
+    ties by item id. The truth extends its own prefix, so the weak score is
+    capped at the strong one: the two sum shared pair terms in different
+    positions, and under exp weights the completion's sum can round a few
+    ulps above the truth's.
     """
     r = np.asarray(rel, dtype=float)
-    return (
-        rank_scores_batch(r, order, psi),
-        rank_scores_batch(r, _complete_prefixes(r, order, lengths), psi),
-    )
+    strong = rank_scores_batch(r, order, psi)
+    weak = rank_scores_batch(r, _complete_prefixes(r, order, lengths), psi)
+    return strong, np.minimum(weak, strong)
 
 
 def rescale_relevances(raw) -> np.ndarray:
@@ -201,12 +197,25 @@ class RankingCell:
 
 
 class RankingProblem:
-    """PartitionProblem over the k! rankings under fixed relevances."""
+    """PartitionProblem over the k! rankings under fixed relevances.
+
+    ValueError when some ranking's score would not be finite, since the
+    best-first search cannot order infinite scores.
+    """
 
     def __init__(self, relevances, psi: PsiSpec):
         self.r = _check_relevances(relevances)
         self.k = self.r.size
         self.psi = psi
+        # the relevance-ascending ranking holds every discordant pair, so it
+        # scores highest: if its score is finite, every pair term and sum is
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                worst = rank_score(self.r, best_ranking(self.r)[::-1], psi)
+        except OverflowError:  # math.exp in an exp-weighted pair term
+            worst = math.inf
+        if not math.isfinite(worst):
+            raise ValueError("some ranking's score is not finite: a pair term or a sum overflows")
 
     def score(self, config: Sequence[int]) -> float:
         return rank_score(self.r, config, self.psi)

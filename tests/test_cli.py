@@ -103,8 +103,16 @@ def test_mbest_bad_payload(tmp_path, capsys):
         ({"costs": [[1.0, 2.0], [3.0]]}, "costs"),
         ({"costs": [[1.0, 2.0]]}, "costs"),
         ({"relevances": [[1, 2], [3, 4]]}, "relevances"),
+        # scores that are not finite: exp(-c a) overflows; a finite weight
+        # times a finite gap overflows; the gap itself overflows; two finite
+        # pair terms sum past the largest float
+        ({"relevances": [-400, 1, 2], "psi": {"kind": "exp_weighted", "c": 2}}, "relevances"),
+        ({"relevances": [-350, 1e5], "psi": {"kind": "exp_weighted", "c": 2}}, "relevances"),
+        ({"relevances": [-1e308, 1e308]}, "relevances"),
+        ({"relevances": [-350, 1e4, 1e4], "psi": {"kind": "exp_weighted", "c": 2}}, "relevances"),
     ],
 )
+@pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
 def test_mbest_malformed_payload_is_one_named_error(tmp_path, capsys, payload, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from weakconformal import (
-    ClasswiseScoreOracle,
     CoverageReport,
     ExplicitSet,
     Interval,
     LabelSet,
     PredictionInterval,
-    ScoreLevelSet,
     UnsupportedWeakLabel,
     WeakRecord,
     conformal_threshold,
     evaluate,
-    partial_score,
-    pessimistic_score,
-    pessimistic_threshold,
+    set_block_scores,
 )
 
 
@@ -68,61 +64,40 @@ def test_threshold_admits():
     assert not t.admits(t.value + 1e-9)
 
 
-def _score_table(table):
-    # oracle over a fixed table: x is the row index (possibly as a 1-vector)
-    arr = np.asarray(table, dtype=float)
-
-    def fn(x):
-        xi = int(np.ravel(x)[0]) if isinstance(x, np.ndarray) else int(x)
-        return arr[xi]
-
-    return ClasswiseScoreOracle(fn, arr.shape[1])
-
-
 def test_partial_score_is_min_over_weak_label():
-    oracle = _score_table([[3.0, 1.0, 2.0]])
-    assert partial_score(oracle, 0, ExplicitSet((0, 2))) == 2.0
-    assert partial_score(oracle, 0, ExplicitSet((1,))) == 1.0
+    scores = [[3.0, 1.0, 2.0], [3.0, 1.0, 2.0]]
+    member = [[True, False, True], [False, True, False]]
+    assert set_block_scores(scores, [2, 1], member)[1].tolist() == [2.0, 1.0]
 
 
 def test_pessimistic_score_is_max_over_weak_label():
-    oracle = _score_table([[3.0, 1.0, 2.0]])
-    assert pessimistic_score(oracle, 0, ExplicitSet((0, 2))) == 3.0
+    strong, _, pessimistic = set_block_scores([[3.0, 1.0, 2.0]], [2], [[True, False, True]])
+    assert strong.tolist() == [2.0]
+    assert pessimistic.tolist() == [3.0]
 
 
 def test_weak_calibration_dominates_strong():
     # partial scores are pointwise <= strong scores, so quantiles order too
     rng = np.random.default_rng(11)
-    table = rng.normal(size=(40, 5))
-    oracle = _score_table(table)
-    records = []
+    scores = rng.normal(size=(40, 5))
+    member = np.zeros((40, 5), dtype=bool)
+    y = np.empty(40, dtype=int)
     for i in range(40):
-        members = tuple(
-            sorted(set([int(v) for v in rng.choice(5, size=2)]) | {int(rng.integers(5))})
-        )
-        y = int(rng.choice(members))
-        records.append(WeakRecord(np.array([float(i)]), ExplicitSet(members), y))
+        members = sorted(set([int(v) for v in rng.choice(5, size=2)]) | {int(rng.integers(5))})
+        member[i, members] = True
+        y[i] = int(rng.choice(members))
+    strong, weak, pessimistic = set_block_scores(scores, y, member)
     for alpha in (0.1, 0.25, 0.5):
-        weak_t = conformal_threshold(
-            [partial_score(oracle, i, r.weak) for i, r in enumerate(records)], alpha
-        )
-        strong_t = conformal_threshold(
-            [oracle.score(i, r.y) for i, r in enumerate(records)], alpha
-        )
-        pess_t = pessimistic_threshold(oracle, records, alpha)
+        weak_t, strong_t, pess_t = (conformal_threshold(s, alpha) for s in (weak, strong, pessimistic))
         assert weak_t.value <= strong_t.value <= pess_t.value
 
 
-def test_pessimistic_threshold_uses_x_from_records():
-    table = [[0.0, 5.0], [1.0, 2.0]]
-    oracle = _score_table(table)
-    records = [
-        WeakRecord(np.array([0.0]), ExplicitSet((0, 1)), 0),
-        WeakRecord(np.array([1.0]), ExplicitSet((0,)), 0),
-    ]
+def test_pessimistic_threshold_takes_each_records_own_scores():
+    scores = [[0.0, 5.0], [1.0, 2.0]]
+    member = [[True, True], [True, False]]
     # max scores: 5.0 and 1.0; alpha=0.5: k = ceil(3*0.5) = 2 -> 5.0
-    t = pessimistic_threshold(oracle, records, 0.5)
-    assert t.value == 5.0
+    pessimistic = set_block_scores(scores, [0, 0], member)[2]
+    assert conformal_threshold(pessimistic, 0.5).value == 5.0
 
 
 def test_label_set_membership_and_intersection():
@@ -143,19 +118,6 @@ def test_prediction_interval_membership_and_intersection():
     assert s.intersects(Interval(0.9, 2.0))
     assert not s.intersects(Interval(1.1, 2.0))
     assert s.size() == 2.0
-
-
-def test_score_level_set_delegates():
-    s = ScoreLevelSet(
-        threshold=1.5,
-        score_fn=lambda y: float(y),
-        partial_score_fn=lambda w: w.lo,
-        size_fn=lambda: 7.0,
-    )
-    assert 1.5 in s
-    assert 2.0 not in s
-    assert s.intersects(Interval(1.0, 9.0))
-    assert s.size() == 7.0
 
 
 def test_evaluate_hand_counts():

@@ -10,7 +10,6 @@ from weakconformal import (
     RankingPrefix,
     RankingProblem,
     best_ranking,
-    complete_prefix,
     listnet_train,
     m_best,
     partial_rank_score,
@@ -92,9 +91,9 @@ def test_best_ranking_descending_with_id_ties():
 
 
 def test_complete_prefix_fills_descending():
-    r = np.array([0.5, 2.0, 1.0, 3.0])
-    assert complete_prefix(r, RankingPrefix((0,), 4)) == (0, 3, 1, 2)
-    assert complete_prefix(r, RankingPrefix((), 4)) == (3, 1, 2, 0)
+    r = np.array([[0.5, 2.0, 1.0, 3.0]] * 2)
+    order = np.array([[0, 1, 2, 3]] * 2)
+    assert _complete_prefixes(r, order, [1, 0]).tolist() == [[0, 3, 1, 2], [3, 1, 2, 0]]
 
 
 def test_partial_rank_score_vs_exhaustive():
@@ -112,6 +111,8 @@ def test_partial_rank_score_vs_exhaustive():
             if p[:m] == head
         )
         assert got == pytest.approx(want, abs=1e-9)
+    with pytest.raises(ValueError, match="disagree on k"):
+        partial_rank_score(rng.normal(size=3), RankingPrefix((0,), 4), psi)
 
 
 def test_second_best_is_adjacent_transposition_optimum():
@@ -145,6 +146,12 @@ def test_rescale_relevances():
 # --- block prefix completion -------------------------------------------------------
 
 
+def _complete_prefix(r, head):
+    # the prefix, then the remaining items relevance-descending, ties by item id
+    rest = sorted(set(range(r.size)) - set(head), key=lambda i: (-r[i], i))
+    return head + tuple(rest)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 8),
@@ -161,9 +168,13 @@ def test_complete_prefixes_equals_complete_prefix(n, k, tied, seed):
     order = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
     lengths = rng.integers(0, k + 1, size=n)
     lengths[0] = int(rng.choice([0, k]))
-    expected = [complete_prefix(rel[i], RankingPrefix(tuple(order[i, : lengths[i]]), k))
-                for i in range(n)]
+    expected = [_complete_prefix(rel[i], tuple(order[i, : lengths[i]])) for i in range(n)]
     assert _complete_prefixes(rel, order, lengths).tolist() == [list(e) for e in expected]
+    # the per-record partial score is the completion's score, to the bit
+    psi = PsiSpec.exp_weighted(0.5)
+    for i in range(n):
+        prefix = RankingPrefix(tuple(order[i, : lengths[i]].tolist()), k)
+        assert partial_rank_score(rel[i], prefix, psi) == rank_score(rel[i], expected[i], psi)
 
 
 def test_complete_prefixes_ignores_entries_past_the_prefix():

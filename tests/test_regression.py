@@ -5,44 +5,35 @@ import pytest
 
 from weakconformal import (
     ConformalThreshold,
-    Interval,
-    IntervalScoreOracle,
-    abs_score,
     conformal_threshold,
     interval_block_scores,
-    interval_partial_score,
-    interval_pessimistic_score,
     interval_predict,
 )
 
 
 def test_abs_score():
-    assert abs_score(2.0, 3.5) == pytest.approx(1.5)
-    assert abs_score(2.0, 2.0) == 0.0
+    strong = interval_block_scores([2.0, 2.0], [3.5, 2.0], [0.0, 0.0], [9.0, 9.0])[0]
+    assert strong.tolist() == [1.5, 0.0]
 
 
 def test_interval_partial_score_geometry():
-    w = Interval(1.0, 3.0)
-    assert interval_partial_score(0.0, w) == pytest.approx(1.0)  # below
-    assert interval_partial_score(2.0, w) == 0.0  # inside
-    assert interval_partial_score(5.0, w) == pytest.approx(2.0)  # above
+    # below, inside and above [1, 3]
+    weak = interval_block_scores([0.0, 2.0, 5.0], [1.0, 2.0, 3.0], 1.0, 3.0)[1]
+    assert weak.tolist() == [1.0, 0.0, 2.0]
 
 
 def test_interval_pessimistic_score_is_far_endpoint():
-    w = Interval(1.0, 3.0)
-    assert interval_pessimistic_score(0.0, w) == pytest.approx(3.0)
-    assert interval_pessimistic_score(2.5, w) == pytest.approx(1.5)
-    assert interval_pessimistic_score(10.0, w) == pytest.approx(9.0)
+    pessimistic = interval_block_scores([0.0, 2.5, 10.0], [1.0, 2.0, 3.0], 1.0, 3.0)[2]
+    assert pessimistic.tolist() == [3.0, 1.5, 9.0]
 
 
 def test_partial_never_exceeds_pessimistic():
     rng = np.random.default_rng(51)
-    for _ in range(100):
-        lo = float(rng.normal())
-        hi = lo + float(rng.uniform(0.0, 3.0))
-        pred = float(rng.normal(scale=2.0))
-        w = Interval(lo, hi)
-        assert interval_partial_score(pred, w) <= interval_pessimistic_score(pred, w)
+    lo = rng.normal(size=100)
+    hi = lo + rng.uniform(0.0, 3.0, size=100)
+    pred = rng.normal(scale=2.0, size=100)
+    _, weak, pessimistic = interval_block_scores(pred, lo, lo, hi)
+    assert np.all(weak <= pessimistic)
 
 
 def test_interval_predict_from_threshold():
@@ -66,15 +57,23 @@ def test_interval_predict_infinite_threshold_covers_line():
     assert -1e300 in band
 
 
-def test_interval_oracle():
-    oracle = IntervalScoreOracle(lambda x: float(np.sum(x)))
-    x = np.array([1.0, 2.0])
-    assert oracle.score(x, 5.0) == pytest.approx(2.0)
-    w = Interval(4.0, 10.0)
-    assert oracle.min_score(x, w) == pytest.approx(1.0)
-    assert oracle.max_score(x, w) == pytest.approx(7.0)
-    inside = Interval(2.0, 4.0)
-    assert oracle.min_score(x, inside) == 0.0
+def test_interval_scores_take_the_prediction_per_record():
+    # a point predictor x -> sum(x) over two records' features
+    x = np.array([[1.0, 2.0], [1.0, 2.0]])
+    strong, weak, pessimistic = interval_block_scores(x.sum(axis=1), [5.0, 3.0], [4.0, 2.0], [10.0, 4.0])
+    assert strong.tolist() == [2.0, 0.0]
+    assert weak.tolist() == [1.0, 0.0]
+    assert pessimistic.tolist() == [7.0, 1.0]
+
+
+def _clamp_distance(y_hat, lo, hi):
+    # min over y in [lo, hi] of |y_hat - y|, per record
+    return abs(y_hat - min(max(y_hat, lo), hi))
+
+
+def _far_endpoint_distance(y_hat, lo, hi):
+    # max over y in [lo, hi] of |y_hat - y|, per record
+    return max(abs(y_hat - lo), abs(y_hat - hi))
 
 
 def test_interval_block_scores_are_the_per_record_scores_to_the_bit():
@@ -88,9 +87,7 @@ def test_interval_block_scores_are_the_per_record_scores_to_the_bit():
     pred[20:40], pred[40:60] = lo[20:40], hi[40:60]  # on an endpoint
     pred[60:80] = (lo[60:80] + hi[60:80]) / 2  # inside
     strong, weak, pessimistic = interval_block_scores(pred, y, lo, hi)
-    w = [Interval(a, b) for a, b in zip(lo, hi)]
+    records = list(zip(pred.tolist(), lo.tolist(), hi.tolist()))
     assert strong.tobytes() == np.abs(pred - y).tobytes()
-    assert weak.tobytes() == np.array(
-        [interval_partial_score(p, wi) for p, wi in zip(pred, w)]).tobytes()
-    assert pessimistic.tobytes() == np.array(
-        [interval_pessimistic_score(p, wi) for p, wi in zip(pred, w)]).tobytes()
+    assert weak.tobytes() == np.array([_clamp_distance(*r) for r in records]).tobytes()
+    assert pessimistic.tobytes() == np.array([_far_endpoint_distance(*r) for r in records]).tobytes()
