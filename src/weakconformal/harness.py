@@ -139,6 +139,7 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in _METHODS[self.task]]
         if bad:
             raise ValueError(f"methods {bad} not available for task {self.task!r}")
+        self.psi()  # a bad psi_c is rejected here, before any trial runs
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "split", tuple(self.split))
 

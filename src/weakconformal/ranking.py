@@ -6,17 +6,24 @@ A ranking y is a permutation tuple with y[i] the item placed at position i
     score(y) = sum_{i < j} psi(r[y[i]], r[y[j]])
 
 over per-item relevances r, with psi zero on correctly ordered pairs
-(first relevance >= second) and positive otherwise: the relevance-descending
-ranking scores 0 and every adjacent transposition of a ranking changes only
-its own pair term, which is what makes the cell-wise second-best an O(k)
-scan. Two psi variants are provided: plain hinge (b - a)_+ and the
-top-weighted exp(-c a)(b - a)_+ that concentrates the penalty on mistakes
-near the top.
+(first relevance >= second) and positive otherwise. Two psi variants are
+provided: plain hinge (b - a)_+ and the top-weighted exp(-c a)(b - a)_+
+that concentrates the penalty on mistakes near the top.
+
+Every score in the module is computed one way: the pair terms come from one
+table, _pair_terms, and are added left to right over the position pairs
+(i, j), i < j, in row-major order. So a ranking emitted by the best-first
+search carries exactly the score that rank_score gives it, and lies in the
+sublevel set at that score. The relevance-descending ranking scores 0, and
+the runner-up within a cell is an adjacent transposition of the cell's best,
+which changes only its own pair term: the swap delta prunes the candidates,
+and the re-summed score chooses among the rest.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -53,8 +60,8 @@ class PsiSpec:
     def __post_init__(self):
         if self.kind not in ("hinge", "exp_weighted"):
             raise ValueError(f"unknown psi kind {self.kind!r}")
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(f"psi parameter 'c' must be finite and nonnegative, got {self.c!r}")
 
     @classmethod
     def hinge(cls) -> "PsiSpec":
@@ -64,18 +71,69 @@ class PsiSpec:
     def exp_weighted(cls, c: float) -> "PsiSpec":
         return cls("exp_weighted", float(c))
 
-    def __call__(self, a: float, b: float) -> float:
-        gap = b - a
-        if gap <= 0:
-            return 0.0
-        if self.kind == "hinge":
-            return gap
-        return math.exp(-self.c * a) * gap
 
-    def top_weights(self, a: np.ndarray) -> np.ndarray:
-        if self.kind == "hinge":
-            return np.ones_like(a)
-        return np.exp(-self.c * a)
+def _pair_terms(rel: np.ndarray, psi: PsiSpec) -> np.ndarray:
+    """P[n, x, y] = psi(r_x, r_y), the cost of item x placed above item y
+    under relevance row n: the one definition of psi.
+
+    A term that overflows is inf, and a zero weight times an infinite gap
+    is nan; _worst_scores turns either into a ValueError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = rel[:, None, :] - rel[:, :, None]  # gap[n, x, y] = r_y - r_x
+        penalty = gap if psi.kind == "hinge" else np.exp(-psi.c * rel)[:, :, None] * gap
+        return np.where(gap > 0, penalty, 0.0)
+
+
+@lru_cache(maxsize=64)
+def _position_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The position pairs (i, j), i < j, in row-major order; read-only,
+    since every caller shares them."""
+    pairs = np.triu_indices(k, k=1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def _sum_pairs(pairs: np.ndarray, rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Score of ranking perms[m] under the pair table pairs[rows[m]]: its
+    terms at position pairs i < j added left to right in row-major order."""
+    k = perms.shape[1]
+    i, j = _position_pairs(k)
+    flat = perms[:, i] * k + perms[:, j]
+    flat += (rows * (k * k))[:, None]
+    terms = pairs.ravel()[flat.T]  # one row per position pair, in the order of the sum
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _worst_scores(pairs: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """Each row's highest score, that of its relevance-ascending ranking,
+    which holds every discordant pair.
+
+    ValueError naming the first row where it is not finite: then some pair
+    term or sum overflows, and best-first search cannot order the scores.
+    """
+    with np.errstate(over="ignore"):
+        worst = _sum_pairs(pairs, np.arange(rel.shape[0]), np.argsort(rel, axis=1, kind="stable"))
+    bad = np.flatnonzero(~np.isfinite(worst))
+    if bad.size:
+        raise ValueError(
+            f"relevance row {bad[0]}: some ranking's score is not finite: "
+            "a pair term or a sum overflows"
+        )
+    return worst
+
+
+def _prune_margin(k: int, worst):
+    """How far above the smallest swap delta a candidate's delta may lie and
+    the candidate still have the smallest re-summed score: four times the
+    error bound gamma_{p-1} * sum|t| of a sequential sum of p = k(k-1)/2
+    terms (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2),
+    with the worst score bounding sum|t|."""
+    return 4 * (k * (k - 1) // 2 + 1) * 2.0**-53 * worst
 
 
 def _check_relevances(r) -> np.ndarray:
@@ -88,14 +146,11 @@ def _check_relevances(r) -> np.ndarray:
 
 
 def rank_score(r, y: Sequence[int], psi: PsiSpec) -> float:
-    """Pairwise discordance of ranking y under relevances r."""
+    """Pairwise discordance of ranking y under relevances r: the one-row
+    case of rank_scores_batch."""
     r = _check_relevances(r)
     y = _as_permutation(y, r.size)
-    total = 0.0
-    for i in range(len(y)):
-        for j in range(i + 1, len(y)):
-            total += psi(r[y[i]], r[y[j]])
-    return total
+    return float(rank_scores_batch(r[None], np.array([y]), psi)[0])
 
 
 def rank_scores_batch(rel: np.ndarray, perms: np.ndarray, psi: PsiSpec) -> np.ndarray:
@@ -104,12 +159,8 @@ def rank_scores_batch(rel: np.ndarray, perms: np.ndarray, psi: PsiSpec) -> np.nd
     perms = np.asarray(perms, dtype=int)
     if rel.shape != perms.shape or rel.ndim != 2:
         raise ValueError("rel and perms must both be (n, k)")
-    ordered = np.take_along_axis(rel, perms, axis=1)  # relevance by position
-    a = ordered[:, :, None]
-    b = ordered[:, None, :]
-    gaps = np.maximum(b - a, 0.0) * psi.top_weights(a)
-    iu = np.triu_indices(rel.shape[1], k=1)
-    return gaps[:, iu[0], iu[1]].sum(axis=1)
+    with np.errstate(over="ignore"):  # a sum past the largest float is inf
+        return _sum_pairs(_pair_terms(rel, psi), np.arange(rel.shape[0]), perms)
 
 
 def best_ranking(r) -> tuple[int, ...]:
@@ -155,13 +206,16 @@ def prefix_block_scores(
     lengths[i] items are the revealed prefix. The strong score is
     rank_scores_batch of the truth, the weak score that of the cheapest
     ranking extending the prefix: the remaining items relevance-descending,
-    ties by item id. The truth extends its own prefix, so the weak score is
-    capped at the strong one: the two sum shared pair terms in different
-    positions, and under exp weights the completion's sum can round a few
-    ulps above the truth's.
+    ties by item id. Both are summed in the module's one order. The truth
+    extends its own prefix, so the weak score is capped at the strong one:
+    the two are different rankings, whose shared pair terms sit at different
+    positions of the sum, and under exp weights the completion's sum can
+    round a few ulps above the truth's. ValueError, naming the row, when
+    some ranking's score is not finite.
     """
     r = np.asarray(rel, dtype=float)
     strong = rank_scores_batch(r, order, psi)
+    _worst_scores(_pair_terms(r, psi), r)
     weak = rank_scores_batch(r, _complete_prefixes(r, order, lengths), psi)
     return strong, np.minimum(weak, strong)
 
@@ -207,43 +261,49 @@ class RankingProblem:
         self.r = _check_relevances(relevances)
         self.k = self.r.size
         self.psi = psi
-        # the relevance-ascending ranking holds every discordant pair, so it
-        # scores highest: if its score is finite, every pair term and sum is
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                worst = rank_score(self.r, best_ranking(self.r)[::-1], psi)
-        except OverflowError:  # math.exp in an exp-weighted pair term
-            worst = math.inf
-        if not math.isfinite(worst):
-            raise ValueError("some ranking's score is not finite: a pair term or a sum overflows")
+        pairs = _pair_terms(self.r[None], psi)
+        self._margin = float(_prune_margin(self.k, _worst_scores(pairs, self.r[None])[0]))
+        self._table = pairs[0].tolist()
+        # swap[a][b]: the score change when item a, directly above b, swaps with it
+        self._swap = (pairs[0].T - pairs[0]).tolist()
 
     def score(self, config: Sequence[int]) -> float:
-        return rank_score(self.r, config, self.psi)
+        return self._sum(_as_permutation(config, self.k))
+
+    def _sum(self, y: Sequence[int]) -> float:
+        # _sum_pairs of one ranking as a loop over the same table: the same
+        # additions in the same order, so the same float
+        total = 0.0
+        for i, a in enumerate(y):
+            row = self._table[a]
+            for b in y[i + 1 :]:
+                total += row[b]
+        return total
 
     def _second_best(
-        self,
-        constraints: frozenset[tuple[int, int]],
-        best: tuple[int, ...],
-        best_score: float,
+        self, constraints: frozenset[tuple[int, int]], best: tuple[int, ...]
     ) -> tuple[tuple[int, ...] | None, float | None, int | None]:
-        # In-cell runner-up is always an adjacent transposition of the best.
-        r, psi = self.r, self.psi
-        cand: tuple[int, ...] | None = None
-        cand_score = math.inf
-        cand_pos: int | None = None
-        for i in range(self.k - 1):
-            a, b = best[i], best[i + 1]
-            if (a, b) in constraints:
-                continue
-            delta = psi(r[b], r[a]) - psi(r[a], r[b])
-            s = best_score + delta
-            if s < cand_score:
-                cand = best[:i] + (b, a) + best[i + 2 :]
-                cand_score = s
-                cand_pos = i
-        if cand is None:
+        """The cell's runner-up, an adjacent transposition of its best that
+        the constraints allow: the one with the smallest re-summed score,
+        ties going to the lowest position. Only the swaps whose delta lies
+        within the rounding margin of the smallest delta are re-summed; the
+        others cannot hold the minimum. Nones for a singleton cell."""
+        swap = self._swap
+        deltas = [
+            math.inf if (a, b) in constraints else swap[a][b] for a, b in zip(best, best[1:])
+        ]
+        low = min(deltas)
+        if low == math.inf:
             return None, None, None
-        return cand, cand_score, cand_pos
+        limit = low + self._margin
+        found = None
+        for i, d in enumerate(deltas):
+            if d <= limit:
+                y = best[:i] + (best[i + 1], best[i]) + best[i + 2 :]
+                s = self._sum(y)
+                if found is None or s < found[1]:  # strict: the lowest position wins ties
+                    found = (y, s, i)
+        return found
 
     def _cell(
         self,
@@ -251,7 +311,7 @@ class RankingProblem:
         best: tuple[int, ...],
         best_score: float,
     ) -> RankingCell:
-        second, second_score, pos = self._second_best(constraints, best, best_score)
+        second, second_score, pos = self._second_best(constraints, best)
         return RankingCell(
             constraints=constraints,
             best=best,
@@ -263,7 +323,7 @@ class RankingProblem:
 
     def root(self) -> RankingCell:
         best = best_ranking(self.r)
-        return self._cell(frozenset(), best, rank_score(self.r, best, self.psi))
+        return self._cell(frozenset(), best, self.score(best))
 
     def split(self, cell: RankingCell) -> tuple[RankingCell, RankingCell]:
         if cell.second is None or cell.second_pos is None:
@@ -285,53 +345,49 @@ class RankingProblem:
 _LOCKSTEP_ROWS = 128
 
 
-def _swap_deltas(r: np.ndarray, psi: PsiSpec) -> np.ndarray:
-    """d[n, a, b] = psi(r_b, r_a) - psi(r_a, r_b): the score change when item
-    a, directly above b, swaps with it. Same float arithmetic as
-    PsiSpec.__call__; the exp weights come from math.exp because np.exp can
-    differ from it in the last bit."""
-    gap = r[:, None, :] - r[:, :, None]  # gap[n, x, y] = r_y - r_x
-    if psi.kind == "hinge":
-        penalty = gap
-    else:
-        weights = [math.exp(-psi.c * v) for v in r.ravel().tolist()]
-        penalty = np.reshape(weights, r.shape)[:, :, None] * gap
-    pair = np.where(gap > 0, penalty, 0.0)  # pair[n, x, y] = psi(r_x, r_y)
-    return pair.transpose(0, 2, 1) - pair
-
-
-def _lockstep_counts(r: np.ndarray, psi: PsiSpec, t: np.ndarray, m: int) -> np.ndarray:
+def _lockstep_counts(
+    r: np.ndarray, pairs: np.ndarray, margin: np.ndarray, t: np.ndarray, m: int
+) -> np.ndarray:
     """For each row of r and each threshold, how many of the first m
     configurations that Enumerator(RankingProblem(row, psi)) emits score <= t.
 
+    pairs and margin are the rows' _pair_terms table and _prune_margin.
     Every record runs the enumerator's best-first search at once: each step
     pops, per record, the cell with the smallest (second_score, creation
     order), emits its second-best and splits the cell as RankingProblem.split
-    does. A cell is its best ranking, that ranking's score, its second-best
-    and a boolean precedence matrix prec[a, b] for "a placed before b". A
-    record stops once all thresholds lie below its last score, after m
-    configurations, or when its space is exhausted.
+    does. A cell is its best ranking, its second-best with that ranking's
+    re-summed score, and a boolean precedence matrix prec[a, b] for "a
+    placed before b". A record stops once all thresholds lie below its last
+    score, after m configurations, or when its space is exhausted.
     """
     n, k = r.shape
-    delta = _swap_deltas(r, psi)
+    delta = pairs.transpose(0, 2, 1) - pairs  # delta[n, a, b]: a, directly above b, swaps
     best = np.zeros((n, m, k), dtype=np.intp)
-    base = np.zeros((n, m))  # score of each cell's best
     second = np.full((n, m), np.inf)  # inf: no second-best, or no cell
     second_pos = np.zeros((n, m), dtype=np.intp)
     prec = np.zeros((n, m, k, k), dtype=bool)
     order = np.zeros((n, m), dtype=np.int64)
     cells = np.ones(n, dtype=np.intp)
     created = np.ones(n, dtype=np.int64)  # Enumerator._counter
+    swaps = np.tile(np.arange(k), (k - 1, 1))  # row p: positions p and p + 1 exchanged
+    p = np.arange(k - 1)
+    swaps[p, p], swaps[p, p + 1] = p + 1, p
 
     def fill_second(rr: np.ndarray, slots: np.ndarray) -> None:
-        # the cheapest adjacent transposition the cell's constraints allow,
-        # lowest position first among equal scores (RankingProblem._second_best)
+        # RankingProblem._second_best on arrays: the swaps the constraints
+        # allow whose delta is within the margin of the smallest are re-summed
         cur = best[rr, slots]
         above, below = cur[:, :-1], cur[:, 1:]
-        scores = base[rr, slots][:, None] + delta[rr[:, None], above, below]
-        scores[prec[rr[:, None], slots[:, None], above, below]] = np.inf
-        pos = scores.argmin(axis=1)
-        second[rr, slots] = scores[np.arange(rr.size), pos]
+        d = delta[rr[:, None], above, below]
+        d[prec[rr[:, None], slots[:, None], above, below]] = np.inf
+        at = np.arange(rr.size)
+        near = d <= (d[at, d.argmin(axis=1)] + margin[rr])[:, None]
+        near &= d < np.inf
+        c, pos = np.nonzero(near)
+        resum = np.full(d.shape, np.inf)
+        resum[c, pos] = _sum_pairs(pairs, rr[c], cur[c[:, None], swaps[pos]])
+        pos = resum.argmin(axis=1)  # the lowest position among equal scores
+        second[rr, slots] = resum[at, pos]
         second_pos[rr, slots] = pos
 
     # the root's best is the relevance-descending ranking, which scores 0
@@ -361,14 +417,13 @@ def _lockstep_counts(r: np.ndarray, psi: PsiSpec, t: np.ndarray, m: int) -> np.n
         emitted[rr] += 1
         go = inside[rr].any(axis=1) & (emitted[rr] < m)
         live[rr[~go]] = False
-        rr, slot, low = rr[go], slot[go], low[go]
+        rr, slot = rr[go], slot[go]
         # split: the kept cell holds a above b, the moved cell b above a
         pos = second_pos[rr, slot]
         a, b = best[rr, slot, pos], best[rr, slot, pos + 1]
         new = cells[rr]
         best[rr, new] = best[rr, slot]
         best[rr, new, pos], best[rr, new, pos + 1] = b, a
-        base[rr, new] = low
         prec[rr, new] = prec[rr, slot]
         prec[rr, new, b, a] = True
         prec[rr, slot, a, b] = True
@@ -388,6 +443,7 @@ def levelset_counts_batch(
     Equal to a best-first enumeration of each RankingProblem up to cap + 1
     configurations: counts holds min(size, cap), and flags marks the sizes
     above cap. The search runs in lockstep across records, in blocks.
+    ValueError, naming the row, when some ranking's score is not finite.
     """
     r = np.asarray(rel, dtype=float)
     if r.ndim != 2 or r.shape[1] < 2 or not np.all(np.isfinite(r)):
@@ -395,10 +451,12 @@ def levelset_counts_batch(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     t = np.asarray(thresholds, dtype=float).ravel()
+    pairs = _pair_terms(r, psi)
+    margin = _prune_margin(r.shape[1], _worst_scores(pairs, r))
     exact = np.zeros((r.shape[0], t.size), dtype=np.int64)
     for start in range(0, r.shape[0], _LOCKSTEP_ROWS):
         block = slice(start, start + _LOCKSTEP_ROWS)
-        exact[block] = _lockstep_counts(r[block], psi, t, cap + 1)
+        exact[block] = _lockstep_counts(r[block], pairs[block], margin[block], t, cap + 1)
     return np.minimum(exact, cap), exact > cap
 
 

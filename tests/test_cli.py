@@ -110,6 +110,8 @@ def test_mbest_bad_payload(tmp_path, capsys):
         ({"relevances": [-350, 1e5], "psi": {"kind": "exp_weighted", "c": 2}}, "relevances"),
         ({"relevances": [-1e308, 1e308]}, "relevances"),
         ({"relevances": [-350, 1e4, 1e4], "psi": {"kind": "exp_weighted", "c": 2}}, "relevances"),
+        # a c that is not finite is the psi's fault, not the relevances'
+        ({"relevances": [0.1, 0.5, 0.9], "psi": {"kind": "exp_weighted", "c": math.nan}}, "psi"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
@@ -266,6 +268,18 @@ def test_run_summary_and_csv(tmp_path, capsys):
     assert 0.0 <= summary["wsc"]["strong_cov"] <= 1.0
     assert summary["wsc"]["avg_size"] <= summary["fsc"]["avg_size"] + 1e-12
     assert out_csv.exists()
+
+
+@pytest.mark.parametrize("c", ["nan", "inf"])
+@pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
+def test_run_rejects_a_psi_c_that_is_not_finite(capsys, c):
+    code, out, err = _run(
+        capsys, "run", "--task", "rank", "--n", "200", "--trials", "1", "--psi-c", c
+    )
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "'c'" in json.loads(lines[0])["error"]
 
 
 def test_run_config_file_overrides_flags(tmp_path, capsys):

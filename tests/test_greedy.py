@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weakconformal import (
     DiscreteWeakDistribution,
@@ -117,19 +117,37 @@ def _random_dist(rng, k):
     )
 
 
-def test_coverage_exactness_identity():
+@st.composite
+def _weak_dists(draw, max_k=8):
+    """Distributions over k <= max_k labels. Dyadic ones hold probabilities
+    in multiples of 1/32, so every coverage sum is exact and equal coverages
+    tie exactly; the others hold integer weights over their total."""
+    k = draw(st.integers(1, max_k), label="k")
+    masks = draw(
+        st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=12, unique=True),
+        label="masks",
+    )
+    if draw(st.booleans(), label="dyadic"):
+        cuts = draw(
+            st.lists(st.integers(1, 31), min_size=len(masks) - 1, max_size=len(masks) - 1,
+                     unique=True),
+            label="cuts",
+        )
+        probs = np.diff([0, *sorted(cuts), 32]) / 32
+    else:
+        weights = draw(st.lists(st.integers(1, 60), min_size=len(masks), max_size=len(masks)),
+                       label="weights")
+        probs = np.array(weights) / sum(weights)
+    return DiscreteWeakDistribution(k, tuple(masks), tuple(probs.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist=_weak_dists(), eta=st.floats(0.01, 0.999))
+def test_coverage_exactness_identity(dist, eta):
     # E_u[P(W hits realized set)] must equal eta for any dist and eta
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        k = int(rng.integers(2, 8))
-        dist = _random_dist(rng, k)
-        seq = greedy_sequence(dist)
-        for eta in rng.uniform(0.01, 0.999, size=5):
-            rs = set_from_sequence(seq, eta)
-            expected = rs.t * dist.coverage(rs.outer) + (1 - rs.t) * dist.coverage(
-                rs.inner
-            )
-            assert abs(expected - eta) < 1e-9
+    rs = set_from_sequence(greedy_sequence(dist), eta)
+    expected = rs.t * dist.coverage(rs.outer) + (1 - rs.t) * dist.coverage(rs.inner)
+    assert abs(expected - eta) < 1e-9
 
 
 def test_realized_sets_nested_in_eta():
@@ -272,12 +290,11 @@ def test_size_profile_rejects_large_spaces():
         size_profile(dist)
 
 
-def test_distribution_json_round_trip(golden_dist):
-    payload = golden_dist.to_json()
-    parsed = json.loads(json.dumps(payload))
-    back = DiscreteWeakDistribution.from_json(parsed)
-    assert back.atom_sets() == golden_dist.atom_sets()
-    assert back.k == golden_dist.k
+@settings(max_examples=100, deadline=None)
+@given(dist=_weak_dists())
+@example(dist=DiscreteWeakDistribution.from_sets(3, GOLDEN_ATOMS))
+def test_distribution_json_round_trip(dist):
+    assert DiscreteWeakDistribution.from_json(json.loads(json.dumps(dist.to_json()))) == dist
 
 
 def test_distribution_validation():

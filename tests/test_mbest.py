@@ -3,6 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakconformal import (
     EnumerationCapExceeded,
@@ -253,3 +254,31 @@ def test_compatible_rank_without_compatible_configuration():
             compatible_rank(problem, lambda y: False, cap=cap)
     with pytest.raises(EnumerationCapExceeded):
         compatible_rank(problem, lambda y: False, cap=23)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    backend=st.sampled_from(["rank", "match"]),
+    k=st.integers(2, 6),
+    tied=st.booleans(),
+    magnitude=st.sampled_from([1.0, 1e6, 1e12]),
+    c=st.sampled_from([0.0, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_configuration_lies_in_its_own_level_set(backend, k, tied, magnitude, c, seed):
+    # tied inputs ({0, 1, 2}) and large magnitudes; ranking's exp weights take
+    # c / magnitude so they stay in range (matching ignores c)
+    rng = np.random.default_rng(seed)
+    shape = k if backend == "rank" else (k, k)
+    values = (rng.integers(0, 3, size=shape) if tied else rng.normal(size=shape)) * magnitude
+    if backend == "rank":
+        problem = RankingProblem(values, PsiSpec.exp_weighted(c / magnitude) if c else PsiSpec.hinge())
+    else:
+        problem = MatchingProblem(values)
+    res = m_best(problem, math.factorial(k))
+    # each emitted score is the configuration's own score, to the bit, and no
+    # earlier one exceeds it: so y is in enumerate_until(problem, score(y))
+    assert res.scores == [problem.score(y) for y in res.configs]
+    assert res.scores == sorted(res.scores)
+    y = res.configs[int(rng.integers(len(res)))]
+    assert y in enumerate_until(problem, problem.score(y), math.factorial(k)).configs

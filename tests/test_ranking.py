@@ -10,6 +10,7 @@ from weakconformal import (
     RankingPrefix,
     RankingProblem,
     best_ranking,
+    enumerate_until,
     listnet_train,
     m_best,
     partial_rank_score,
@@ -23,31 +24,40 @@ from weakconformal.labels import _as_permutation
 from weakconformal.ranking import (
     _softmax,
     _complete_prefixes,
-    _swap_deltas,
+    _pair_terms,
     levelset_counts_batch,
     listnet_loss_grad,
+    prefix_block_scores,
     relevance_targets,
 )
+
+PSIS = [PsiSpec.hinge(), PsiSpec.exp_weighted(0.5), PsiSpec.exp_weighted(2.0)]
+
+
+def _psi(psi, a, b):
+    # psi(a, b): the pair table's term for relevance a placed above b
+    return _pair_terms(np.array([[a, b]]), psi)[0, 0, 1]
 
 
 def test_psi_hinge_values():
     psi = PsiSpec.hinge()
-    assert psi(3.0, 1.0) == 0.0  # correctly ordered pair costs nothing
-    assert psi(1.0, 3.0) == 2.0
-    assert psi(2.0, 2.0) == 0.0
+    assert _psi(psi, 3.0, 1.0) == 0.0  # correctly ordered pair costs nothing
+    assert _psi(psi, 1.0, 3.0) == 2.0
+    assert _psi(psi, 2.0, 2.0) == 0.0
 
 
 def test_psi_exp_weighted_values():
     psi = PsiSpec.exp_weighted(1.0)
-    assert psi(1.0, 3.0) == pytest.approx(2.0 * math.exp(-1.0))
-    assert psi(3.0, 1.0) == 0.0
+    assert _psi(psi, 1.0, 3.0) == 2.0 * np.exp(-1.0)
+    assert _psi(psi, 3.0, 1.0) == 0.0
 
 
 def test_psi_rejects_unknown_kind():
     with pytest.raises(ValueError):
         PsiSpec("quadratic", 0.0)
-    with pytest.raises(ValueError):
-        PsiSpec("exp_weighted", -1.0)
+    for c in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="'c'"):
+            PsiSpec.exp_weighted(c)
 
 
 def test_rank_score_hand_example():
@@ -73,14 +83,33 @@ def test_relevances_must_be_a_vector():
         RankingProblem(np.array([[1.0, 2.0], [3.0, 4.0]]), PsiSpec.hinge())
 
 
+def _rank_score_loop(r, y, psi):
+    # the module's one summation order: pair terms at positions i < j, added
+    # left to right in row-major order
+    table = _pair_terms(np.asarray(r, dtype=float)[None], psi)[0].tolist()
+    total = 0.0
+    for i in range(len(y)):
+        for j in range(i + 1, len(y)):
+            total += table[y[i]][y[j]]
+    return total
+
+
 def test_rank_scores_batch_matches_loop():
+    # rank_score, RankingProblem.score and the rows of rank_scores_batch are
+    # one arithmetic: equal to the bit, and to the sequential loop
     rng = np.random.default_rng(41)
-    rel = rng.normal(size=(30, 5))
-    perms = np.array([rng.permutation(5) for _ in range(30)])
-    for psi in (PsiSpec.hinge(), PsiSpec.exp_weighted(0.8)):
-        batch = rank_scores_batch(rel, perms, psi)
-        direct = [rank_score(rel[i], tuple(perms[i]), psi) for i in range(30)]
-        np.testing.assert_allclose(batch, direct, atol=1e-12)
+    for psi in PSIS:
+        for k, scale in ((5, 1.0), (7, 3.0), (9, 1e6)):
+            rel = rng.normal(size=(30, k)) * scale
+            scaled = PsiSpec(psi.kind, psi.c / scale)
+            perms = np.array([rng.permutation(k) for _ in range(30)])
+            batch = rank_scores_batch(rel, perms, scaled)
+            for i in range(30):
+                y = tuple(int(v) for v in perms[i])
+                want = _rank_score_loop(rel[i], y, scaled)
+                assert rank_score(rel[i], y, scaled) == want
+                assert RankingProblem(rel[i], scaled).score(y) == want
+                assert batch[i] == want
 
 
 def test_best_ranking_descending_with_id_ties():
@@ -282,8 +311,6 @@ def test_predict_relevances_shape():
 
 # --- lockstep level-set counts ---------------------------------------------------
 
-PSIS = [PsiSpec.hinge(), PsiSpec.exp_weighted(0.5), PsiSpec.exp_weighted(2.0)]
-
 
 def _probe_thresholds(rng, scores):
     """Thresholds at an emitted score, between two distinct ones, below 0 and
@@ -301,13 +328,15 @@ def _probe_thresholds(rng, scores):
     k=st.integers(2, 7),
     tied=st.booleans(),
     psi=st.sampled_from(PSIS),
+    magnitude=st.sampled_from([1.0, 1e6, 1e12]),
     cap=st.integers(1, 25),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lockstep_counts_equal_the_engine(k, tied, psi, cap, seed):
+def test_lockstep_counts_equal_the_engine(k, tied, psi, magnitude, cap, seed):
     rng = np.random.default_rng(seed)
     n = 5
-    rel = (rng.integers(0, 3, size=(n, k)) if tied else rng.normal(size=(n, k))).astype(float)
+    rel = (rng.integers(0, 3, size=(n, k)) if tied else rng.normal(size=(n, k))) * magnitude
+    psi = PsiSpec(psi.kind, psi.c / magnitude)  # the exp weights stay in range
     emitted = m_best(RankingProblem(rel[0], psi), cap + 2).scores
     thresholds = _probe_thresholds(rng, emitted)
     counts, flags = levelset_counts_batch(rel, psi, thresholds, cap)
@@ -331,18 +360,6 @@ def test_lockstep_counts_span_blocks_and_tight_caps():
         assert flags[j].tolist() == [e > 1 for e in exact]
 
 
-@pytest.mark.parametrize("psi", PSIS)
-def test_swap_deltas_equal_psi_to_the_bit(psi):
-    # np.exp can differ from math.exp in the last bit; the table must not
-    rng = np.random.default_rng(8)
-    r = rng.normal(scale=3.0, size=(60, 7))
-    delta = _swap_deltas(r, psi)
-    for row, d in zip(r, delta):
-        for a in range(7):
-            for b in range(7):
-                assert d[a, b] == psi(row[b], row[a]) - psi(row[a], row[b])
-
-
 def test_levelset_counts_batch_rejects_bad_input():
     with pytest.raises(ValueError):
         levelset_counts_batch(np.zeros(4), PsiSpec.hinge(), [1.0], 3)
@@ -350,3 +367,28 @@ def test_levelset_counts_batch_rejects_bad_input():
         levelset_counts_batch(np.array([[0.0, math.nan]]), PsiSpec.hinge(), [1.0], 3)
     with pytest.raises(ValueError):
         levelset_counts_batch(np.zeros((2, 3)), PsiSpec.hinge(), [1.0], 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_paths_reject_a_score_that_is_not_finite():
+    # exp(-2 * -400) overflows: the worst score of row 1 is not finite
+    rel = np.array([[0.0, 1.0, 2.0], [-400.0, 1.0, 2.0]])
+    psi = PsiSpec.exp_weighted(2.0)
+    with pytest.raises(ValueError, match="row 1"):
+        levelset_counts_batch(rel, psi, [1.0], 5)
+    with pytest.raises(ValueError, match="row 1"):
+        prefix_block_scores(rel, np.array([[0, 1, 2], [0, 1, 2]]), [0, 0], psi)
+    with pytest.raises(ValueError, match="not finite"):
+        RankingProblem(rel[1], psi)
+
+
+def test_a_ranking_lies_in_the_level_set_at_its_own_score():
+    # the engine once emitted this ranking at 17.024261327686155, the sum of
+    # swap deltas, one ulp above its score 17.02426132768615
+    r = [
+        -1.2654214710460525, -0.6232744625373522, 0.0413259793472436,
+        -2.3250307746388343, -0.21879166393254573, -1.2459109472530652,
+    ]
+    p = RankingProblem(r, PsiSpec.exp_weighted(1.5))
+    y = (4, 5, 2, 0, 1, 3)
+    assert y in enumerate_until(p, p.score(y)).configs
