@@ -8,8 +8,8 @@ Subcommands:
   gen        write a synthetic dataset as JSONL
 
 Precedence for `run`/`gen` settings: built-in defaults, then command-line
-flags, then the --config file (TOML or JSON) when given. Errors are
-reported as one JSON object on stderr with exit code 1.
+flags, then the --config file (TOML or JSON) when given. Errors, usage
+errors included, are reported as one JSON object on stderr with exit code 1.
 """
 from __future__ import annotations
 
@@ -29,7 +29,8 @@ from .conformal import (
     evaluate,
 )
 from .harness import ExperimentConfig, run as run_experiment
-from .labels import FormatError, read_jsonl, weak_contains, write_jsonl
+from .labels import FormatError, PartialMatching, RankingPrefix, read_jsonl
+from .labels import weak_contains, write_jsonl
 from .matching import MatchingProblem, read_cost_csv
 from .mbest import enumerate_until, m_best
 from .ranking import PsiSpec, RankingProblem
@@ -206,6 +207,8 @@ class _ConfigSet:
         return tuple(int(v) for v in y) in self.members
 
     def intersects(self, w) -> bool:
+        if not isinstance(w, (RankingPrefix, PartialMatching)):
+            raise UnsupportedWeakLabel("configuration set vs non-permutation weak label")
         return any(weak_contains(w, m) for m in self.members)
 
     def size(self) -> float:
@@ -297,8 +300,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise FormatError, so they end as one JSON line like any
+    other error (subcommand parsers inherit the class); -h still exits 0."""
+
+    def error(self, message: str):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weakconformal",
         description="Conformal prediction sets calibrated on weakly labeled data.",
     )
@@ -362,9 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except (FormatError, ValueError, OSError, KeyError) as exc:
         line = getattr(exc, "line", None)

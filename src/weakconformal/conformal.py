@@ -155,11 +155,15 @@ class CoverageReport:
 
 
 class LabelSet:
-    """Explicit prediction set over a finite label space."""
+    """Explicit prediction set over the label space [0, k); its labels must
+    be distinct and in range."""
 
     def __init__(self, labels: Iterable[int], k: int):
-        self.labels = frozenset(int(v) for v in labels)
+        labs = [int(v) for v in labels]
+        self.labels = frozenset(labs)
         self.k = int(k)
+        if len(self.labels) != len(labs) or any(not 0 <= v < self.k for v in labs):
+            raise ValueError(f"labels must be distinct and in [0, {self.k})")
 
     def __contains__(self, y) -> bool:
         return int(y) in self.labels
@@ -215,12 +219,12 @@ def evaluate(sets: Sequence, records: Sequence[WeakRecord]) -> CoverageReport:
             raise ValueError("evaluation records need strong labels")
         if not weak_contains(rec.weak, rec.y):
             raise ValueError("inconsistent record: y is not in its weak label")
-        s_hit = rec.y in pred
-        try:
+        try:  # first, so a set of the wrong kind is never asked for y
             w_hit = pred.intersects(rec.weak)
         except UnsupportedWeakLabel as exc:
             exc.index = i
             raise
+        s_hit = rec.y in pred
         if s_hit and not w_hit:
             raise ValueError("set contains y but misses its weak label")
         strong_hits += s_hit

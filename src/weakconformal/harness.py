@@ -1,12 +1,16 @@
 """End-to-end experiment harness over the synthetic generators.
 
-One run = one task, one alpha, n_trials independent trials. Each trial
-generates a fresh dataset from a trial-derived seed, splits it
-train/calibration/test, fits whatever model the task needs on the training
-block, calibrates each requested method on the calibration block, and
-evaluates on the test block. Rows land in a fixed-schema CSV (appended,
-never overwritten) plus a JSON-lines twin carrying extra fields; a
-metadata JSON echoes the configuration.
+One run = one task, one alpha, n_trials independent trials. One trial
+serves all four tasks. A task function generates a fresh dataset from a
+trial-derived seed, splits it train/calibration/test, fits whatever model
+the task needs on the training block and scores both other blocks; the
+trial then calibrates each requested method's split-conformal threshold t
+on its calibration scores, counts the test block's level sets
+{y : s(x, y) <= t} once for all methods that share them, and reports strong
+coverage (strong score <= t), weak coverage (weak score <= t) and the set
+sizes. Rows land in a fixed-schema CSV (appended, never overwritten) plus a
+JSON-lines twin carrying extra fields; a metadata JSON echoes the
+configuration.
 
 Methods:
   wsc          calibrate on best-case (weak) scores     -> weak coverage
@@ -15,8 +19,9 @@ Methods:
                conformalized through the nested score (classify only)
   pessimistic  calibrate on worst-case scores (classify/regress only)
 
-Reported seconds cover calibration plus evaluation for the method's row;
-model fitting is shared across methods and excluded.
+A row's seconds are its method's calibration plus its coverage and size
+statistics. Model fitting and the level-set counting are shared across
+methods and left out.
 
 Every trial scores whole blocks of records: the generators hold each weak
 label kind as an array block (synth), and one block-score function per task
@@ -29,23 +34,23 @@ strong, weak and, where defined, pessimistic scores:
 No per-record weak-label object is built on these paths, except for the
 per-record engine checks below and matchings of k >= 8.
 
-Rank and match share one permutation-space trial; the tasks differ only in
-data, fitting, scores and how the test block's level sets are counted. Set
-sizes there are level-set counts capped at m_max (coverage columns stay
-exact), counted once for the whole test block and all methods' thresholds,
-block by block rather than record by record:
-  rank   the ranking best-first search run in lockstep across records
-         (ranking.levelset_counts_batch);
-  match  one table of all k! assignment totals per chunk of records, which
-         also gives the base, strong and weak scores, for spaces of at most
-         10^4 assignments; per-record Hungarian solves and best-first
-         enumeration beyond that.
-Both block-level paths check their result on the first record of the block
-against the per-record engine (RankingProblem best-first counts; Hungarian
-base, strong and weak scores) and raise RuntimeError on a disagreement.
-A record counts as truncated when more than m_max configurations lie at or
-under the threshold; every path enumerates or keeps m_max + 1 of them to
-tell. The truncated fraction is in the JSON rows, not the CSV.
+Level sets are counted block by block, for all thresholds at once:
+  classify  labels at or under each threshold;
+  rank      the ranking best-first search run in lockstep across records
+            (ranking.levelset_counts_batch);
+  match     one table of all k! assignment totals per chunk of records,
+            which also gives the base, strong and weak scores, for spaces
+            of at most 10^4 assignments; per-record Hungarian solves and
+            best-first enumeration beyond that;
+  regress   the interval width 2t.
+The rank and match counts are capped at m_max (coverage columns stay exact).
+Their block-level paths check their result on the first record of the
+block against the per-record engine (RankingProblem best-first counts;
+Hungarian base, strong and weak scores) and raise RuntimeError on a
+disagreement. A record counts as truncated when more than m_max
+configurations lie at or under the threshold; every path enumerates or
+keeps m_max + 1 of them to tell. The truncated fraction is in the JSON rows,
+not the CSV.
 """
 from __future__ import annotations
 
@@ -97,7 +102,6 @@ CSV_COLUMNS = [
     "seconds",
 ]
 
-_TASKS = ("classify", "rank", "match", "regress")
 _DEFAULT_K = {"classify": 10, "rank": 7, "match": 6, "regress": 0}
 # full-space scoring beats per-record best-first enumeration up to this size
 _EXHAUSTIVE_SPACE_CAP = 10_000
@@ -130,8 +134,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.task not in _TASKS:
-            raise ValueError(f"task must be one of {_TASKS}")
+        if self.task not in _METHODS:
+            raise ValueError(f"task must be one of {tuple(_METHODS)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if self.n_trials < 1 or self.n < 10 or self.m_max < 1:
@@ -217,112 +221,67 @@ def _check_first_record(task: str, fast, engine, tol: float = 0.0) -> None:
         )
 
 
-def _calibrate(
-    cfg: ExperimentConfig, cal_scores: dict[str, np.ndarray]
-) -> dict[str, tuple[float, float]]:
-    """Each method's threshold value and the seconds its calibration took."""
-    calibrated = {}
-    for method in cfg.methods:
-        start = time.perf_counter()
-        t = conformal_threshold(cal_scores[method], cfg.alpha)
-        calibrated[method] = (t.value, time.perf_counter() - start)
-    return calibrated
+# --- per-task data -----------------------------------------------------------
+#
+# A task function generates, splits, fits and scores. It returns two dicts
+# keyed by method: the calibration scores, and the test block, a triple of
+# the test records' strong scores, their weak scores and a counter
+# sizes(thresholds) -> (capped sizes, over-cap flags) of their level sets,
+# one column per threshold. Methods with the same score share one block
+# object, whose level sets are then counted once for all their thresholds.
 
 
-def _threshold_rows(
-    cfg: ExperimentConfig,
-    trial: int,
-    calibrated: dict[str, tuple[float, float]],
-    evaluate,
-) -> list[TrialResult]:
-    """Evaluate each calibrated method with the shared fn.
+def _label_set_block(scores: np.ndarray, y: np.ndarray, member: np.ndarray):
+    """Test block of label-set records: sizes count every label, none capped."""
 
-    evaluate(threshold_value, method) must return (strong_cov, weak_cov,
-    sizes, truncation_fraction) on the test block. A row's seconds are its
-    calibration plus its evaluation.
-    """
-    rows = []
-    for method, (value, calibration_s) in calibrated.items():
-        start = time.perf_counter()
-        strong_cov, weak_cov, sizes, trunc = evaluate(value, method)
-        avg, p50, p90 = _size_stats(sizes)
-        rows.append(
-            TrialResult(
-                trial=trial,
-                method=method,
-                param=cfg.param,
-                strong_cov=strong_cov,
-                weak_cov=weak_cov,
-                avg_size=avg,
-                p50_size=p50,
-                p90_size=p90,
-                threshold=value,
-                seconds=calibration_s + time.perf_counter() - start,
-                truncation_fraction=trunc,
-            )
-        )
-    return rows
+    def sizes(thresholds: list[float]):
+        counts = (scores[:, :, None] <= np.asarray(thresholds)).sum(axis=1)
+        return counts, np.zeros(counts.shape, dtype=bool)
+
+    strong, weak, _ = set_block_scores(scores, y, member)
+    return strong, weak, sizes
 
 
-# --- per-task trials ---------------------------------------------------------
-
-
-def _classify_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
+def _classify_task(cfg: ExperimentConfig, seed: int):
+    """Multiclass data; cumulative-probability scores of a softmax fit for
+    wsc, fsc and pessimistic, nested greedy scores of per-label fits for gws.
+    Only the fits some method needs are made."""
     k = cfg.resolved_k
-    seed = _trial_seed(cfg.seed, trial)
     data = synth.gen_multiclass(
         synth.MulticlassConfig(
-            n=cfg.n, k=k, d=cfg.d, sigma=cfg.sigma, seed=seed,
-            split=cfg.split, min_weak_size=cfg.min_weak_size,
+            n=cfg.n, k=k, d=cfg.d, sigma=cfg.sigma, seed=seed, min_weak_size=cfg.min_weak_size
         )
     )
     tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
-    mask_ca, mask_te = data.member[ca], data.member[te]
-
-    need_probs = any(m in cfg.methods for m in ("wsc", "fsc", "pessimistic"))
-    cal_scores: dict[str, np.ndarray] = {}
-    score_te = None
-    if need_probs:
+    y_ca, y_te, mask_ca, mask_te = data.y[ca], data.y[te], data.member[ca], data.member[te]
+    cal, test = {}, {}
+    if any(m in cfg.methods for m in ("wsc", "fsc", "pessimistic")):
         w_model, _ = synth.train_multinomial_logistic(data.x[tr], data.y[tr], k)
-        score_ca = synth.cumulative_probability_scores(
-            synth.predict_class_probs(w_model, data.x[ca])
-        )
-        score_te = synth.cumulative_probability_scores(
-            synth.predict_class_probs(w_model, data.x[te])
-        )
-        strong, weak, pessimistic = set_block_scores(score_ca, data.y[ca], mask_ca)
-        cal_scores.update(wsc=weak, fsc=strong, pessimistic=pessimistic)
-    nested_ca = nested_te = None
+
+        def scored(block: slice) -> np.ndarray:
+            probs = synth.predict_class_probs(w_model, data.x[block])
+            return synth.cumulative_probability_scores(probs)
+
+        strong, weak, pessimistic = set_block_scores(scored(ca), y_ca, mask_ca)
+        cal.update(wsc=weak, fsc=strong, pessimistic=pessimistic)
+        shared = _label_set_block(scored(te), y_te, mask_te)
+        test.update(wsc=shared, fsc=shared, pessimistic=shared)
     if "gws" in cfg.methods:
         w_marg, _ = synth.train_per_label_logistic(data.x[tr], data.member[tr].astype(float))
-        q_ca = synth.predict_label_marginals(w_marg, data.x[ca])
-        q_te = synth.predict_label_marginals(w_marg, data.x[te])
-        u_ca = np.random.default_rng(np.random.SeedSequence([seed, 101])).uniform(
-            size=q_ca.shape[0]
-        )
-        u_te = np.random.default_rng(np.random.SeedSequence([seed, 102])).uniform(
-            size=q_te.shape[0]
-        )
-        nested_ca = label_independent_nested_scores(q_ca, u_ca)
-        nested_te = label_independent_nested_scores(q_te, u_te)
-        cal_scores["gws"] = set_block_scores(nested_ca, data.y[ca], mask_ca)[1]
 
-    y_te = data.y[te]
+        def nested(block: slice, role: int) -> np.ndarray:
+            q = synth.predict_label_marginals(w_marg, data.x[block])
+            rng = np.random.default_rng(np.random.SeedSequence([seed, role]))
+            return label_independent_nested_scores(q, rng.uniform(size=q.shape[0]))
 
-    def evaluate(t_value: float, method: str):
-        s_te = nested_te if method == "gws" else score_te
-        member = s_te <= t_value
-        strong = member[np.arange(member.shape[0]), y_te]
-        weak = (member & mask_te).any(axis=1)
-        sizes = member.sum(axis=1).astype(float)
-        return float(strong.mean()), float(weak.mean()), sizes, 0.0
-
-    return _threshold_rows(cfg, trial, _calibrate(cfg, cal_scores), evaluate)
+        cal["gws"] = set_block_scores(nested(ca, 101), y_ca, mask_ca)[1]
+        test["gws"] = _label_set_block(nested(te, 102), y_te, mask_te)
+    return cal, test
 
 
 def _rank_task(cfg: ExperimentConfig, seed: int):
-    """Ranking data and ListNet fit: (strong, weak) scores on the calibration
-    and test blocks, and a counter of the test block's level-set sizes."""
+    """Ranking data and a ListNet fit; prefix-completion scores, and level
+    sets counted in lockstep across the test block."""
     data = synth.gen_ranking(
         synth.RankingSimConfig(n=cfg.n, k=cfg.resolved_k, d=cfg.d, sigma=cfg.sigma, seed=seed)
     )
@@ -337,14 +296,15 @@ def _rank_task(cfg: ExperimentConfig, seed: int):
     _, strong_ca, weak_ca = scored(ca)
     rel_te, strong_te, weak_te = scored(te)
 
-    def count(thresholds: list[float]):
+    def sizes(thresholds: list[float]):
         counts, flags = levelset_counts_batch(rel_te, psi, thresholds, cfg.m_max)
         if len(counts):
             engine = _levelset_counts(RankingProblem(rel_te[0], psi), thresholds, cfg.m_max)
             _check_first_record("rank", [*counts[0], *flags[0]], [*engine[0], *engine[1]])
         return counts, flags
 
-    return (strong_ca, weak_ca), (strong_te, weak_te), count
+    shared = (strong_te, weak_te, sizes)
+    return {"wsc": weak_ca, "fsc": strong_ca}, {"wsc": shared, "fsc": shared}
 
 
 def _match_by_table(data, block: slice, cap: int):
@@ -361,11 +321,11 @@ def _match_by_table(data, block: slice, cap: int):
         strong_ref, weak_ref, _ = _match_by_engine(data, slice(first, first + 1), cap)
         _check_first_record("match", [strong[0], weak[0]], [strong_ref[0], weak_ref[0]], TOL)
 
-    def count(thresholds: list[float]):
+    def sizes(thresholds: list[float]):
         exact = (smallest[:, :, None] <= np.asarray(thresholds)).sum(axis=1)
         return np.minimum(exact, cap), exact > cap
 
-    return strong, weak, count
+    return strong, weak, sizes
 
 
 def _match_by_engine(data, block: slice, cap: int):
@@ -376,7 +336,7 @@ def _match_by_engine(data, block: slice, cap: int):
     strong = [matching_score(c, y) - b for c, y, b in zip(costs, data.y[block], bases)]
     weak = [partial_matching_score(c, w) - b for c, w, b in zip(costs, data.weak[block], bases)]
 
-    def count(thresholds: list[float]):
+    def sizes(thresholds: list[float]):
         per_record = [
             _levelset_counts(MatchingProblem(c, offset=b), thresholds, cap)
             for c, b in zip(costs, bases)
@@ -384,74 +344,98 @@ def _match_by_engine(data, block: slice, cap: int):
         counts, flags = zip(*per_record)
         return np.array(counts), np.array(flags)
 
-    return np.asarray(strong), np.asarray(weak), count
+    return np.asarray(strong), np.asarray(weak), sizes
 
 
 def _match_task(cfg: ExperimentConfig, seed: int):
-    """Matching data, translated by each record's optimal cost: (strong, weak)
-    scores on the calibration and test blocks, and a counter of the test
-    block's level-set sizes. Spaces of at most _EXHAUSTIVE_SPACE_CAP
-    assignments are scored whole; larger ones go through the Hungarian
-    solver and best-first enumeration per record."""
+    """Matching data, each record's scores translated by its optimal cost.
+    Spaces of at most _EXHAUSTIVE_SPACE_CAP assignments are scored whole;
+    larger ones go through the Hungarian solver and best-first enumeration
+    per record."""
     k = cfg.resolved_k
     data = synth.gen_matching(cfg.n, k, cfg.noise, seed)
     _, ca, te = synth.three_way_split(cfg.n, cfg.split)
     scored = _match_by_table if math.factorial(k) <= _EXHAUSTIVE_SPACE_CAP else _match_by_engine
     strong_ca, weak_ca, _ = scored(data, ca, cfg.m_max)
-    strong_te, weak_te, count = scored(data, te, cfg.m_max)
-    return (strong_ca, weak_ca), (strong_te, weak_te), count
+    shared = scored(data, te, cfg.m_max)
+    return {"wsc": weak_ca, "fsc": strong_ca}, {"wsc": shared, "fsc": shared}
 
 
-def _permutation_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
-    """A rank or match trial: calibrate on the weak or true-label scores, then
-    count the test block's level sets once for all thresholds."""
-    task = _rank_task if cfg.task == "rank" else _match_task
-    (strong_ca, weak_ca), (strong_te, weak_te), count = task(cfg, _trial_seed(cfg.seed, trial))
-    calibrated = _calibrate(cfg, {"wsc": weak_ca, "fsc": strong_ca})
-    counts, capped = count([value for value, _ in calibrated.values()])
-
-    def evaluate(t_value: float, method: str):
-        col = list(calibrated).index(method)
-        return (
-            float((strong_te <= t_value).mean()),
-            float((weak_te <= t_value).mean()),
-            counts[:, col].astype(float),
-            float(capped[:, col].mean()),
-        )
-
-    return _threshold_rows(cfg, trial, calibrated, evaluate)
-
-
-def _regress_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
-    seed = _trial_seed(cfg.seed, trial)
-    data = synth.gen_regression(
-        cfg.n, cfg.d, cfg.mu, seed, min_half_width=cfg.min_half_width
-    )
+def _regress_task(cfg: ExperimentConfig, seed: int):
+    """Interval data and an OLS fit; absolute-residual scores, and intervals
+    of width 2t, the same for every record."""
+    data = synth.gen_regression(cfg.n, cfg.d, cfg.mu, seed, min_half_width=cfg.min_half_width)
     tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
     beta = synth.fit_ols(data.x[tr], data.y[tr])
     strong_ca, weak_ca, pessimistic_ca = interval_block_scores(
         data.x[ca] @ beta, data.y[ca], data.lo[ca], data.hi[ca]
     )
-    cal_scores = {"wsc": weak_ca, "fsc": strong_ca, "pessimistic": pessimistic_ca}
     strong_te, weak_te, _ = interval_block_scores(
         data.x[te] @ beta, data.y[te], data.lo[te], data.hi[te]
     )
 
-    def evaluate(t_value: float, method: str):
-        strong = strong_te <= t_value
-        weak = weak_te <= t_value
-        sizes = np.full(strong_te.size, 2.0 * t_value)
-        return float(strong.mean()), float(weak.mean()), sizes, 0.0
+    def sizes(thresholds: list[float]):
+        widths = np.broadcast_to(2.0 * np.asarray(thresholds), (strong_te.size, len(thresholds)))
+        return widths, np.zeros(widths.shape, dtype=bool)
 
-    return _threshold_rows(cfg, trial, _calibrate(cfg, cal_scores), evaluate)
+    shared = (strong_te, weak_te, sizes)
+    cal = {"wsc": weak_ca, "fsc": strong_ca, "pessimistic": pessimistic_ca}
+    return cal, {"wsc": shared, "fsc": shared, "pessimistic": shared}
 
 
-_TRIALS = {
-    "classify": _classify_trial,
-    "rank": _permutation_trial,
-    "match": _permutation_trial,
-    "regress": _regress_trial,
+_TASKS = {
+    "classify": _classify_task,
+    "rank": _rank_task,
+    "match": _match_task,
+    "regress": _regress_task,
 }
+
+
+# --- the trial -----------------------------------------------------------------
+
+
+def _trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
+    """One trial of any task: calibrate each method on its calibration scores,
+    count each test block's level sets once at its methods' thresholds, and
+    report each method's coverages and sizes on the test block."""
+    cal, test = _TASKS[cfg.task](cfg, _trial_seed(cfg.seed, trial))
+    thresholds, calibration_s = {}, {}
+    for method in cfg.methods:
+        start = time.perf_counter()
+        thresholds[method] = conformal_threshold(cal[method], cfg.alpha).value
+        calibration_s[method] = time.perf_counter() - start
+    sharing: dict[int, list[str]] = {}
+    for method in cfg.methods:
+        sharing.setdefault(id(test[method]), []).append(method)
+    sized = {}
+    for methods in sharing.values():
+        _, _, sizes = test[methods[0]]
+        counts, over = sizes([thresholds[m] for m in methods])
+        for col, method in enumerate(methods):
+            sized[method] = counts[:, col].astype(float), over[:, col]
+    rows = []
+    for method in cfg.methods:
+        start = time.perf_counter()
+        t = thresholds[method]
+        strong, weak, _ = test[method]
+        sizes, over = sized[method]
+        avg, p50, p90 = _size_stats(sizes)
+        rows.append(
+            TrialResult(
+                trial=trial,
+                method=method,
+                param=cfg.param,
+                strong_cov=float((strong <= t).mean()),
+                weak_cov=float((weak <= t).mean()),
+                avg_size=avg,
+                p50_size=p50,
+                p90_size=p90,
+                threshold=t,
+                seconds=calibration_s[method] + time.perf_counter() - start,
+                truncation_fraction=float(over.mean()),
+            )
+        )
+    return rows
 
 
 # --- output ------------------------------------------------------------------
@@ -498,9 +482,8 @@ def run(cfg: ExperimentConfig) -> list[TrialResult]:
     if not cfg.methods:
         raise ValueError("at least one method required")
     results: list[TrialResult] = []
-    trial_fn = _TRIALS[cfg.task]
     for trial in range(cfg.n_trials):
-        results.extend(trial_fn(cfg, trial))
+        results.extend(_trial(cfg, trial))
     if cfg.out is not None:
         _write_outputs(cfg, results)
     return results

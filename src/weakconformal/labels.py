@@ -177,7 +177,7 @@ class WeakRecord:
 #
 # One record per line: {"x": [...], "weak": {...}, "y": ...}
 # with weak payloads
-#   {"kind": "set",      "labels": [ids]}
+#   {"kind": "set",      "labels": [ids], "k": K}      (k optional; checked when given)
 #   {"kind": "interval", "lo": f, "hi": f}
 #   {"kind": "prefix",   "items": [ids], "k": K}
 #   {"kind": "matching", "pairs": [[u, v], ...], "k": K}
@@ -199,7 +199,10 @@ def weak_from_payload(payload: dict[str, Any]) -> WeakLabel:
     try:
         kind = payload["kind"]
         if kind == "set":
-            return ExplicitSet(tuple(payload["labels"]))
+            weak = ExplicitSet(tuple(payload["labels"]))
+            if "k" in payload:
+                weak.validate_k(int(payload["k"]))
+            return weak
         if kind == "interval":
             return Interval(payload["lo"], payload["hi"])
         if kind == "prefix":

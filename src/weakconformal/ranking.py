@@ -460,13 +460,30 @@ def levelset_counts_batch(
     return np.minimum(exact, cap), exact > cap
 
 
-# --- ListNet trainer ---------------------------------------------------------
+# --- trainers ------------------------------------------------------------------
+#
+# _softmax and _descend also serve the label trainers in synth.
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _descend(
+    loss_grad, weights: np.ndarray, epochs: int, lr: float
+) -> tuple[np.ndarray, list[float]]:
+    """Full-batch gradient descent: epochs steps of weights -= lr * gradient,
+    where loss_grad(weights) returns (loss, gradient). Returns the final
+    weights and the loss trace, initial loss first (epochs + 1 entries)."""
+    losses = []
+    for _ in range(epochs):
+        loss, grad = loss_grad(weights)
+        losses.append(loss)
+        weights = weights - lr * grad
+    losses.append(loss_grad(weights)[0])
+    return weights, losses
 
 
 def relevance_targets(rankings: Sequence[Sequence[int]], k: int) -> np.ndarray:
@@ -524,13 +541,7 @@ def listnet_train(
     k = len(rankings[0])
     target_p = _softmax(relevance_targets(rankings, k))
     weights = np.zeros((k, x.shape[1]))
-    losses = []
-    for _ in range(epochs):
-        loss, grad = listnet_loss_grad(weights, x, target_p)
-        losses.append(loss)
-        weights = weights - lr * grad
-    losses.append(listnet_loss_grad(weights, x, target_p)[0])
-    return weights, losses
+    return _descend(lambda w: listnet_loss_grad(w, x, target_p), weights, epochs, lr)
 
 
 def predict_relevances(weights: np.ndarray, x: np.ndarray) -> np.ndarray:

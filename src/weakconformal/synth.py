@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labels import ExplicitSet, Interval, PartialMatching, RankingPrefix, WeakRecord
+from .ranking import _descend, _softmax
 
 __all__ = [
     "MulticlassConfig",
@@ -77,7 +78,6 @@ class MulticlassConfig:
     d: int = 2
     sigma: float = 1.0
     seed: int = 0
-    split: tuple[float, float, float] = (0.3, 0.2, 0.5)
     min_weak_size: int = 1
 
     def __post_init__(self):
@@ -356,13 +356,7 @@ def train_per_label_logistic(
     xb = _with_bias(x)
     targets = np.asarray(indicators, dtype=float)
     weights = np.zeros((targets.shape[1], xb.shape[1]))
-    losses = []
-    for _ in range(epochs):
-        loss, grad = logistic_loss_grad(weights, xb, targets)
-        losses.append(loss)
-        weights = weights - lr * grad
-    losses.append(logistic_loss_grad(weights, xb, targets)[0])
-    return weights, losses
+    return _descend(lambda w: logistic_loss_grad(w, xb, targets), weights, epochs, lr)
 
 
 def train_multinomial_logistic(
@@ -378,13 +372,7 @@ def train_multinomial_logistic(
     if y.min() < 0 or y.max() >= k:
         raise ValueError("labels out of range")
     weights = np.zeros((k, xb.shape[1]))
-    losses = []
-    for _ in range(epochs):
-        loss, grad = multinomial_loss_grad(weights, xb, y)
-        losses.append(loss)
-        weights = weights - lr * grad
-    losses.append(multinomial_loss_grad(weights, xb, y)[0])
-    return weights, losses
+    return _descend(lambda w: multinomial_loss_grad(w, xb, y), weights, epochs, lr)
 
 
 def predict_label_marginals(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -394,10 +382,7 @@ def predict_label_marginals(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def predict_class_probs(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Softmax class probabilities, shape (n, k)."""
-    z = _with_bias(x) @ weights.T
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax(_with_bias(x) @ weights.T)
 
 
 def cumulative_probability_scores(probs: np.ndarray) -> np.ndarray:

@@ -229,6 +229,12 @@ def test_eval_set_missing_field_reports_field_and_line(tmp_path, capsys):
         ("eval", json.dumps({"kind": "set", "labels": "ab", "k": 10}), 1),  # had no line
         # an interval set against a label-set record was an UnsupportedWeakLabel traceback
         ("eval", json.dumps({"kind": "interval", "lo": 0, "hi": 1}), 1),
+        # a configs set against a label-set record, and a label set against a
+        # ranking-prefix record, were TypeError tracebacks
+        ("eval", json.dumps({"kind": "configs", "configs": [[0, 1, 2]]}), 1),
+        ("eval rank", json.dumps({"kind": "set", "labels": [0], "k": 3}), 1),
+        # labels outside [0, k) or repeated were accepted as a smaller set
+        ("eval", json.dumps({"kind": "set", "labels": [-1, 9, 9], "k": 3}), 1),
     ],
 )
 def test_malformed_input_is_one_located_error(tmp_path, capsys, command, text, located):
@@ -236,9 +242,10 @@ def test_malformed_input_is_one_located_error(tmp_path, capsys, command, text, l
     path.write_text(text + "\n")
     if command == "run":
         argv = ["run", "--config", str(path)]
-    else:
+    else:  # "eval" scores against one classify record, "eval rank" one rank record
         data = tmp_path / "d.jsonl"
-        _run(capsys, "gen", "--task", "classify", "--n", "1", "--k", "3", "--seed", "0",
+        task = command.partition(" ")[2] or "classify"
+        _run(capsys, "gen", "--task", task, "--n", "1", "--k", "3", "--seed", "0",
              "--out", str(data))
         argv = ["eval", "--sets", str(path), "--data", str(data)]
     code, out, err = _run(capsys, *argv)
@@ -335,6 +342,33 @@ def test_error_payload_on_stderr(capsys):
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert "gws" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--alpha", "abc"], "--alpha"),
+        (["mbest", "--input", "x.json"], "--m"),
+        (["run", "--task", "segment"], "--task"),
+        (["calibrate", "--scores", "-", "--alpha", "0.1", "--bogus", "1"], "--bogus"),
+        (["teleport"], "teleport"),
+        ([], "command"),
+    ],
+)
+def test_usage_error_is_one_json_error(capsys, argv, named):
+    # argparse used to print its usage text and exit 2
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert named in json.loads(lines[0])["error"]
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-h"])
+    assert exc.value.code == 0
+    assert "--alpha" in capsys.readouterr().out
 
 
 def test_missing_file_is_clean_error(capsys):

@@ -111,6 +111,12 @@ def test_label_set_membership_and_intersection():
         s.intersects(Interval(0.0, 1.0))
 
 
+@pytest.mark.parametrize("labels", [[-1, 2], [0, 3], [9], [1, 1], [-1, 9, 9]])
+def test_label_set_rejects_labels_out_of_range_or_repeated(labels):
+    with pytest.raises(ValueError, match="distinct and in \\[0, 3\\)"):
+        LabelSet(labels, 3)
+
+
 def test_prediction_interval_membership_and_intersection():
     s = PredictionInterval(-1.0, 1.0)
     assert 0.5 in s
@@ -142,7 +148,7 @@ def test_evaluate_weak_coverage_never_below_strong():
         members = tuple(sorted({int(v) for v in rng.choice(6, size=3)}))
         y = int(rng.choice(members))
         records.append(WeakRecord(np.zeros(1), ExplicitSet(members), y))
-        sets.append(LabelSet(rng.choice(6, size=2), 6))
+        sets.append(LabelSet(rng.choice(6, size=2, replace=False), 6))
     report = evaluate(sets, records)
     assert report.weak_coverage >= report.strong_coverage
 

@@ -238,7 +238,8 @@ def test_match_trial_on_the_engine_equals_exhaustive_count():
 
 
 # every CSV value except seconds, recorded before the rank and match trials
-# moved to block-level counting; the same seed must keep giving them
+# moved to block-level counting (classify and regress: before the four tasks
+# shared one trial); the same seed must keep giving them
 GOLDEN_ROWS = [
     ((dict(task="rank", k=7, alpha=0.3, m_max=50), 0), [
         "0,wsc,1.0,0.16,0.68,34.805,40.0,50.0,0.8409060144671578",
@@ -275,6 +276,41 @@ GOLDEN_ROWS = [
         "0,fsc,1.0,0.925,0.99,19.945,20.0,20.0,4.380440132398908",
         "1,wsc,1.0,0.58,0.885,15.79,20.0,20.0,2.3398487019844003",
         "1,fsc,1.0,0.78,0.955,19.5,20.0,20.0,3.684877373848641",
+    ]),
+    ((dict(task="classify", k=6, alpha=0.2, methods=("wsc", "fsc", "gws", "pessimistic")), 0), [
+        "0,wsc,1.0,0.515,0.755,1.705,2.0,3.0,0.7584486342349609",
+        "0,fsc,1.0,0.81,0.95,3.17,3.0,5.0,0.9415618247828152",
+        "0,gws,1.0,0.435,0.755,1.19,1.0,2.0,0.7992113794650741",
+        "0,pessimistic,1.0,0.985,0.995,5.865,6.0,6.0,1.0",
+        "1,wsc,1.0,0.725,0.88,2.42,3.0,4.0,0.8943845415745622",
+        "1,fsc,1.0,0.85,0.945,3.165,3.0,5.0,0.9480787909478647",
+        "1,gws,1.0,0.44,0.79,1.235,1.0,2.0,0.8136523965327553",
+        "1,pessimistic,1.0,0.995,1.0,5.9,6.0,6.0,1.0",
+    ]),
+    ((dict(task="classify", k=6, alpha=0.2, methods=("wsc", "fsc", "gws", "pessimistic"),
+           min_weak_size=3), 1), [
+        "0,wsc,1.0,0.48,0.81,1.645,2.0,3.0,0.7477008712682419",
+        "0,fsc,1.0,0.84,0.98,3.405,4.0,5.0,0.9357854489175818",
+        "0,gws,1.0,0.37,0.76,0.885,1.0,1.0,0.7617891412544423",
+        "0,pessimistic,1.0,0.99,1.0,5.865,6.0,6.0,1.0",
+        "1,wsc,1.0,0.525,0.845,1.515,2.0,3.0,0.719851687934054",
+        "1,fsc,1.0,0.765,0.975,2.64,3.0,4.0,0.8932912881739561",
+        "1,gws,1.0,0.42,0.81,0.935,1.0,1.0,0.8311979396041798",
+        "1,pessimistic,1.0,1.0,1.0,5.885,6.0,6.0,1.0",
+    ]),
+    ((dict(task="regress", alpha=0.2, methods=("wsc", "fsc", "pessimistic")), 0), [
+        "0,wsc,0.05,0.72,0.76,1.0619616731798232,1.0619616731798232,1.0619616731798232,"
+        "0.5309808365899116",
+        "0,fsc,0.05,0.765,0.79,1.1639477568453607,1.163947756845361,1.163947756845361,"
+        "0.5819738784226804",
+        "0,pessimistic,0.05,0.785,0.815,1.2659338405108986,1.2659338405108986,1.2659338405108986,"
+        "0.6329669202554493",
+        "1,wsc,0.05,0.75,0.805,1.2126973087300925,1.2126973087300925,1.2126973087300925,"
+        "0.6063486543650463",
+        "1,fsc,0.05,0.8,0.835,1.3122218280935485,1.3122218280935485,1.3122218280935485,"
+        "0.6561109140467742",
+        "1,pessimistic,0.05,0.835,0.855,1.406650062424505,1.4066500624245053,1.4066500624245053,"
+        "0.7033250312122526",
     ]),
 ]
 

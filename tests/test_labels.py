@@ -146,6 +146,23 @@ def test_read_jsonl_rejects_label_outside_weak(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "weak",
+    [
+        {"kind": "set", "labels": [7], "k": 5},  # was accepted: k was dropped
+        {"kind": "set", "labels": [0, 5], "k": 5},
+        {"kind": "set", "labels": [0], "k": "five"},
+    ],
+)
+def test_read_jsonl_checks_set_labels_against_k(tmp_path, weak):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps({"x": [0.0], "weak": {"kind": "set", "labels": [0, 4], "k": 5}, "y": 4})
+    path.write_text(good + "\n" + json.dumps({"x": [0.0], "weak": weak}) + "\n")
+    with pytest.raises(FormatError) as err:
+        list(read_jsonl(str(path)))
+    assert err.value.line == 2
+
+
 def test_read_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "records.jsonl"
     line = json.dumps({"x": [1.0], "weak": {"kind": "interval", "lo": 0, "hi": 2}})

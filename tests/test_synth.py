@@ -16,6 +16,7 @@ from weakconformal.labels import (
     write_jsonl,
 )
 from weakconformal.matching import hungarian
+from weakconformal.ranking import listnet_loss_grad, listnet_train, relevance_targets
 from weakconformal.synth import (
     MatchingData,
     MulticlassConfig,
@@ -371,6 +372,49 @@ def test_multinomial_trainer_descends_and_predicts():
     assert np.allclose(probs.sum(axis=1), 1.0)
     acc = (probs.argmax(axis=1) == data.y).mean()
     assert acc > 0.5
+
+
+def _descent_reference(loss_grad, weights, epochs, lr):
+    """The loop each trainer used to write out: initial loss first, the loss
+    at the final weights last."""
+    losses = []
+    for _ in range(epochs):
+        loss, grad = loss_grad(weights)
+        losses.append(loss)
+        weights = weights - lr * grad
+    losses.append(loss_grad(weights)[0])
+    return weights, losses
+
+
+def _softmax_reference(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def test_trainers_are_bit_equal_to_the_written_out_loop():
+    data = gen_multiclass(MulticlassConfig(n=240, k=5, d=3, seed=15))
+    xb = np.concatenate([data.x, np.ones((240, 1))], axis=1)
+    member = data.member.astype(float)
+    ranked = gen_ranking(RankingSimConfig(n=240, k=6, d=3, seed=16))
+    target_p = _softmax_reference(relevance_targets(ranked.order, 6))
+    cases = [
+        (train_per_label_logistic(data.x, member, epochs=60, lr=0.7),
+         _descent_reference(lambda w: logistic_loss_grad(w, xb, member),
+                            np.zeros((5, 4)), 60, 0.7)),
+        (train_multinomial_logistic(data.x, data.y, 5, epochs=60, lr=0.3),
+         _descent_reference(lambda w: multinomial_loss_grad(w, xb, data.y),
+                            np.zeros((5, 4)), 60, 0.3)),
+        (listnet_train(ranked.x, ranked.order, epochs=60, lr=0.2),
+         _descent_reference(lambda w: listnet_loss_grad(w, ranked.x, target_p),
+                            np.zeros((6, 3)), 60, 0.2)),
+    ]
+    for (weights, losses), (weights_ref, losses_ref) in cases:
+        assert weights.tobytes() == weights_ref.tobytes()
+        assert losses == losses_ref
+    weights = cases[1][0][0]
+    assert (predict_class_probs(weights, data.x).tobytes()
+            == _softmax_reference(xb @ weights.T).tobytes())
 
 
 def test_multinomial_trainer_rejects_bad_labels():
