@@ -30,7 +30,7 @@ from .conformal import (
 )
 from .harness import ExperimentConfig, run as run_experiment
 from .labels import FormatError, PartialMatching, RankingPrefix, read_jsonl
-from .labels import weak_contains, write_jsonl
+from .labels import _as_int, weak_contains, write_jsonl
 from .matching import MatchingProblem, read_cost_csv
 from .mbest import enumerate_until, m_best
 from .ranking import PsiSpec, RankingProblem
@@ -201,10 +201,10 @@ class _ConfigSet:
     """Explicit set of structured configurations (rankings, matchings)."""
 
     def __init__(self, configs):
-        self.members = {tuple(int(v) for v in c) for c in configs}
+        self.members = {tuple(_as_int(v, "a configuration item") for v in c) for c in configs}
 
     def __contains__(self, y) -> bool:
-        return tuple(int(v) for v in y) in self.members
+        return tuple(_as_int(v, "an item") for v in y) in self.members
 
     def intersects(self, w) -> bool:
         if not isinstance(w, (RankingPrefix, PartialMatching)):
@@ -251,7 +251,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             lines.append(line_no)
     try:
         report = evaluate(sets, records)
-    except UnsupportedWeakLabel as exc:
+    except (UnsupportedWeakLabel, ValueError) as exc:
+        if getattr(exc, "index", None) is None:  # not about one (set, record) pair
+            raise
         raise FormatError(
             f"prediction set does not fit its record: {exc}", line=lines[exc.index]
         ) from exc

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .labels import ExplicitSet, Interval, WeakLabel, WeakRecord, weak_contains
+from .labels import ExplicitSet, Interval, WeakLabel, WeakRecord, _as_int, weak_contains
 
 __all__ = [
     "TOL",
@@ -159,14 +159,14 @@ class LabelSet:
     be distinct and in range."""
 
     def __init__(self, labels: Iterable[int], k: int):
-        labs = [int(v) for v in labels]
+        labs = [_as_int(v, "a label") for v in labels]
         self.labels = frozenset(labs)
-        self.k = int(k)
+        self.k = _as_int(k, "k")
         if len(self.labels) != len(labs) or any(not 0 <= v < self.k for v in labs):
             raise ValueError(f"labels must be distinct and in [0, {self.k})")
 
     def __contains__(self, y) -> bool:
-        return int(y) in self.labels
+        return _as_int(y, "a label") in self.labels
 
     def intersects(self, w: WeakLabel) -> bool:
         if not isinstance(w, ExplicitSet):
@@ -181,7 +181,7 @@ class PredictionInterval:
     """Interval prediction set for a numeric response."""
 
     def __init__(self, lo: float, hi: float):
-        if hi < lo:
+        if not lo <= hi:  # a NaN end point fails too
             raise ValueError("empty prediction interval")
         self.lo = float(lo)
         self.hi = float(hi)
@@ -205,7 +205,8 @@ def evaluate(sets: Sequence, records: Sequence[WeakRecord]) -> CoverageReport:
     outside its weak label is rejected (inconsistent data). Weak coverage
     counts W-intersection hits, strong coverage counts true-label hits. A
     set that cannot be intersected with its record's weak-label kind raises
-    UnsupportedWeakLabel carrying the pair's index.
+    UnsupportedWeakLabel; it, and any ValueError a set raises against its
+    record, carries the pair's position as ``index``.
     """
     if len(sets) != len(records):
         raise ValueError("one prediction set per record required")
@@ -219,14 +220,14 @@ def evaluate(sets: Sequence, records: Sequence[WeakRecord]) -> CoverageReport:
             raise ValueError("evaluation records need strong labels")
         if not weak_contains(rec.weak, rec.y):
             raise ValueError("inconsistent record: y is not in its weak label")
-        try:  # first, so a set of the wrong kind is never asked for y
+        try:  # intersects first, so a set of the wrong kind is never asked for y
             w_hit = pred.intersects(rec.weak)
-        except UnsupportedWeakLabel as exc:
+            s_hit = rec.y in pred
+            if s_hit and not w_hit:
+                raise ValueError("set contains y but misses its weak label")
+        except (UnsupportedWeakLabel, ValueError) as exc:
             exc.index = i
             raise
-        s_hit = rec.y in pred
-        if s_hit and not w_hit:
-            raise ValueError("set contains y but misses its weak label")
         strong_hits += s_hit
         weak_hits += w_hit
         sizes.append(pred.size())

@@ -10,11 +10,13 @@ realized set hits W with probability *exactly* eta:
     t = (eta - c_{j-1}) / (c_j - c_{j-1}),
     realize(u) = outer if u < t else inner,          u ~ Uniform[0, 1],
 
-with c_j the coverage of the j-th prefix and j the first index where
-c_j >= eta. The family is nested in eta for a shared u, which makes the
-level at which a label first enters the set a legitimate conformity score
-(``nested_score``): calibrating that score with the split-conformal quantile
-turns per-x exact coverage into a distribution-free weak-coverage guarantee.
+with c_j the coverage of the j-th prefix, c_0 = 0, j the first index where
+c_j >= eta - 1e-12 and t clipped to 1; the same search (``_reach``) serves the
+optimal mixture, the smallest cover and the Wolsey constant. The family is
+nested in eta for a shared u, which makes the level at which a label first
+enters the set a legitimate conformity score (``nested_score``): calibrating
+that score with the split-conformal quantile turns per-x exact coverage into
+a distribution-free weak-coverage guarantee.
 
 The module also ships the measurement tools used to judge the greedy sets:
 an exhaustive optimal-size oracle over all 2^k subsets (``size_profile`` /
@@ -68,6 +70,8 @@ __all__ = [
 ]
 
 _ENUM_CAP = 20  # subset enumeration bound: 2^20 masks
+_LEVEL_TOL = 1e-12  # a curve point this close under eta reaches eta
+_EMPTY_MASS = 1e-12  # W counts as empty almost surely when P(W nonempty) <= this
 
 
 def _mask_of(labels: Iterable[int], k: int) -> int:
@@ -138,19 +142,15 @@ class DiscreteWeakDistribution:
         """Independent label indicators with P(y in W) = q[y], conditioned on
         W being nonempty, with every atom materialized (k <= 20)."""
         q = np.asarray(q, dtype=float)
-        if q.shape != (k,) or np.any((q < 0) | (q > 1)):
+        if q.shape != (k,) or not np.all((q >= 0) & (q <= 1)):
             raise ValueError("q must be k probabilities")
         if k > _ENUM_CAP:
             raise ValueError(f"atom materialization capped at k={_ENUM_CAP}")
-        p_empty = float(np.prod(1.0 - q))
-        if p_empty >= 1.0 - 1e-12:
-            raise ValueError("W would be empty almost surely")
+        z = _nonempty_mass(float(np.prod(1.0 - q)))
         masks = np.arange(1, 1 << k)
-        p = np.ones(masks.size)
-        for y in range(k):  # one factor per label, in label order
-            p *= np.where((masks >> y) & 1, q[y], 1.0 - q[y])
+        p = _product_law(masks, q)
         keep = p > 0.0
-        return cls(k, tuple(masks[keep].tolist()), tuple((p[keep] / (1.0 - p_empty)).tolist()))
+        return cls(k, tuple(masks[keep].tolist()), tuple((p[keep] / z).tolist()))
 
     @cached_property
     def _bits(self) -> np.ndarray:
@@ -190,12 +190,11 @@ class GreedySequence:
     order: tuple[int, ...]
     cum_coverage: tuple[float, ...]
 
-    def position(self, y: int) -> int:
-        """0-based position of label y in the order."""
-        try:
-            return self.order.index(int(y))
-        except ValueError:
-            raise ValueError(f"label {y} not in sequence") from None
+    def __post_init__(self):
+        k = len(self.order)
+        cum = self.cum_coverage
+        if sorted(self.order) != list(range(k)) or len(cum) != k or min(cum, default=0) <= 0:
+            raise ValueError("need each label 0..k-1 once in order and a positive coverage each")
 
 
 @dataclass(frozen=True)
@@ -258,15 +257,33 @@ def _greedy_run(dist: DiscreteWeakDistribution) -> tuple[GreedySequence, np.ndar
     return GreedySequence(tuple(picked), tuple(cum)), deltas
 
 
+def _product_law(masks: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """P(W = m) for each mask m, not conditioned on W nonempty, when the
+    indicators {y in W} are independent with P(y in W) = q[y]: one factor
+    per label, multiplied in label order."""
+    p = np.ones(masks.size)
+    for y in range(q.size):
+        p *= np.where((masks >> y) & 1, q[y], 1.0 - q[y])
+    return p
+
+
+def _nonempty_mass(p_empty):
+    """P(W nonempty) = 1 - p_empty, or ValueError when it is at most 1e-12."""
+    z = 1.0 - p_empty
+    if np.any(z <= _EMPTY_MASS):
+        raise ValueError("W would be empty almost surely")
+    return z
+
+
 def _label_independent_runs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greedy order and prefix coverages of each row of marginals q (n, k):
     q descending (stable), and c_j = (1 - prod_{i<=j}(1 - q_(i))) / Z with
     Z = 1 - prod_i(1 - q_i) the probability that W is nonempty."""
+    if q.shape[1] == 0 or not np.all((q >= 0) & (q <= 1)):
+        raise ValueError("q must hold probabilities, one per label of a nonempty space")
     order = np.argsort(-q, axis=1, kind="stable")
     cp = np.cumprod(1.0 - np.take_along_axis(q, order, axis=1), axis=1)
-    z = 1.0 - cp[:, -1:]
-    if np.any(z <= 1e-15):
-        raise ValueError("W would be empty almost surely")
+    z = _nonempty_mass(cp[:, -1:])
     cum = (1.0 - cp) / z
     cum[:, -1] = 1.0
     return order, cum
@@ -281,29 +298,27 @@ def label_independent_sequence(q: Sequence[float]) -> GreedySequence:
     c_j = (1 - prod_{i<=j}(1 - q_(i))) / (1 - prod_i(1 - q_i)).
     """
     q = np.asarray(q, dtype=float)
-    if q.ndim != 1 or np.any((q < 0) | (q > 1)):
+    if q.ndim != 1:
         raise ValueError("q must be a vector of probabilities")
     order, cum = _label_independent_runs(q[None])
     return GreedySequence(tuple(order[0].tolist()), tuple(cum[0].tolist()))
 
 
-def set_from_sequence(seq: GreedySequence, eta: float) -> RandomizedSet:
+def _reach(covs: Sequence[float], eta: float) -> tuple[int, float]:
+    """Where a coverage curve covs[s] (size s, nondecreasing from covs[0] = 0
+    to 1) reaches eta: the first i >= 1 with covs[i] >= eta - 1e-12, and the
+    weight t on point i of its mixture with point i - 1 that covers eta,
+    clipped to 1, so a mixture falls short of eta by 1e-12 at most."""
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
-    cum = seq.cum_coverage
-    j = None
-    for idx, c in enumerate(cum):
-        if c >= eta - TOL:
-            j = idx + 1
-            break
-    if j is None:  # pragma: no cover - c_k == 1 guards this
-        j = len(cum)
-    cprev = cum[j - 2] if j >= 2 else 0.0
-    denom = cum[j - 1] - cprev
-    t = 1.0 if denom <= TOL else min(max((eta - cprev) / denom, 0.0), 1.0)
-    outer = frozenset(seq.order[:j])
-    inner = frozenset(seq.order[: j - 1])
-    return RandomizedSet(inner=inner, outer=outer, t=t)
+    i = next(s for s in range(1, len(covs)) if covs[s] >= eta - _LEVEL_TOL)
+    return i, min((eta - covs[i - 1]) / (covs[i] - covs[i - 1]), 1.0)
+
+
+def set_from_sequence(seq: GreedySequence, eta: float) -> RandomizedSet:
+    """The greedy randomized set of a sequence at level eta."""
+    j, t = _reach((0.0, *seq.cum_coverage), eta)
+    return RandomizedSet(inner=frozenset(seq.order[: j - 1]), outer=frozenset(seq.order[:j]), t=t)
 
 
 def greedy_set(dist: DiscreteWeakDistribution, eta: float) -> RandomizedSet:
@@ -318,18 +333,26 @@ def nested_score(seq: GreedySequence, y: int, u: float) -> float:
     c_{j-1} + u * (c_j - c_{j-1}); membership in the level-eta set is
     (up to a u-null event) the closed comparison score <= eta.
     """
-    pos = seq.position(y)
-    cprev = seq.cum_coverage[pos - 1] if pos >= 1 else 0.0
-    return cprev + float(u) * (seq.cum_coverage[pos] - cprev)
+    y = int(y)
+    if not 0 <= y < len(seq.order):
+        raise ValueError(f"label {y} not in sequence")
+    return float(nested_score_vector(seq, u)[y])
 
 
 def nested_score_vector(seq: GreedySequence, u: float) -> np.ndarray:
     """nested_score for every label at once, indexed by label id."""
-    cum = np.asarray(seq.cum_coverage)
-    cprev = np.concatenate(([0.0], cum[:-1]))
-    by_pos = cprev + float(u) * (cum - cprev)
+    return _entry_levels(np.array([seq.order]), np.array([seq.cum_coverage]), np.array([u]))[0]
+
+
+def _entry_levels(order: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Nested scores of a block of greedy runs, one per row: order (n, k),
+    prefix coverages cum (n, k), randomness u (n,). The label at position j
+    of row i enters at c_{j-1} + u_i (c_j - c_{j-1}), c_0 = 0; the (n, k)
+    result is indexed by label id."""
+    cprev = np.concatenate([np.zeros((cum.shape[0], 1)), cum[:, :-1]], axis=1)
+    by_pos = cprev + np.asarray(u, dtype=float)[:, None] * (cum - cprev)
     out = np.empty_like(by_pos)
-    out[np.asarray(seq.order)] = by_pos
+    np.put_along_axis(out, order, by_pos, axis=1)
     return out
 
 
@@ -338,15 +361,10 @@ def label_independent_nested_scores(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     per-row randomness u (n,); returns an (n, k) score matrix indexed by
     label id. Row semantics match label_independent_sequence."""
     q = np.asarray(q, dtype=float)
-    u = np.asarray(u, dtype=float).reshape(-1, 1)
-    if q.ndim != 2 or q.shape[0] != u.shape[0]:
+    u = np.asarray(u, dtype=float).ravel()
+    if q.ndim != 2 or q.shape[0] != u.size:
         raise ValueError("q must be (n, k) with one u per row")
-    order, cum = _label_independent_runs(q)
-    cprev = np.concatenate([np.zeros((cum.shape[0], 1)), cum[:, :-1]], axis=1)
-    by_pos = cprev + u * (cum - cprev)
-    out = np.empty_like(by_pos)
-    np.put_along_axis(out, order, by_pos, axis=1)
-    return out
+    return _entry_levels(*_label_independent_runs(q), u)
 
 
 # --- exhaustive optimum ----------------------------------------------------
@@ -376,33 +394,17 @@ class SizeProfile:
         self, eta: float
     ) -> tuple[float, tuple[tuple[frozenset[int], float], ...]]:
         """(expected size, mixture of at most two subsets with weights)."""
-        if not 0.0 < eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
-        sizes, covs = self.hull_sizes, self.hull_covs
-        for i, c in enumerate(covs):
-            if c >= eta - 1e-12:
-                if i == 0 or c <= eta + 1e-12:
-                    s = frozenset(_labels_of(self.best_masks[sizes[i]]))
-                    return float(sizes[i]), ((s, 1.0),)
-                s1, s2 = sizes[i - 1], sizes[i]
-                c1, c2 = covs[i - 1], covs[i]
-                lam = (eta - c1) / (c2 - c1)
-                value = s1 + lam * (s2 - s1)
-                mix = (
-                    (frozenset(_labels_of(self.best_masks[s1])), 1.0 - lam),
-                    (frozenset(_labels_of(self.best_masks[s2])), lam),
-                )
-                return float(value), mix
-        raise AssertionError("hull must reach coverage 1")  # pragma: no cover
+        i, t = _reach(self.hull_covs, eta)
+        s1, s2 = self.hull_sizes[i - 1], self.hull_sizes[i]
+        outer = frozenset(_labels_of(self.best_masks[s2]))
+        if t == 1.0:
+            return float(s2), ((outer, 1.0),)
+        inner = frozenset(_labels_of(self.best_masks[s1]))
+        return s1 + t * (s2 - s1), ((inner, 1.0 - t), (outer, t))
 
     def min_cover_size(self, eta: float) -> int:
         """Smallest size of a deterministic subset with coverage >= eta."""
-        if not 0.0 < eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
-        for s, c in enumerate(self.best_covs):
-            if c >= eta - 1e-12:
-                return s
-        raise AssertionError("full space must reach coverage 1")  # pragma: no cover
+        return _reach(self.best_covs, eta)[0]
 
 
 def _upper_hull(covs: Sequence[float]) -> list[int]:
@@ -486,12 +488,10 @@ def wolsey_constant(dist: DiscreteWeakDistribution, eta: float) -> float:
     coverage truncated at eta, theta_1 = min(max_y delta(empty, y), eta) and
     theta_j = min(max_y delta(C_{j-1}, y), eta - c_{j-1}).
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must be in (0, 1]")
     seq, deltas = dist._greedy
-    cum = seq.cum_coverage
-    j = next(i + 1 for i, c in enumerate(cum) if c >= eta - TOL)
-    cprev = cum[j - 2] if j >= 2 else 0.0
+    covs = (0.0, *seq.cum_coverage)
+    j, _ = _reach(covs, eta)
+    cprev = covs[j - 1]
 
     term1 = eta / (eta - cprev) if eta - cprev > TOL else math.inf
 
@@ -527,7 +527,6 @@ def _is_tree(dist: DiscreteWeakDistribution) -> bool:
 
 
 def _is_label_independent(dist: DiscreteWeakDistribution, tol: float) -> bool:
-    k = dist.k
     bits, probs = dist._bits, np.asarray(dist.probs)
     marg = np.clip((bits * probs[:, None]).sum(axis=0), 0.0, 1.0)  # row-order sums
     # Point mass on one singleton is product form with q = indicator.
@@ -554,9 +553,7 @@ def _is_label_independent(dist: DiscreteWeakDistribution, tol: float) -> bool:
     # Compare implied conditional atom probabilities. Matching the whole
     # support plus total mass 1 pins the off-support mass to ~0, so no
     # full subset enumeration is needed.
-    implied = np.ones(len(probs))
-    for y in range(k):  # one factor per label, in label order
-        implied *= np.where(bits[:, y], q[y], 1.0 - q[y])
+    implied = _product_law(np.array(dist.masks, dtype=np.uint64), q)
     return not np.any(np.abs(implied / z - probs) > tol)
 
 

@@ -138,12 +138,17 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {tuple(_METHODS)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.n_trials < 1 or self.n < 10 or self.m_max < 1:
-            raise ValueError("n_trials >= 1, n >= 10, m_max >= 1 required")
+        if self.n_trials < 1 or self.n < 10 or self.m_max < 1 or self.seed < 0:
+            raise ValueError("n_trials >= 1, n >= 10, m_max >= 1, seed >= 0 required")
         bad = [m for m in self.methods if m not in _METHODS[self.task]]
         if bad:
             raise ValueError(f"methods {bad} not available for task {self.task!r}")
         self.psi()  # a bad psi_c is rejected here, before any trial runs
+        _, ca, te = synth.three_way_split(self.n, self.split)
+        if ca.start == ca.stop or te.start == te.stop:
+            raise ValueError(
+                f"split {tuple(self.split)} leaves the calibration or test block empty at n={self.n}"
+            )
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "split", tuple(self.split))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Union
 
@@ -43,6 +44,17 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
+def _as_int(value: Any, what: str) -> int:
+    """value as an int, or ValueError naming what it is: 3.7, "3" and the
+    booleans are not integers, so none is truncated or read as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ExplicitSet:
     """Nonempty set of candidate class ids, stored sorted."""
@@ -50,7 +62,7 @@ class ExplicitSet:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        labs = tuple(int(v) for v in self.labels)
+        labs = tuple(_as_int(v, "a label") for v in self.labels)
         if len(labs) == 0:
             raise ValueError("weak label set must be nonempty")
         if any(v < 0 for v in labs):
@@ -97,8 +109,8 @@ class RankingPrefix:
     k: int
 
     def __post_init__(self):
-        items = tuple(int(v) for v in self.items)
-        k = int(self.k)
+        items = tuple(_as_int(v, "a prefix item") for v in self.items)
+        k = _as_int(self.k, "k")
         if len(items) > k:
             raise ValueError("prefix longer than the item count")
         if len(set(items)) != len(items):
@@ -117,8 +129,8 @@ class PartialMatching:
     k: int
 
     def __post_init__(self):
-        pairs = tuple((int(u), int(v)) for u, v in self.pairs)
-        k = int(self.k)
+        pairs = tuple((_as_int(u, "a pair id"), _as_int(v, "a pair id")) for u, v in self.pairs)
+        k = _as_int(self.k, "k")
         if len(pairs) > k:
             raise ValueError("more pairs than nodes")
         us = [u for u, _ in pairs]
@@ -136,7 +148,7 @@ WeakLabel = Union[ExplicitSet, Interval, RankingPrefix, PartialMatching]
 
 def _as_permutation(y: Any, k: int) -> tuple[int, ...]:
     """y as a tuple of ints; ValueError unless it is a permutation of [0, k)."""
-    y = tuple(int(v) for v in y)
+    y = tuple(_as_int(v, "an item") for v in y)
     if len(y) != k or set(y) != set(range(k)):
         raise ValueError(f"not a permutation of [0, {k})")
     return y
@@ -145,7 +157,7 @@ def _as_permutation(y: Any, k: int) -> tuple[int, ...]:
 def weak_contains(weak: WeakLabel, y: Any) -> bool:
     """Whether candidate ``y`` is a member of the weak label set."""
     if isinstance(weak, ExplicitSet):
-        return int(y) in weak.labels
+        return _as_int(y, "a label") in weak.labels
     if isinstance(weak, Interval):
         return weak.lo <= float(y) <= weak.hi
     if isinstance(weak, RankingPrefix):
@@ -201,7 +213,7 @@ def weak_from_payload(payload: dict[str, Any]) -> WeakLabel:
         if kind == "set":
             weak = ExplicitSet(tuple(payload["labels"]))
             if "k" in payload:
-                weak.validate_k(int(payload["k"]))
+                weak.validate_k(_as_int(payload["k"], "k"))
             return weak
         if kind == "interval":
             return Interval(payload["lo"], payload["hi"])

@@ -14,9 +14,9 @@ emitted scores must be nondecreasing and every split must hand back cells
 whose bests are the parent's (best, second) pair, otherwise the backend
 violated the partition contract and a ``PartitionError`` is raised.
 
-``Enumerator.extend_until`` grows the enumeration in doubling rounds
-(1, 2, 4, ... configurations) until a stopping rule holds, so the work is
-proportional to the answer, capped. ``enumerate_until`` stops at the first
+``Enumerator.extend_until`` emits one configuration at a time and stops at
+the first that meets a stopping rule, so it enumerates exactly up to the
+answer, capped. ``enumerate_until`` stops at the first
 score above a threshold, listing the sublevel set {y : score(y) <= threshold};
 ``compatible_rank`` stops at the first configuration passing a test.
 ``rank_conformalize`` and ``compatible_rank`` conformalize on enumeration
@@ -132,21 +132,18 @@ class Enumerator:
     ) -> int | None:
         """Grow until stop(config, score) holds, cap is reached, or exhaustion.
 
-        Rounds of 1, 2, 4, ... configurations keep the work proportional to
-        the index found. Returns the first index whose configuration meets
-        stop, or None when none of the enumerated ones does.
+        Configurations are emitted one at a time, so the enumeration ends at
+        the first one that meets stop. Returns its index, or None when none of
+        the enumerated ones does.
         """
-        target = 1
-        scanned = 0
-        while True:
-            self.extend_to(min(target, cap))
-            for idx in range(scanned, len(self.configs)):
-                if stop(self.configs[idx], self.scores[idx]):
-                    return idx
-            scanned = len(self.configs)
-            if self.exhausted or scanned >= cap:
-                return None
-            target *= 2
+        idx = 0
+        while not stop(self.configs[idx], self.scores[idx]):
+            idx += 1
+            if idx == len(self.configs):
+                if idx >= cap or self.exhausted:
+                    return None
+                self.extend_to(idx + 1)
+        return idx
 
 
 def m_best(problem: PartitionProblem, m: int) -> MBestResult:

@@ -471,6 +471,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _training_rows(x) -> np.ndarray:
+    """x as a float array, or ValueError when the training block is empty."""
+    x = np.asarray(x, dtype=float)
+    if len(x) == 0:
+        raise ValueError("the training block is empty: there is nothing to fit")
+    return x
+
+
 def _descend(
     loss_grad, weights: np.ndarray, epochs: int, lr: float
 ) -> tuple[np.ndarray, list[float]]:
@@ -535,7 +543,7 @@ def listnet_train(
     where the predicted top-1 distribution is uniform and the loss is
     exactly log(k).
     """
-    x = np.asarray(x, dtype=float)
+    x = _training_rows(x)
     if x.ndim != 2 or len(rankings) != x.shape[0]:
         raise ValueError("x must be (n, d) with one ranking per row")
     k = len(rankings[0])

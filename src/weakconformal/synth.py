@@ -22,13 +22,14 @@ finite differences.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .labels import ExplicitSet, Interval, PartialMatching, RankingPrefix, WeakRecord
-from .ranking import _descend, _softmax
+from .ranking import _descend, _softmax, _training_rows
 
 __all__ = [
     "MulticlassConfig",
@@ -58,12 +59,14 @@ _PARAMS, _FEATURES, _NOISE, _THRESH, _COUNTS = 0, 1, 2, 3, 4
 
 
 def _rng(seed: int, role: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(role)]))
 
 
 def three_way_split(n: int, fractions: Sequence[float]) -> tuple[slice, slice, slice]:
     """Contiguous train/calibration/test slices with the given proportions."""
-    if len(fractions) != 3 or any(f < 0 for f in fractions) or abs(sum(fractions) - 1) > 1e-9:
+    if len(fractions) != 3 or not all(f >= 0 for f in fractions) or abs(sum(fractions) - 1) > 1e-9:
         raise ValueError("fractions must be three nonnegative values summing to 1")
     n1 = int(round(n * fractions[0]))
     n2 = int(round(n * fractions[1]))
@@ -83,8 +86,8 @@ class MulticlassConfig:
     def __post_init__(self):
         if self.n < 1 or self.k < 2 or self.d < 1:
             raise ValueError("need n >= 1, k >= 2, d >= 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, not {self.sigma}")
         if not 1 <= self.min_weak_size <= self.k:
             raise ValueError("min_weak_size must be in [1, k]")
 
@@ -101,8 +104,8 @@ class RankingSimConfig:
     def __post_init__(self):
         if self.n < 1 or self.k < 2 or self.d < 1:
             raise ValueError("need n >= 1, k >= 2, d >= 1")
-        if self.sigma < 0 or self.prefix_rate < 0:
-            raise ValueError("sigma and prefix_rate must be nonnegative")
+        if not (0 <= self.sigma < math.inf and 0 <= self.prefix_rate < math.inf):
+            raise ValueError("sigma and prefix_rate must be finite and nonnegative")
 
 
 class _Built(Sequence):
@@ -246,8 +249,8 @@ def gen_matching(n: int, k: int = 6, noise: float = 0.25, seed: int = 0) -> Matc
     """Weak matching data: iid noise costs with the planted assignment's
     entries lowered by 1 (the unique minimizer at noise 0); the weak label
     reveals min(k, 1 + Poisson(0.5)) of the planted pairs."""
-    if n < 1 or k < 2 or noise < 0:
-        raise ValueError("need n >= 1, k >= 2, noise >= 0")
+    if n < 1 or k < 2 or not 0 <= noise < math.inf:
+        raise ValueError("need n >= 1, k >= 2 and a finite noise >= 0")
     # one permutation per row, drawn in the order of n rng.permutation(k) calls
     planted = _rng(seed, _PARAMS).permuted(np.tile(np.arange(k), (n, 1)), axis=1)
     costs = noise * _rng(seed, _NOISE).standard_normal((n, k, k))
@@ -270,10 +273,13 @@ def gen_regression(
 ) -> RegressionData:
     """Weak regression data: linear-Gaussian response with interval weak
     label Y +/- Z, Z ~ Normal(mu, 0.0001) resampled until positive (and
-    until >= min_half_width when given, for lower-bounded interval length).
+    until >= min_half_width when given, for lower-bounded interval length);
+    a min_half_width that 1000 rounds of resampling do not reach is an error.
     """
-    if n < 1 or d < 1 or mu <= 0:
-        raise ValueError("need n >= 1, d >= 1, mu > 0")
+    if n < 1 or d < 1 or not 0 < mu < math.inf:
+        raise ValueError("need n >= 1, d >= 1 and a finite mu > 0")
+    if min_half_width is not None and not math.isfinite(min_half_width):
+        raise ValueError(f"min_half_width must be finite, not {min_half_width}")
     beta = _rng(seed, _PARAMS).standard_normal(d)
     x = _rng(seed, _FEATURES).standard_normal((n, d))
     y = x @ beta + 0.5 * _rng(seed, _NOISE).standard_normal(n)
@@ -285,8 +291,11 @@ def gen_regression(
         if not bad.any():
             break
         z[bad] = mu + 0.01 * rng_t.standard_normal(int(bad.sum()))
-    else:  # pragma: no cover
-        raise RuntimeError("half-width resampling did not terminate")
+    else:
+        raise ValueError(
+            f"min_half_width {floor} is out of reach of half-widths drawn from "
+            f"Normal(mu={mu}, 0.01^2)"
+        )
     return RegressionData(x=x, y=y, lo=y - z, hi=y + z, beta=beta)
 
 
@@ -353,7 +362,7 @@ def train_per_label_logistic(
     indicators is the (n, k) 0/1 weak-membership matrix. Returns (k, d+1)
     weights (bias last) and the loss trace.
     """
-    xb = _with_bias(x)
+    xb = _with_bias(_training_rows(x))
     targets = np.asarray(indicators, dtype=float)
     weights = np.zeros((targets.shape[1], xb.shape[1]))
     return _descend(lambda w: logistic_loss_grad(w, xb, targets), weights, epochs, lr)
@@ -367,7 +376,7 @@ def train_multinomial_logistic(
     lr: float = 0.5,
 ) -> tuple[np.ndarray, list[float]]:
     """Fit P(Y = y | x) by softmax regression; (k, d+1) weights, bias last."""
-    xb = _with_bias(x)
+    xb = _with_bias(_training_rows(x))
     y = np.asarray(y, dtype=int)
     if y.min() < 0 or y.max() >= k:
         raise ValueError("labels out of range")
@@ -401,5 +410,5 @@ def cumulative_probability_scores(probs: np.ndarray) -> np.ndarray:
 
 def fit_ols(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients (no intercept, matching the generator)."""
-    coef, *_ = np.linalg.lstsq(np.asarray(x, dtype=float), np.asarray(y, dtype=float), rcond=None)
+    coef, *_ = np.linalg.lstsq(_training_rows(x), np.asarray(y, dtype=float), rcond=None)
     return coef

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from weakconformal.cli import main
 
@@ -235,6 +239,19 @@ def test_eval_set_missing_field_reports_field_and_line(tmp_path, capsys):
         ("eval rank", json.dumps({"kind": "set", "labels": [0], "k": 3}), 1),
         # labels outside [0, k) or repeated were accepted as a smaller set
         ("eval", json.dumps({"kind": "set", "labels": [-1, 9, 9], "k": 3}), 1),
+        # integers that are not integers were truncated: 3.7 read as 3, true as 1
+        ("eval", json.dumps({"kind": "set", "labels": [0], "k": 3.7}), 1),
+        ("eval", json.dumps({"kind": "set", "labels": [True], "k": 3}), 1),
+        ("eval rank", json.dumps({"kind": "configs", "configs": [[0, 1.5, 2]]}), 1),
+        ("data", json.dumps({"x": [0], "weak": {"kind": "set", "labels": [0], "k": 3.7}, "y": 0}), 1),
+        ("data", json.dumps({"x": [0], "weak": {"kind": "prefix", "items": [0], "k": 3.7},
+                             "y": [0, 1, 2]}), 1),
+        ("data", json.dumps({"x": [0], "weak": {"kind": "matching", "pairs": [[0, 0.5]], "k": 3},
+                             "y": [0, 1, 2]}), 1),
+        # a configuration that is not a permutation of the record's k had no line
+        ("eval rank", json.dumps({"kind": "configs", "configs": [[0, 1]]}), 1),
+        # a NaN end point gave a report with "avg_size": NaN
+        ("eval regress", json.dumps({"kind": "interval", "lo": math.nan, "hi": 1.0}), 1),
     ],
 )
 def test_malformed_input_is_one_located_error(tmp_path, capsys, command, text, located):
@@ -242,7 +259,14 @@ def test_malformed_input_is_one_located_error(tmp_path, capsys, command, text, l
     path.write_text(text + "\n")
     if command == "run":
         argv = ["run", "--config", str(path)]
-    else:  # "eval" scores against one classify record, "eval rank" one rank record
+    elif command == "data":  # the records file is the malformed input; the set fits it
+        fits = {"kind": "set", "labels": [0], "k": 3}
+        if json.loads(text)["weak"]["kind"] != "set":
+            fits = {"kind": "configs", "configs": [[0, 1, 2]]}
+        sets = tmp_path / "sets.jsonl"
+        sets.write_text(json.dumps(fits) + "\n")
+        argv = ["eval", "--sets", str(sets), "--data", str(path)]
+    else:  # "eval" scores against one classify record, "eval TASK" one TASK record
         data = tmp_path / "d.jsonl"
         task = command.partition(" ")[2] or "classify"
         _run(capsys, "gen", "--task", task, "--n", "1", "--k", "3", "--seed", "0",
@@ -287,6 +311,31 @@ def test_run_rejects_a_psi_c_that_is_not_finite(capsys, c):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert "'c'" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # empty test block: NaN coverages and RuntimeWarnings
+        (["--task", "classify", "--n", "40", "--split", "0.5,0.5,0"], "split"),
+        # empty training block: an IndexError traceback
+        (["--task", "rank", "--n", "20", "--split", "0,0.5,0.5"], "training block"),
+        # settings that are not finite: reported as a success
+        (["--task", "rank", "--n", "20", "--sigma", "nan"], "sigma"),
+        (["--task", "regress", "--n", "20", "--mu", "inf"], "mu"),
+        # a half-width floor resampling cannot reach: a RuntimeError traceback
+        (["--task", "regress", "--n", "20", "--min-half-width", "10"], "min_half_width"),
+        # a negative seed: numpy's "expected non-negative integer", naming nothing
+        (["--task", "regress", "--n", "20", "--seed", "-1"], "seed"),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
+def test_run_settings_without_a_result_are_one_named_error(capsys, argv, named):
+    code, out, err = _run(capsys, "run", "--trials", "1", *argv)
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert named in json.loads(lines[0])["error"]
 
 
 def test_run_config_file_overrides_flags(tmp_path, capsys):
@@ -375,3 +424,176 @@ def test_missing_file_is_clean_error(capsys):
     code, _, err = _run(capsys, "calibrate", "--scores", "/nonexistent/path", "--alpha", "0.1")
     assert code == 1
     assert "error" in json.loads(err)
+
+
+# --- fuzz: any argv is an exit code, never a traceback ---------------------------
+
+# Each flag draws from a pool of valid values, except at most one per argv,
+# which draws from a pool of one value of each bad kind: 0, negative, nan,
+# inf, not a number, a float where an int belongs. Valid sizes stay small
+# (n <= 40, k <= 7, trials <= 2), so no draw allocates a large array.
+_BAD_FLOATS = ["0", "-1", "nan", "inf", "abc"]
+_BAD_INTS = ["0", "-1", "nan", "inf", "abc", "1.5"]
+_RUN_FLAGS = {  # flag: (valid values, bad values)
+    "--task": (["classify", "rank", "match", "regress"], ["segment"]),
+    "--alpha": (["0.1", "0.3"], [*_BAD_FLOATS, "1"]),
+    "--trials": (["1", "2"], _BAD_INTS),
+    "--seed": (["0", "3"], _BAD_INTS),
+    "--n": (["12", "40"], [*_BAD_INTS, "3"]),
+    "--k": (["2", "3", "7"], [*_BAD_INTS, "1"]),
+    "--d": (["1", "3"], _BAD_INTS),
+    "--sigma": (["0", "0.5"], _BAD_FLOATS),
+    "--noise": (["0", "0.5"], _BAD_FLOATS),
+    "--mu": (["0.05", "1"], _BAD_FLOATS),
+    "--min-weak-size": (["1", "2"], _BAD_INTS),
+    "--min-half-width": (["0.04"], [*_BAD_FLOATS, "10"]),
+    "--methods": (["wsc,fsc", "wsc,fsc,gws,pessimistic", "gws", "pessimistic"], ["bogus", ""]),
+    "--m-max": (["1", "5"], _BAD_INTS),
+    "--psi-c": (["0", "1"], _BAD_FLOATS),
+    "--split": (["0.25,0.25,0.5", "0.4,0.3,0.3"],
+                ["0,0.5,0.5", "0.5,0.5,0", "0.5,0,0.5", "nan,0.5,0.5", "a,b,c", "1",
+                 "0.5,-0.25,0.75", "0.96,0.02,0.02"]),
+}
+_GEN_FLAGS = {
+    flag: _RUN_FLAGS[flag] for flag in (
+        "--task", "--n", "--k", "--d", "--sigma", "--noise", "--mu", "--min-weak-size",
+        "--min-half-width", "--seed")
+}
+_CALIBRATE_FLAGS = {"--alpha": _RUN_FLAGS["--alpha"]}
+_MBEST_FLAGS = {"--m": (["3", "50"], _BAD_INTS), "--threshold": (["1.5", "8"], _BAD_FLOATS),
+                "--cap": (["5", "100"], _BAD_INTS)}
+
+_RECORDS = {
+    "set": {"x": [0.1, 0.2], "weak": {"kind": "set", "labels": [0, 2]}, "y": 0},
+    "prefix": {"x": [0.0], "weak": {"kind": "prefix", "items": [1], "k": 3}, "y": [1, 0, 2]},
+    "matching": {"x": [0.0], "weak": {"kind": "matching", "pairs": [[0, 1]], "k": 3},
+                 "y": [1, 0, 2]},
+    "interval": {"x": [1.0], "weak": {"kind": "interval", "lo": 0.5, "hi": 1.5}, "y": 1.0},
+}
+_POOLS = {
+    "data": {
+        **{f"{kind}.jsonl": json.dumps(rec) for kind, rec in _RECORDS.items()},
+        "two.jsonl": json.dumps(_RECORDS["set"]) + "\n" + json.dumps(_RECORDS["set"]),
+        "k37.jsonl": json.dumps({**_RECORDS["prefix"], "weak": {"kind": "prefix", "items": [1],
+                                                                 "k": 3.7}}),
+        "outside.jsonl": json.dumps({**_RECORDS["set"], "y": 1}),
+        "nan.jsonl": json.dumps({**_RECORDS["interval"], "y": float("nan")}),
+        "x.jsonl": json.dumps({**_RECORDS["set"], "x": "ab"}),
+        "bad.jsonl": "{not json",
+        "empty.jsonl": "",
+    },
+    "sets": {
+        "set.jsonl": json.dumps({"kind": "set", "labels": [0, 1], "k": 3}),
+        "interval.jsonl": json.dumps({"kind": "interval", "lo": 0.0, "hi": 2.0}),
+        "nan-interval.jsonl": json.dumps({"kind": "interval", "lo": float("nan"), "hi": 1.0}),
+        "configs.jsonl": json.dumps({"kind": "configs", "configs": [[1, 0, 2], [0, 1, 2]]}),
+        "short.jsonl": json.dumps({"kind": "configs", "configs": [[0, 1]]}),
+        "k37.jsonl": json.dumps({"kind": "set", "labels": [0], "k": 3.7}),
+        "true.jsonl": json.dumps({"kind": "set", "labels": [True], "k": 3}),
+        "blob.jsonl": json.dumps({"kind": "blob"}),
+        "list.jsonl": "[1, 2]",
+        "bad.jsonl": "{not json",
+        "empty.jsonl": "",
+    },
+    "scores": {
+        "scores.txt": "0.1\n0.5\n0.3\n0.9\n0.2\n",
+        "nan.txt": "0.1\nnan\n",
+        "inf.txt": "1e400 0.2",
+        "words.txt": "abc",
+        "empty.txt": "",
+    },
+    "mbest": {
+        "rel.json": json.dumps({"relevances": [3.0, 1.0, 2.0]}),
+        "rel-exp.json": json.dumps({"relevances": [0.1, 0.5, 0.9, 0.3],
+                                    "psi": {"kind": "exp_weighted", "c": 1}}),
+        "rel-one.json": json.dumps({"relevances": [1.0]}),
+        "rel-empty.json": json.dumps({"relevances": []}),
+        "rel-nan.json": json.dumps({"relevances": [1.0, float("nan")]}),
+        "psi-bogus.json": json.dumps({"relevances": [1.0, 2.0], "psi": {"kind": "bogus"}}),
+        "costs.json": json.dumps({"costs": [[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]]}),
+        "costs-empty.json": json.dumps({"costs": [[]]}),
+        "costs-inf.json": json.dumps({"costs": [[1.0, float("inf")], [0.0, 1.0]]}),
+        "costs.csv": "3\n4,1,3\n2,0,5\n3,2,2\n",
+        "short.csv": "2\n1,2\n3\n",
+        "nan.csv": "2\n1,nan\n3,4\n",
+        "header.csv": "2.5\n1,2\n3,4\n",
+        "list.json": "[1, 2]",
+        "bad.json": "{not json",
+    },
+    "config": {
+        "regress.json": json.dumps({"task": "regress", "n": 30, "n_trials": 1}),
+        "match.json": json.dumps({"task": "match", "n": 20, "n_trials": 1, "k": 3}),
+        "split.json": json.dumps({"split": "0.5,0.5,0", "n": 20, "n_trials": 1}),
+        "float-n.json": json.dumps({"n": 20.5}),
+        "big-k.json": json.dumps({"k": 1.5}),
+        "alpha.json": json.dumps({"alpha": "x"}),
+        "list.json": "[1]",
+        "bad.json": "{not json",
+        "bad.toml": "n = \n",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for pool, files in _POOLS.items():
+        paths[pool] = []
+        for name, text in files.items():
+            path = root / f"{pool}-{name}"
+            path.write_text(text + ("\n" if text else ""))
+            paths[pool].append(str(path))
+    paths["out"] = [str(root / "rows.csv"), str(root / "missing" / "rows.csv")]
+    return paths
+
+
+@st.composite
+def _argv(draw, files):
+    def flags(table, required=()):  # at most one flag takes a bad value
+        given = [flag for flag in table if flag in required or draw(st.booleans())]
+        spoilt = draw(st.sampled_from([None, *given]))
+        argv = []
+        for flag in given:
+            valid, bad = table[flag]
+            argv += [flag, draw(st.sampled_from(bad if flag == spoilt else valid))]
+        return argv
+
+    command = draw(st.sampled_from(["run", "gen", "calibrate", "mbest", "eval"]))
+    pick = lambda pool: draw(st.sampled_from(files[pool]))  # noqa: E731
+    if command == "run":  # --n, --trials and --k always given: their defaults are large
+        argv = flags(_RUN_FLAGS, required=("--n", "--trials", "--k"))
+        if draw(st.booleans()):
+            argv += ["--out", pick("out")]
+        if draw(st.integers(0, 3)) == 0:
+            argv += ["--config", pick("config")]
+    elif command == "gen":
+        argv = flags(_GEN_FLAGS, required=("--task", "--n", "--k")) + ["--out", pick("out")]
+    elif command == "calibrate":
+        argv = ["--scores", pick("scores"), *flags(_CALIBRATE_FLAGS)]
+    elif command == "mbest":
+        argv = ["--input", pick("mbest"), *flags(_MBEST_FLAGS)]
+    else:
+        argv = ["--sets", pick("sets"), "--data", pick("data")]
+    if draw(st.integers(0, 7)) == 0:  # now and then a required flag goes missing
+        argv = argv[: 2 * draw(st.integers(0, len(argv) // 2))]
+    return [command, *argv]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_ends_in_exit_0_or_one_json_error(fuzz_files, data):
+    argv = data.draw(_argv(fuzz_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():  # a warning would be a second line on stderr
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1
+        assert "error" in json.loads(lines[0])
+    else:
+        assert err.getvalue() == ""

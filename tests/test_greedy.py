@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from weakconformal import (
     DiscreteWeakDistribution,
+    GreedySequence,
     Structure,
     check_structure,
     greedy_sequence,
@@ -460,9 +461,9 @@ def _ref_increments(dist, chosen_mask):
     return delta
 
 
-def _ref_wolsey_constant(dist, eta):
+def _ref_wolsey_constant(dist, eta, j):
+    # j is the outer size of the greedy set at eta: the bound holds for it
     order, cum = _ref_greedy_sequence(dist)
-    j = next(i + 1 for i, c in enumerate(cum) if c >= eta - 1e-9)
     cprev = cum[j - 2] if j >= 2 else 0.0
     prefix = [0]
     for y in order:
@@ -617,8 +618,9 @@ def test_wolsey_constant_equals_the_loop():
     rng = np.random.default_rng(26)
     for dist in _mixed_dists(27, n=80):
         for eta in (*rng.uniform(0.01, 1.0, size=4), 1.0):
+            j = len(greedy_set(dist, eta).outer)
             assert wolsey_constant(dist, eta) == pytest.approx(
-                _ref_wolsey_constant(dist, eta), rel=0, abs=1e-12
+                _ref_wolsey_constant(dist, eta, j), rel=0, abs=1e-12
             )
 
 
@@ -631,7 +633,8 @@ def test_label_63_fits_the_bit_matrix():
     assert greedy_set(dist, 0.7).outer == frozenset({63})
     assert greedy_set(dist, 0.9).outer == frozenset({63, 5})
     for eta in (0.5, 0.9, 1.0):
-        assert wolsey_constant(dist, eta) == _ref_wolsey_constant(dist, eta)
+        j = len(greedy_set(dist, eta).outer)
+        assert wolsey_constant(dist, eta) == _ref_wolsey_constant(dist, eta, j)
     assert wolsey_constant(dist, 0.9) == 1.0
     assert check_structure(dist) is Structure.TREE
     crossing = DiscreteWeakDistribution.from_sets(64, [((0, 63), 0.5), ((62, 63), 0.5)])
@@ -713,3 +716,94 @@ def test_greedy_outer_set_is_within_the_wolsey_bound(data):
     outer = greedy_set(dist, eta).outer
     assert 1.0 <= K < math.inf
     assert len(outer) <= (1.0 + math.log(K)) * size_profile(dist).min_cover_size(eta) + 1e-9
+
+
+# --- one level search -------------------------------------------------------
+
+
+def test_a_level_just_above_a_curve_point_takes_the_next_label():
+    # c_1 = 0.9 - 5e-10 falls short of eta = 0.9, so label 1 must come in with
+    # a small weight; taking {0} alone covered 5e-10 too little at size 1.0,
+    # below the optimum 1.000000005
+    dist = DiscreteWeakDistribution.from_sets(2, [((0,), 0.9 - 5e-10), ((1,), 0.1 + 5e-10)])
+    rs = greedy_set(dist, 0.9)
+    prof = size_profile(dist)
+    assert rs.outer == frozenset({0, 1}) and prof.min_cover_size(0.9) == 2
+    assert abs(rs.expected_size - prof.optimal_value(0.9)) <= 1e-12
+    assert rs.t * dist.coverage(rs.outer) + (1 - rs.t) * dist.coverage(rs.inner) == pytest.approx(
+        0.9, rel=0, abs=1e-15
+    )
+
+
+def test_label_independent_paths_share_the_emptiness_rule():
+    q = [1e-13, 0.0]
+    with pytest.raises(ValueError) as ref:
+        DiscreteWeakDistribution.from_marginals(2, q)
+    with pytest.raises(ValueError) as seq:
+        label_independent_sequence(q)
+    with pytest.raises(ValueError) as block:
+        label_independent_nested_scores(np.array([q]), np.array([0.5]))
+    assert str(seq.value) == str(block.value) == str(ref.value)
+
+
+def test_label_independent_paths_reject_an_empty_label_space():
+    # both ended in an IndexError
+    with pytest.raises(ValueError, match="nonempty space"):
+        label_independent_sequence([])
+    with pytest.raises(ValueError, match="nonempty space"):
+        label_independent_nested_scores(np.zeros((2, 0)), np.zeros(2))
+
+
+@pytest.mark.parametrize("y", [-1, 3])
+def test_nested_score_rejects_a_label_outside_the_order(golden_dist, y):
+    with pytest.raises(ValueError, match="not in sequence"):
+        nested_score(greedy_sequence(golden_dist), y, 0.5)
+
+
+@pytest.mark.parametrize(
+    "order, cum",
+    [((0, 1), (0.0, 1.0)), ((0, 0), (0.5, 1.0)), ((0, 2), (0.5, 1.0)), ((0,), (0.5, 1.0)), ((), ())],
+)
+def test_greedy_sequence_rejects_what_no_greedy_run_gives(order, cum):
+    # orders that are not permutations, and a first coverage of 0, which
+    # left the level search a 0/0 at eta <= 1e-12
+    with pytest.raises(ValueError, match="positive coverage"):
+        GreedySequence(order, cum)
+
+
+@st.composite
+def _structured_dists(draw):
+    """A general, a laminar (tree) or a product-form distribution, k <= 8."""
+    kind = draw(st.sampled_from(["general", "tree", "independent"]), label="kind")
+    if kind == "general":
+        return kind, draw(_weak_dists())
+    k = draw(st.integers(1, 8), label="k")
+    if kind == "tree":
+        return kind, _laminar_dist(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k)
+    q = draw(st.lists(st.floats(0.05, 0.95), min_size=k, max_size=k), label="q")
+    return kind, DiscreteWeakDistribution.from_marginals(k, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_greedy_set_hits_eta_and_never_beats_the_optimum(data):
+    kind, dist = data.draw(_structured_dists())
+    # levels at random, and right at or next to a point of the greedy curve
+    near_a_point = st.builds(
+        lambda c, d: min(max(c + d, 1e-3), 1.0),
+        st.sampled_from(greedy_sequence(dist).cum_coverage),
+        st.sampled_from([-5e-10, -5e-13, 0.0, 5e-13, 5e-10]),
+    )
+    eta = data.draw(st.floats(0.01, 1.0) | near_a_point, label="eta")
+    rs = greedy_set(dist, eta)
+    prof = size_profile(dist)
+    realised = rs.t * dist.coverage(rs.outer) + (1 - rs.t) * dist.coverage(rs.inner)
+    assert abs(realised - eta) <= 1e-11
+    # the frontier sums coverages in another order; a gap c_j - c_{j-1} near
+    # 1e-4 turns that rounding into 1e-12 of t, so sizes compare at 1e-9
+    assert rs.expected_size >= prof.optimal_value(eta) - 1e-9
+    assert wolsey_constant(dist, eta) == pytest.approx(
+        _ref_wolsey_constant(dist, eta, len(rs.outer)), rel=0, abs=1e-12
+    )
+    if kind != "general":  # greedy is size-optimal on both structures
+        assert prof.min_cover_size(eta) <= len(rs.outer)

@@ -197,11 +197,8 @@ def _tied_problems(rng, n):
 
 
 def _doubling_length(count: int, cap: int, space: int) -> int:
-    # configurations held after rounds of 1, 2, 4, ... until one passes index count
-    target = 1
-    while target <= count:
-        target *= 2
-    return min(target, cap, space)
+    # configurations held after emitting one at a time up to index count
+    return min(count + 1, cap, space)
 
 
 def test_extend_until_follows_m_best_and_the_doubling_schedule():
