@@ -58,10 +58,8 @@ from .matching import (
     matching_block_scores,
     matching_score,
     min_matching_cost,
-    pad_costs,
     partial_matching_score,
     read_cost_csv,
-    translated_score,
 )
 from .mbest import (
     EnumerationCapExceeded,
@@ -83,7 +81,6 @@ from .ranking import (
     prefix_block_scores,
     rank_score,
     rank_scores_batch,
-    rescale_relevances,
 )
 from .regression import interval_block_scores, interval_predict
 from .synth import (
@@ -125,12 +122,12 @@ __all__ = [
     "compatible_rank", "rank_conformalize", "PartitionError",
     "EnumerationCapExceeded",
     # matching
-    "hungarian", "matching_score", "min_matching_cost", "translated_score",
+    "hungarian", "matching_score", "min_matching_cost",
     "partial_matching_score", "matching_block_scores",
-    "pad_costs", "read_cost_csv", "MatchingProblem",
+    "read_cost_csv", "MatchingProblem",
     # ranking
     "PsiSpec", "rank_score", "rank_scores_batch", "best_ranking",
-    "partial_rank_score", "prefix_block_scores", "rescale_relevances",
+    "partial_rank_score", "prefix_block_scores",
     "RankingProblem", "listnet_train", "predict_relevances",
     # regression
     "interval_block_scores", "interval_predict",

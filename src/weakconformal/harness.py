@@ -21,7 +21,8 @@ Methods:
 
 A row's seconds are its method's calibration plus its coverage and size
 statistics. Model fitting and the level-set counting are shared across
-methods and left out.
+methods and left out. Fits take gradient steps alone: no trial reads a
+loss trace, so none is computed.
 
 Every trial scores whole blocks of records: the generators hold each weak
 label kind as an array block (synth), and one block-score function per task
@@ -80,8 +81,8 @@ from .mbest import enumerate_until
 from .ranking import (
     PsiSpec,
     RankingProblem,
+    _fit_listnet,
     levelset_counts_batch,
-    listnet_train,
     predict_relevances,
     prefix_block_scores,
 )
@@ -144,6 +145,19 @@ class ExperimentConfig:
         if bad:
             raise ValueError(f"methods {bad} not available for task {self.task!r}")
         self.psi()  # a bad psi_c is rejected here, before any trial runs
+        # every task's generator settings, also those its generator does not read
+        in_range = {
+            "sigma": 0 <= self.sigma < math.inf,
+            "noise": 0 <= self.noise < math.inf,
+            "mu": 0 < self.mu < math.inf,
+            "min_half_width": self.min_half_width is None or math.isfinite(self.min_half_width),
+        }
+        bad = [name for name, ok in in_range.items() if not ok]
+        if bad:
+            raise ValueError(
+                f"{', '.join(bad)} out of range: sigma and noise must be finite and >= 0, "
+                "mu finite and > 0, min_half_width finite"
+            )
         _, ca, te = synth.three_way_split(self.n, self.split)
         if ca.start == ca.stop or te.start == te.stop:
             raise ValueError(
@@ -261,7 +275,7 @@ def _classify_task(cfg: ExperimentConfig, seed: int):
     y_ca, y_te, mask_ca, mask_te = data.y[ca], data.y[te], data.member[ca], data.member[te]
     cal, test = {}, {}
     if any(m in cfg.methods for m in ("wsc", "fsc", "pessimistic")):
-        w_model, _ = synth.train_multinomial_logistic(data.x[tr], data.y[tr], k)
+        w_model = synth._fit_multinomial_logistic(data.x[tr], data.y[tr], k)
 
         def scored(block: slice) -> np.ndarray:
             probs = synth.predict_class_probs(w_model, data.x[block])
@@ -272,7 +286,7 @@ def _classify_task(cfg: ExperimentConfig, seed: int):
         shared = _label_set_block(scored(te), y_te, mask_te)
         test.update(wsc=shared, fsc=shared, pessimistic=shared)
     if "gws" in cfg.methods:
-        w_marg, _ = synth.train_per_label_logistic(data.x[tr], data.member[tr].astype(float))
+        w_marg = synth._fit_per_label_logistic(data.x[tr], data.member[tr].astype(float))
 
         def nested(block: slice, role: int) -> np.ndarray:
             q = synth.predict_label_marginals(w_marg, data.x[block])
@@ -292,7 +306,7 @@ def _rank_task(cfg: ExperimentConfig, seed: int):
     )
     tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
     psi = cfg.psi()
-    weights, _ = listnet_train(data.x[tr], data.order[tr])
+    weights = _fit_listnet(data.x[tr], data.order[tr])
 
     def scored(block: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rel = predict_relevances(weights, data.x[block])
@@ -449,16 +463,6 @@ def _trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
 def _write_outputs(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     assert cfg.out is not None
     path = cfg.out
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="utf-8") as fh:
-        if fresh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in results:
-            fh.write(row.csv_row() + "\n")
-    stem = path[: -len(".csv")] if path.endswith(".csv") else path
-    with open(stem + ".jsonl", "a", encoding="utf-8") as fh:
-        for row in results:
-            fh.write(json.dumps(dataclasses.asdict(row)) + "\n")
     meta = {
         "config": dataclasses.asdict(cfg),
         "columns": CSV_COLUMNS,
@@ -477,9 +481,20 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
             "seconds column excluded from determinism guarantees",
         ],
     }
+    # strict JSON, serialised before any file is touched
+    meta_text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    with open(path, "a", encoding="utf-8") as fh:
+        if fresh:
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+        for row in results:
+            fh.write(row.csv_row() + "\n")
+    stem = path[: -len(".csv")] if path.endswith(".csv") else path
+    with open(stem + ".jsonl", "a", encoding="utf-8") as fh:
+        for row in results:
+            fh.write(json.dumps(dataclasses.asdict(row)) + "\n")
     with open(stem + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(meta_text)
 
 
 def run(cfg: ExperimentConfig) -> list[TrialResult]:

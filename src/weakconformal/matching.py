@@ -30,8 +30,6 @@ __all__ = [
     "partial_matching_score",
     "matching_block_scores",
     "min_matching_cost",
-    "translated_score",
-    "pad_costs",
     "read_cost_csv",
     "MatchingCell",
     "MatchingProblem",
@@ -188,17 +186,6 @@ def min_matching_cost(costs) -> float:
     return result[1]
 
 
-def translated_score(costs, y: Sequence[int], base: float | None = None) -> float:
-    """matching_score shifted so every minimizer scores exactly 0.
-
-    Pass base=min_matching_cost(costs) when scoring many candidates on the
-    same matrix to avoid re-solving.
-    """
-    if base is None:
-        base = min_matching_cost(costs)
-    return matching_score(costs, y) - base
-
-
 def partial_matching_score(costs, w: PartialMatching) -> float:
     """min over assignments extending the observed pairs of the raw score."""
     arr = _as_cost_matrix(costs)
@@ -268,18 +255,6 @@ def matching_block_scores(
             totals = np.partition(totals, keep - 1, axis=1)[:, :keep]
         smallest[rows] = totals
     return strong, weak, smallest
-
-
-def pad_costs(costs, dummy_cost: float = 0.0) -> np.ndarray:
-    """Square a rectangular cost matrix by adding virtual rows/columns."""
-    arr = np.asarray(costs, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("cost matrix must be 2-dimensional")
-    r, c = arr.shape
-    k = max(r, c)
-    out = np.full((k, k), float(dummy_cost))
-    out[:r, :c] = arr
-    return out
 
 
 def read_cost_csv(path: str) -> np.ndarray:

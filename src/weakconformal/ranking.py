@@ -39,7 +39,6 @@ __all__ = [
     "partial_rank_score",
     "prefix_block_scores",
     "best_ranking",
-    "rescale_relevances",
     "RankingCell",
     "RankingProblem",
     "levelset_counts_batch",
@@ -218,17 +217,6 @@ def prefix_block_scores(
     _worst_scores(_pair_terms(r, psi), r)
     weak = rank_scores_batch(r, _complete_prefixes(r, order, lengths), psi)
     return strong, np.minimum(weak, strong)
-
-
-def rescale_relevances(raw) -> np.ndarray:
-    """Affinely map relevances onto [0, 1] (min to 0, max to 1)."""
-    r = np.asarray(raw, dtype=float).ravel()
-    if not np.all(np.isfinite(r)):
-        raise ValueError("relevances must be finite")
-    span = r.max() - r.min()
-    if span <= 0:
-        raise ValueError("constant relevance vector cannot be rescaled")
-    return (r - r.min()) / span
 
 
 # --- partition backend ------------------------------------------------------
@@ -462,7 +450,11 @@ def levelset_counts_batch(
 
 # --- trainers ------------------------------------------------------------------
 #
-# _softmax and _descend also serve the label trainers in synth.
+# _softmax, _training_rows and _descend also serve the label trainers in
+# synth. Each trainer is a private fit that takes gradient steps alone, and a
+# public function that also returns the loss trace. Each loss has one
+# gradient function, which its public loss-and-gradient function and its
+# gradient steps share.
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -480,18 +472,25 @@ def _training_rows(x) -> np.ndarray:
 
 
 def _descend(
-    loss_grad, weights: np.ndarray, epochs: int, lr: float
-) -> tuple[np.ndarray, list[float]]:
-    """Full-batch gradient descent: epochs steps of weights -= lr * gradient,
-    where loss_grad(weights) returns (loss, gradient). Returns the final
-    weights and the loss trace, initial loss first (epochs + 1 entries)."""
-    losses = []
+    grad, loss_grad, weights: np.ndarray, epochs: int, lr: float, trace: list[float] | None
+) -> np.ndarray:
+    """Full-batch gradient descent: epochs steps of weights -= lr * gradient.
+
+    Without a trace list, grad(weights) gives each gradient. With one,
+    loss_grad(weights) gives (loss, the same gradient), and the loss at each
+    iterate, initial first and final last (epochs + 1 entries), is appended
+    to trace. Returns the final weights.
+    """
+    if trace is None:
+        for _ in range(epochs):
+            weights = weights - lr * grad(weights)
+        return weights
     for _ in range(epochs):
-        loss, grad = loss_grad(weights)
-        losses.append(loss)
-        weights = weights - lr * grad
-    losses.append(loss_grad(weights)[0])
-    return weights, losses
+        loss, step = loss_grad(weights)
+        trace.append(loss)
+        weights = weights - lr * step
+    trace.append(loss_grad(weights)[0])
+    return weights
 
 
 def relevance_targets(rankings: Sequence[Sequence[int]], k: int) -> np.ndarray:
@@ -526,8 +525,31 @@ def listnet_loss_grad(
     total = e.sum(axis=1, keepdims=True)
     logp = shifted - np.log(total)
     loss = float(-(target_p * logp).sum() / n)
-    grad = (e / total - target_p).T @ x / n
-    return loss, grad
+    return loss, _listnet_grad(e / total, x, target_p)
+
+
+def _listnet_grad(p: np.ndarray, x: np.ndarray, target_p: np.ndarray) -> np.ndarray:
+    """listnet_loss_grad's gradient, from the top-1 probabilities
+    p = _softmax(x @ weights.T)."""
+    return (p - target_p).T @ x / x.shape[0]
+
+
+def _fit_listnet(
+    x: np.ndarray,
+    rankings: Sequence[Sequence[int]],
+    epochs: int = 200,
+    lr: float = 0.1,
+    trace: list[float] | None = None,
+) -> np.ndarray:
+    """listnet_train's weights; the loss trace goes to trace when given."""
+    x = _training_rows(x)
+    if x.ndim != 2 or len(rankings) != x.shape[0]:
+        raise ValueError("x must be (n, d) with one ranking per row")
+    k = len(rankings[0])
+    target_p = _softmax(relevance_targets(rankings, k))
+    return _descend(lambda w: _listnet_grad(_softmax(x @ w.T), x, target_p),
+                    lambda w: listnet_loss_grad(w, x, target_p),
+                    np.zeros((k, x.shape[1])), epochs, lr, trace)
 
 
 def listnet_train(
@@ -543,13 +565,8 @@ def listnet_train(
     where the predicted top-1 distribution is uniform and the loss is
     exactly log(k).
     """
-    x = _training_rows(x)
-    if x.ndim != 2 or len(rankings) != x.shape[0]:
-        raise ValueError("x must be (n, d) with one ranking per row")
-    k = len(rankings[0])
-    target_p = _softmax(relevance_targets(rankings, k))
-    weights = np.zeros((k, x.shape[1]))
-    return _descend(lambda w: listnet_loss_grad(w, x, target_p), weights, epochs, lr)
+    trace: list[float] = []
+    return _fit_listnet(x, rankings, epochs, lr, trace), trace
 
 
 def predict_relevances(weights: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -245,23 +245,81 @@ def gen_ranking(cfg: RankingSimConfig) -> RankingData:
     return RankingData(x=x, order=order, lengths=lengths, oracle_scores=scores, theta=theta)
 
 
+# records gen_matching draws with rng.choice before it trusts _choice_picks
+_GUARD_ROWS = 16
+
+
 def gen_matching(n: int, k: int = 6, noise: float = 0.25, seed: int = 0) -> MatchingData:
     """Weak matching data: iid noise costs with the planted assignment's
     entries lowered by 1 (the unique minimizer at noise 0); the weak label
-    reveals min(k, 1 + Poisson(0.5)) of the planted pairs."""
+    reveals min(k, 1 + Poisson(0.5)) of the planted pairs.
+
+    Record i reveals the agents of rng.choice(k, size=m_i, replace=False),
+    drawn record by record from one stream. They are read off that stream
+    for all records at once (_choice_picks); the per-record choice loop
+    serves when a draw would be rejected, and it draws the first
+    _GUARD_ROWS records itself, so a numpy whose choice draws differently
+    falls back to it too.
+    """
     if n < 1 or k < 2 or not 0 <= noise < math.inf:
         raise ValueError("need n >= 1, k >= 2 and a finite noise >= 0")
     # one permutation per row, drawn in the order of n rng.permutation(k) calls
     planted = _rng(seed, _PARAMS).permuted(np.tile(np.arange(k), (n, 1)), axis=1)
-    costs = noise * _rng(seed, _NOISE).standard_normal((n, k, k))
-    costs[np.arange(n)[:, None], np.arange(k), planted] -= 1.0
     rng_c = _rng(seed, _COUNTS)
     lengths = np.minimum(1 + rng_c.poisson(0.5, size=n), k)
+    picked = _choice_picks(rng_c, lengths, k)  # before the costs, so its scratch adds no peak memory
+    costs = noise * _rng(seed, _NOISE).standard_normal((n, k, k))
+    costs[np.arange(n)[:, None], np.arange(k), planted] -= 1.0
     revealed = np.full((n, k), -1, dtype=planted.dtype)
     for i, m in enumerate(lengths.tolist()):
+        if i == _GUARD_ROWS and picked is not None and np.array_equal(revealed[:i] >= 0, picked[:i]):
+            rest = picked[i:]
+            revealed[i:][rest] = planted[i:][rest]
+            break
         agents = rng_c.choice(k, size=m, replace=False)
         revealed[i, agents] = planted[i, agents]
     return MatchingData(costs=costs, planted=planted, revealed=revealed)
+
+
+def _choice_picks(rng: np.random.Generator, lengths: np.ndarray, k: int) -> np.ndarray | None:
+    """The agents that rng.choice(k, size=m, replace=False) picks for each m
+    in lengths, called in order, as an (n, k) mask; None when a draw would
+    be rejected. rng is left as it was.
+
+    Generator.choice runs Floyd's algorithm, one draw on [0, j] for
+    j = k - m ... k - 1 (none at j = 0), keeping j when the draw is already
+    picked; a Fisher-Yates shuffle of the picks follows, one draw on [0, i]
+    for i = m - 1 ... 1. Each draw is Lemire's: the high half of w * (j + 1)
+    for the next 32-bit word w, rejected when the low half is below
+    (2^32 - j - 1) mod (j + 1). PCG64 gives the low then the high half of
+    each 64-bit output, after a half left in its buffer.
+    """
+    m = lengths.astype(np.int64)
+    floyd = m - (m == k)
+    used = floyd + m - 1
+    start = np.cumsum(used) - used
+    bits = rng.bit_generator
+    state = bits.state
+    buffered = int(state.get("has_uint32", 0))
+    raw = bits.random_raw((int(used.sum()) - buffered + 1) // 2)
+    bits.state = state
+    words = np.empty(buffered + 2 * raw.size, dtype=np.int64)
+    words[:buffered] = state.get("uinteger", 0)
+    words[buffered:] = raw.astype("<u8", copy=False).view("<u4")  # low half first
+    picked = np.zeros((len(m), k), dtype=bool)
+    picked[m == k] = True  # every agent, whatever was drawn
+    for t in range(int(used.max())):  # word t of each record: Floyd's draws, then the shuffle's
+        rows = np.flatnonzero(used > t)
+        mr, fr = m[rows], floyd[rows]
+        bound = np.where(t < fr, k - fr + 1 + t, mr - t + fr)  # j + 1
+        product = words[start[rows] + t] * bound
+        if np.any(product & 0xFFFFFFFF < (2**32 - bound) % bound):
+            return None
+        step = (t < fr) & (mr < k)
+        rows, drawn = rows[step], product[step] >> 32
+        j = k - mr[step] + t
+        picked[rows, np.where(picked[rows, drawn], j, drawn)] = True
+    return picked
 
 
 def gen_regression(
@@ -331,8 +389,25 @@ def logistic_loss_grad(
     n = xb.shape[0]
     z = xb @ weights.T
     loss = float((np.logaddexp(0.0, z) - targets * z).sum() / n)
-    grad = (_sigmoid(z) - targets).T @ xb / n
-    return loss, grad
+    return loss, _logistic_grad(z, xb, targets)
+
+
+def _logistic_grad(z: np.ndarray, xb: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """logistic_loss_grad's gradient, from the logits z = xb @ weights.T."""
+    return (_sigmoid(z) - targets).T @ xb / xb.shape[0]
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _multinomial_grad(logp: np.ndarray, xb: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """multinomial_loss_grad's gradient, from the log-probabilities
+    logp = _log_softmax(xb @ weights.T)."""
+    p = np.exp(logp)
+    p[np.arange(len(y)), y] -= 1.0
+    return p.T @ xb / xb.shape[0]
 
 
 def multinomial_loss_grad(
@@ -340,15 +415,24 @@ def multinomial_loss_grad(
 ) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy (mean over records) with (k, p) weights."""
     n = xb.shape[0]
-    z = xb @ weights.T
-    z = z - z.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - logz
+    logp = _log_softmax(xb @ weights.T)
     loss = float(-logp[np.arange(n), y].sum() / n)
-    p = np.exp(logp)
-    p[np.arange(n), y] -= 1.0
-    grad = p.T @ xb / n
-    return loss, grad
+    return loss, _multinomial_grad(logp, xb, y)
+
+
+def _fit_per_label_logistic(
+    x: np.ndarray,
+    indicators: np.ndarray,
+    epochs: int = 200,
+    lr: float = 0.5,
+    trace: list[float] | None = None,
+) -> np.ndarray:
+    """train_per_label_logistic's weights; the loss trace goes to trace when given."""
+    xb = _with_bias(_training_rows(x))
+    targets = np.asarray(indicators, dtype=float)
+    return _descend(lambda w: _logistic_grad(xb @ w.T, xb, targets),
+                    lambda w: logistic_loss_grad(w, xb, targets),
+                    np.zeros((targets.shape[1], xb.shape[1])), epochs, lr, trace)
 
 
 def train_per_label_logistic(
@@ -362,10 +446,26 @@ def train_per_label_logistic(
     indicators is the (n, k) 0/1 weak-membership matrix. Returns (k, d+1)
     weights (bias last) and the loss trace.
     """
+    trace: list[float] = []
+    return _fit_per_label_logistic(x, indicators, epochs, lr, trace), trace
+
+
+def _fit_multinomial_logistic(
+    x: np.ndarray,
+    y: np.ndarray,
+    k: int,
+    epochs: int = 200,
+    lr: float = 0.5,
+    trace: list[float] | None = None,
+) -> np.ndarray:
+    """train_multinomial_logistic's weights; the loss trace goes to trace when given."""
     xb = _with_bias(_training_rows(x))
-    targets = np.asarray(indicators, dtype=float)
-    weights = np.zeros((targets.shape[1], xb.shape[1]))
-    return _descend(lambda w: logistic_loss_grad(w, xb, targets), weights, epochs, lr)
+    y = np.asarray(y, dtype=int)
+    if y.min() < 0 or y.max() >= k:
+        raise ValueError("labels out of range")
+    return _descend(lambda w: _multinomial_grad(_log_softmax(xb @ w.T), xb, y),
+                    lambda w: multinomial_loss_grad(w, xb, y),
+                    np.zeros((k, xb.shape[1])), epochs, lr, trace)
 
 
 def train_multinomial_logistic(
@@ -375,13 +475,10 @@ def train_multinomial_logistic(
     epochs: int = 200,
     lr: float = 0.5,
 ) -> tuple[np.ndarray, list[float]]:
-    """Fit P(Y = y | x) by softmax regression; (k, d+1) weights, bias last."""
-    xb = _with_bias(_training_rows(x))
-    y = np.asarray(y, dtype=int)
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError("labels out of range")
-    weights = np.zeros((k, xb.shape[1]))
-    return _descend(lambda w: multinomial_loss_grad(w, xb, y), weights, epochs, lr)
+    """Fit P(Y = y | x) by softmax regression; (k, d+1) weights, bias last,
+    and the loss trace."""
+    trace: list[float] = []
+    return _fit_multinomial_logistic(x, y, k, epochs, lr, trace), trace
 
 
 def predict_label_marginals(weights: np.ndarray, x: np.ndarray) -> np.ndarray:

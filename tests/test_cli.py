@@ -338,6 +338,26 @@ def test_run_settings_without_a_result_are_one_named_error(capsys, argv, named):
     assert named in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # settings the task's generator does not read, which went unchecked into the sidecar
+        ["--task", "match", "--k", "3", "--sigma", "nan"],
+        ["--task", "classify", "--noise", "inf"],
+        ["--task", "rank", "--mu", "nan"],
+        ["--task", "match", "--min-half-width", "inf"],
+    ],
+)
+def test_run_rejects_any_task_setting_out_of_range_and_writes_nothing(tmp_path, capsys, argv):
+    out_csv = tmp_path / "m.csv"
+    code, out, err = _run(capsys, "run", "--n", "20", "--trials", "1", *argv, "--out", str(out_csv))
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert argv[-2].lstrip("-").replace("-", "_") in json.loads(lines[0])["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_config_file_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"task": "regress", "n": 150, "alpha": 0.25}))

@@ -15,10 +15,8 @@ from weakconformal import (
     m_best,
     matching_score,
     min_matching_cost,
-    pad_costs,
     partial_matching_score,
     read_cost_csv,
-    translated_score,
 )
 
 
@@ -128,8 +126,6 @@ def test_matching_score_and_translation():
     assert matching_score(costs, (0, 1)) == pytest.approx(1.5)
     assert matching_score(costs, (1, 0)) == pytest.approx(5.0)
     assert min_matching_cost(costs) == pytest.approx(1.5)
-    assert translated_score(costs, (0, 1)) == pytest.approx(0.0)
-    assert translated_score(costs, (1, 0)) == pytest.approx(3.5)
     with pytest.raises(ValueError):
         matching_score(costs, (0, 0))
 
@@ -178,15 +174,6 @@ def test_partition_cells_cover_space_without_overlap():
     res = m_best(problem, 24)
     assert len(res.configs) == 24
     assert len(set(res.configs)) == 24
-
-
-def test_pad_costs_squares_either_orientation():
-    padded = pad_costs(np.ones((2, 3)))
-    assert padded.shape == (3, 3)
-    np.testing.assert_allclose(padded[2], 0.0)
-    padded = pad_costs(np.ones((3, 2)), dummy_cost=5.0)
-    assert padded.shape == (3, 3)
-    np.testing.assert_allclose(padded[:, 2], 5.0)
 
 
 def test_read_cost_csv(tmp_path):

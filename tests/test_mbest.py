@@ -196,12 +196,12 @@ def _tied_problems(rng, n):
         yield RankingProblem(rng.integers(0, 3, size=4).astype(float), PsiSpec.hinge())
 
 
-def _doubling_length(count: int, cap: int, space: int) -> int:
+def _held_length(count: int, cap: int, space: int) -> int:
     # configurations held after emitting one at a time up to index count
     return min(count + 1, cap, space)
 
 
-def test_extend_until_follows_m_best_and_the_doubling_schedule():
+def test_extend_until_follows_m_best_one_configuration_at_a_time():
     rng = np.random.default_rng(31)
     for problem in _tied_problems(rng, 15):
         full = m_best(problem, 24)
@@ -211,7 +211,7 @@ def test_extend_until_follows_m_best_and_the_doubling_schedule():
                 state = Enumerator(problem)
                 found = state.extend_until(lambda config, score: score > t, cap)
                 assert found == (n_le if n_le < min(cap, 24) else None)
-                held = _doubling_length(n_le, cap, 24)
+                held = _held_length(n_le, cap, 24)
                 assert state.configs == full.configs[:held]
                 assert state.scores == full.scores[:held]
                 assert state.exhausted == (held == 24)
@@ -230,7 +230,7 @@ def test_extend_until_stops_on_the_configuration():
         state = Enumerator(problem)
         found = state.extend_until(lambda config, score: config == full.configs[target], 24)
         assert found == target
-        assert len(state.configs) == _doubling_length(target, 24, 24)
+        assert len(state.configs) == _held_length(target, 24, 24)
 
 
 def test_enumeration_exhausted_exactly_at_the_cap():

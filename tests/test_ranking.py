@@ -17,7 +17,6 @@ from weakconformal import (
     predict_relevances,
     rank_score,
     rank_scores_batch,
-    rescale_relevances,
 )
 from weakconformal.harness import _levelset_counts
 from weakconformal.labels import _as_permutation
@@ -162,14 +161,6 @@ def test_engine_full_space_both_psis():
         exact = sorted(rank_score(r, p, psi) for p in permutations(range(4)))
         np.testing.assert_allclose(res.scores, exact, atol=1e-9)
         assert len(set(res.configs)) == 24
-
-
-def test_rescale_relevances():
-    out = rescale_relevances([2.0, 4.0, 8.0])
-    assert out.min() == 0.0
-    assert out.max() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        rescale_relevances([3.0, 3.0])
 
 
 # --- block prefix completion -------------------------------------------------------

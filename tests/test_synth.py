@@ -4,7 +4,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from weakconformal import synth
 from weakconformal.cli import main
 from weakconformal.labels import (
     ExplicitSet,
@@ -31,6 +33,7 @@ from weakconformal.synth import (
     multinomial_loss_grad,
     predict_class_probs,
     predict_label_marginals,
+    _choice_picks,
     _rng,
     _sigmoid,
     three_way_split,
@@ -293,6 +296,82 @@ def test_gen_matching_blocks_equal_the_per_record_generator(n, k, noise, seed):
     assert list(data.y) == y and list(data.weak) == weak
     pinned = data.revealed >= 0
     assert np.array_equal(data.revealed[pinned], data.planted[pinned])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 120), k=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_gen_matching_reveals_what_the_choice_loop_reveals(n, k, seed):
+    _, _, weak = _gen_matching_reference(n, k, 0.5, seed)
+    assert list(gen_matching(n, k, 0.5, seed).weak) == weak
+
+
+def _loop_picks(rng, lengths, k):
+    picked = np.zeros((len(lengths), k), dtype=bool)
+    for i, m in enumerate(lengths.tolist()):
+        picked[i, rng.choice(k, size=m, replace=False)] = True
+    return picked
+
+
+def _buffered_counts_rng(seed, role):
+    """The generator of a role, with a zero 32-bit word waiting in its buffer
+    for the counts stream."""
+    rng = _rng(seed, role)
+    if role == 4:
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        rng.bit_generator.state = state
+    return rng
+
+
+def test_gen_matching_falls_back_to_the_loop_on_a_rejected_draw(monkeypatch):
+    # the zero word is the first one drawn (the Poisson draws leave the
+    # buffer alone); on [0, 5], for k = 6 and m = 1, Lemire's method rejects
+    # it, as its product's low half 0 is below (2^32 - 6) mod 6 = 4
+    n, k, seed = 60, 6, 1
+    rng = _buffered_counts_rng(seed, 4)
+    lengths = np.minimum(1 + rng.poisson(0.5, size=n), k)
+    assert lengths[0] == 1
+    assert _choice_picks(rng, lengths, k) is None
+    picked = _loop_picks(rng, lengths, k)
+    monkeypatch.setattr(synth, "_rng", _buffered_counts_rng)
+    data = gen_matching(n, k, 0.5, seed)
+    assert np.array_equal(data.revealed >= 0, picked)
+    assert np.array_equal(data.revealed[picked], data.planted[picked])
+
+
+class _CountedChoice:
+    """A generator whose choice calls are counted."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def choice(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.choice(*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gen_matching_reads_the_picks_off_the_stream(monkeypatch, seed):
+    """On the installed numpy, choice draws only the guard records: a numpy
+    whose choice draws differently fails here, not only runs slower."""
+    counted = []
+
+    def rng(s, role):
+        made = _rng(s, role)
+        if role == 4:
+            counted.append(_CountedChoice(made))
+            return counted[-1]
+        return made
+
+    monkeypatch.setattr(synth, "_rng", rng)
+    data = gen_matching(4000, 6, 1.0, seed)
+    assert counted[0].calls == synth._GUARD_ROWS
+    counts = _rng(seed, 4)
+    lengths = np.minimum(1 + counts.poisson(0.5, size=4000), 6)
+    assert np.array_equal(data.revealed >= 0, _loop_picks(counts, lengths, 6))
 
 
 # --- trainers -------------------------------------------------------------------
