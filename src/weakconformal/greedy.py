@@ -26,22 +26,29 @@ families where greedy is provably size-optimal (``check_structure``), and a
 knapsack allocation of per-x coverage levels under a marginal coverage
 budget (``marginal_allocation``).
 
-All but the allocation runs on arrays. A distribution caches its (atoms, k)
-bit matrix (from uint64 masks, so k = 64 fits) and its greedy run, whose
-table of coverage increments after each prefix serves ``greedy_set`` and
-``wolsey_constant`` at every level; column sums add atoms in row order, as a
-loop over the atoms would. ``size_profile`` takes each subset's coverage as
-total - g(complement), g the subset-sum (zeta) transform: O(k 2^k) time,
-O(2^k) memory. ``wolsey_constant`` takes Wolsey's terms on the coverage
+The tools run on arrays. A distribution keeps read-only arrays of its masks
+(uint64, so k = 64 fits) and probabilities, and caches its (atoms, k) bit
+matrix and its greedy run, whose table of coverage increments after each
+prefix serves ``greedy_set`` and ``wolsey_constant`` at every level; column
+sums add atoms in row order, as a loop over the atoms would.
+``size_profile`` takes each subset's coverage as total - g(complement), g the
+subset-sum (zeta) transform: O(k 2^k) time, O(2^k) memory. Its first six
+passes run on the array transposed, so that they add long rows, and one
+cached order of all 2^k masks by size (int32, one per k) replaces a scan per
+size. ``marginal_allocation`` stacks the curves by length, takes each hull
+with the loop ``size_profile`` uses, and groups the hull segments of all
+curves by exact efficiency at once; every sum keeps the order of a loop over
+the segments. ``wolsey_constant`` takes Wolsey's terms on the coverage
 truncated at eta, min(cov(S), eta), as his theorem states them (1982).
 """
 from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,8 +103,10 @@ class DiscreteWeakDistribution:
     """Distribution of a nonempty random subset of {0, ..., k-1}.
 
     Atoms are stored as bitmasks (k <= 64) with their probabilities; masks
-    must be distinct and nonzero, probabilities nonnegative and summing to 1
-    within 1e-9.
+    must be distinct and nonzero, probabilities finite, nonnegative and
+    summing to 1 within 1e-9. Besides the two tuples, a distribution keeps
+    one read-only array of each, the masks as uint64 (so label 63 fits),
+    which every array path reads.
     """
 
     k: int
@@ -112,20 +121,32 @@ class DiscreteWeakDistribution:
         probs = tuple(map(float, self.probs))
         if len(masks) != len(probs) or not masks:
             raise ValueError("need matching, nonempty masks and probs")
-        if min(masks) < 1 or max(masks) > (1 << k) - 1:  # m != 0 and m & ~full == 0
+        try:
+            m = np.array(masks, dtype=np.uint64)
+        except OverflowError:  # below 0 or wider than 64 bits
+            m = None
+        if m is None or m.min() < 1 or m.max() > np.uint64((1 << k) - 1):
             raise ValueError("atoms must be nonempty subsets of the label space")
-        if len(set(masks)) != len(masks):
+        sorted_masks = np.sort(m)
+        if np.any(sorted_masks[1:] == sorted_masks[:-1]):
             raise ValueError("atom masks must be distinct")
         p = np.array(probs)
+        bad = np.flatnonzero(~np.isfinite(p))
+        if bad.size:
+            raise ValueError(f"atom {bad[0]} has a non-finite probability {p[bad[0]]}")
         if np.any(p < -TOL):
             raise ValueError("atom probabilities must be nonnegative")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError(f"atom probabilities sum to {sum(probs)}, not 1")
         if np.any(p < 0.0):
-            probs = tuple(max(v, 0.0) for v in probs)
+            p = np.where(p < 0.0, 0.0, p)
+            probs = tuple(p.tolist())
+        m.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_mask_array", m)
+        object.__setattr__(self, "_prob_array", p)
 
     @classmethod
     def from_sets(
@@ -155,8 +176,8 @@ class DiscreteWeakDistribution:
     @cached_property
     def _bits(self) -> np.ndarray:
         """(atoms, k) bool matrix; row i holds the labels of atom i."""
-        masks = np.array(self.masks, dtype=np.uint64)  # unsigned: label 63 fits
-        return ((masks[:, None] >> np.arange(self.k, dtype=np.uint64)) & np.uint64(1)) == 1
+        shifts = np.arange(self.k, dtype=np.uint64)
+        return ((self._mask_array[:, None] >> shifts) & np.uint64(1)) == 1
 
     @cached_property
     def _greedy(self) -> tuple["GreedySequence", np.ndarray]:
@@ -236,7 +257,7 @@ def _greedy_run(dist: DiscreteWeakDistribution) -> tuple[GreedySequence, np.ndar
     delta(C_j, y) = P(W disjoint from the first j picks, y in W) for every y."""
     k = dist.k
     bits = dist._bits
-    weighted = bits * np.asarray(dist.probs)[:, None]
+    weighted = bits * dist._prob_array[:, None]
     deltas = np.zeros((k + 1, k))
     free = np.ones(k, dtype=bool)
     picked: list[int] = []
@@ -427,41 +448,82 @@ def _upper_hull(covs: Sequence[float]) -> list[int]:
     return hull
 
 
+_LOW_BITS = 6  # labels whose zeta passes run on the transposed array
+
+
+@lru_cache(maxsize=None)
+def _size_groups(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^k masks in one stable order by size, and the offsets of each
+    size's group: the masks of size s, ascending, are
+    order[offsets[s]:offsets[s + 1]]. Read-only, since every caller shares
+    them; int32, at most 4 MB at k = 20.
+
+    The order lives in its own anonymous mmap, off the malloc heap: made
+    between two size_profile calls, a heap block that is never freed kept
+    the 2^k-float temporaries freed below it resident, about 2 MB more
+    peak RSS at k = 18."""
+    sizes = np.bitwise_count(np.arange(1 << k, dtype=np.int32))
+    order = np.frombuffer(mmap.mmap(-1, 4 << k), dtype=np.int32)
+    order[:] = np.argsort(sizes, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(sizes, minlength=k + 1))))
+    order.flags.writeable = offsets.flags.writeable = False
+    return order, offsets
+
+
+def _subset_sums(dist: DiscreteWeakDistribution) -> np.ndarray:
+    """g[T] = sum of p_m over the atoms m inside T, for every mask T: the
+    zeta transform, one pass per label, g[T] += g[T minus y] for every T
+    holding y. The first passes run with the low label bits in the row
+    index, so each pass adds long contiguous rows, then the array is put
+    back in mask order for the rest; every pass adds the same terms in the
+    same order either way."""
+    k = dist.k
+    low = min(k, _LOW_BITS)
+    cols = 1 << (k - low)
+    m = dist._mask_array
+    t = np.zeros(1 << k)
+    t[(m & np.uint64((1 << low) - 1)) * np.uint64(cols) + (m >> np.uint64(low))] = dist._prob_array
+    for y in range(low):
+        half = t.reshape(-1, 2, cols << y)
+        half[:, 1] += half[:, 0]
+    g = t.reshape(1 << low, cols).T.ravel()
+    for y in range(low, k):
+        half = g.reshape(-1, 2, 1 << y)
+        half[:, 1] += half[:, 0]
+    return g
+
+
 def size_profile(dist: DiscreteWeakDistribution) -> SizeProfile:
     """Exhaustive frontier over all 2^k subsets (k <= 20) in O(k 2^k).
 
-    cov(S) = total - g(complement of S), where g(T) = sum of p_m over the
-    atoms m inside T is the subset-sum (zeta) transform, built in place one
-    label at a time.
+    cov(S) = total - g(complement of S), g the subset-sum (zeta) transform.
+    The complements of the size-s masks, ascending, are the size-(k - s)
+    masks, descending, so one gather of g in the cached size order serves
+    every size.
     """
     k = dist.k
     if k > _ENUM_CAP:
         raise ValueError(f"exhaustive enumeration capped at k={_ENUM_CAP}")
-    g = np.zeros(1 << k)
-    g[np.array(dist.masks, dtype=np.int64)] = dist.probs
-    for y in range(k):  # g[T] += g[T minus y] for every T holding y
-        half = g.reshape(-1, 2, 1 << y)
-        half[:, 1] += half[:, 0]
-    cov = math.fsum(dist.probs) - g[::-1]  # mask 2^k - 1 - S is the complement of S
-    cov[0] = 0.0  # the empty set covers nothing, without rounding residue
-    sizes = np.bitwise_count(np.arange(1 << k))
-    best_covs = np.zeros(k + 1)
+    order, offsets = _size_groups(k)
+    by_size = _subset_sums(dist)[order]
+    total = math.fsum(dist.probs)
+    best_covs = np.zeros(k + 1)  # the empty set covers nothing
     best_masks = np.zeros(k + 1, dtype=np.int64)
-    for s in range(k + 1):
-        idx = np.flatnonzero(sizes == s)
-        top = idx[np.argmax(cov[idx])]  # argmax keeps the first (smallest mask)
-        best_covs[s] = cov[top]
-        best_masks[s] = top
+    for s in range(1, k + 1):
+        cov = total - by_size[offsets[k - s]:offsets[k - s + 1]][::-1]
+        i = int(np.argmax(cov))  # argmax keeps the first (smallest mask)
+        best_covs[s] = cov[i]
+        best_masks[s] = order[offsets[s] + i]
     # enforce monotonicity against float drift, then take the concave majorant
     best_covs = np.maximum.accumulate(best_covs)
     best_covs[k] = 1.0
     hull = _upper_hull(best_covs.tolist())
     return SizeProfile(
         k=k,
-        best_covs=tuple(float(c) for c in best_covs),
-        best_masks=tuple(int(v) for v in best_masks),
+        best_covs=tuple(best_covs.tolist()),
+        best_masks=tuple(best_masks.tolist()),
         hull_sizes=tuple(hull),
-        hull_covs=tuple(float(best_covs[s]) for s in hull),
+        hull_covs=tuple(best_covs[hull].tolist()),
     )
 
 
@@ -527,7 +589,7 @@ def _is_tree(dist: DiscreteWeakDistribution) -> bool:
 
 
 def _is_label_independent(dist: DiscreteWeakDistribution, tol: float) -> bool:
-    bits, probs = dist._bits, np.asarray(dist.probs)
+    bits, probs = dist._bits, dist._prob_array
     marg = np.clip((bits * probs[:, None]).sum(axis=0), 0.0, 1.0)  # row-order sums
     # Point mass on one singleton is product form with q = indicator.
     if len(dist.masks) == 1 and bin(dist.masks[0]).count("1") == 1:
@@ -553,7 +615,7 @@ def _is_label_independent(dist: DiscreteWeakDistribution, tol: float) -> bool:
     # Compare implied conditional atom probabilities. Matching the whole
     # support plus total mass 1 pins the off-support mass to ~0, so no
     # full subset enumeration is needed.
-    implied = _product_law(np.array(dist.masks, dtype=np.uint64), q)
+    implied = _product_law(dist._mask_array, q)
     return not np.any(np.abs(implied / z - probs) > tol)
 
 
@@ -586,6 +648,46 @@ class MarginalAllocation:
     hull_projected: tuple[bool, ...] = ()
 
 
+_CURVE_PROBLEMS = {
+    1: "is not a nonempty coverage sequence",
+    2: "holds a non-finite coverage",
+    3: "falls below 0",
+    4: "must be nondecreasing and end at 1",
+}
+
+
+def _stacked_curves(
+    curves: Sequence[Sequence[float]] | Sequence[GreedySequence],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The curves stacked by length: (curve indices, (m, length) block)
+    pairs. Raises ValueError for the first malformed curve."""
+    rows = [
+        np.asarray(c.cum_coverage if isinstance(c, GreedySequence) else c, dtype=float)
+        for c in curves
+    ]
+    problems = np.zeros(len(rows), dtype=np.int8)
+    by_length: dict[int, list[int]] = {}
+    for i, c in enumerate(rows):
+        if c.ndim != 1 or c.size == 0:
+            problems[i] = 1
+        else:
+            by_length.setdefault(c.size, []).append(i)
+    blocks = [(np.array(idx), np.array([rows[i] for i in idx])) for idx in by_length.values()]
+    for idx, c in blocks:
+        problems[idx] = np.select(
+            [
+                ~np.isfinite(c).all(axis=1),
+                (c < -TOL).any(axis=1),
+                (np.diff(c, axis=1) < -TOL).any(axis=1) | (np.abs(c[:, -1] - 1.0) > 1e-9),
+            ],
+            [2, 3, 4],
+        )
+    bad = np.flatnonzero(problems)
+    if bad.size:
+        raise ValueError(f"curve {bad[0]} {_CURVE_PROBLEMS[problems[bad[0]]]}")
+    return blocks
+
+
 def marginal_allocation(
     curves: Sequence[Sequence[float]] | Sequence[GreedySequence],
     weights: Sequence[float],
@@ -596,68 +698,96 @@ def marginal_allocation(
     Each curve is the cumulative-coverage sequence (c_1, ..., c_k) of a
     nested set family at x (sizes 1..k); weights are the probabilities of
     the x values. Coverage is bought where it is cheapest per unit of
-    expected size (fractional-knapsack on the concave hulls of the curves);
-    exactly tied efficiencies are filled proportionally, so identical curves
-    receive identical levels. Achieved marginal coverage equals 1 - alpha
-    exactly and the total expected size is LP-optimal.
+    expected size (fractional-knapsack on the concave hulls of the curves,
+    Dantzig 1957); exactly tied efficiencies are filled proportionally, so
+    identical curves receive identical levels. Achieved marginal coverage
+    equals 1 - alpha exactly and the total expected size is LP-optimal.
+
+    The curves are stacked by length, and the hull segments of all of them
+    are ordered by descending efficiency, ties in (curve, segment) order.
+    Every sum is sequential in that order, as in a loop over the segments:
+    a tie group's coverage w_x * dc, the spent budget, and each curve's
+    level and size.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or len(curves) != w.size or w.size == 0:
         raise ValueError("need one weight per curve")
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise ValueError(f"weight {bad[0]} is not finite")
     if np.any(w < -TOL) or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be probabilities summing to 1")
+    blocks = _stacked_curves(curves)
 
-    cum_list: list[np.ndarray] = []
-    for curve in curves:
-        if isinstance(curve, GreedySequence):
-            curve = curve.cum_coverage
-        c = np.asarray(curve, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("curves must be nonempty coverage sequences")
-        if np.any(np.diff(c) < -TOL) or abs(c[-1] - 1.0) > 1e-9:
-            raise ValueError("curves must be nondecreasing and end at 1")
-        cum_list.append(c)
+    # Hull segments, row per curve and column per size: the segment from
+    # hull vertex a to the next one, b, gains dc = c_b - c_a at size ds = b - a.
+    width = max(c.shape[1] for _, c in blocks)
+    dc = np.zeros((w.size, width))
+    ds = np.zeros((w.size, width))
+    projected = np.zeros(w.size, dtype=bool)
+    for idx, c in blocks:
+        pts = np.concatenate([np.zeros((idx.size, 1)), c], axis=1)  # sizes 0, 1, ..., k
+        hulls = [_upper_hull(row) for row in pts.tolist()]
+        n_vertices = np.array([len(h) for h in hulls])
+        vertex = np.zeros(pts.shape, dtype=bool)
+        vertex[np.repeat(np.arange(idx.size), n_vertices), np.concatenate(hulls)] = True
+        x = np.arange(pts.shape[1])
+        ends = vertex[:, 1:]  # column b - 1 holds the segment that ends at b
+        a = np.maximum.accumulate(np.where(vertex, x, 0), axis=1)[:, :-1]  # the vertex before
+        dc[idx, : c.shape[1]] = np.where(ends, pts[:, 1:] - np.take_along_axis(pts, a, axis=1), 0)
+        ds[idx, : c.shape[1]] = np.where(ends, x[1:] - a, 0)
+        projected[idx] = n_vertices < pts.shape[1]
 
-    # Hull-project each curve: concave majorant of (size, coverage) points.
-    segments: dict[float, list[tuple[int, float, float]]] = {}
-    projected: list[bool] = []
-    for xi, c in enumerate(cum_list):
-        pts_c = [0.0] + c.tolist()  # coverage at sizes 0, 1, ..., k
-        hull = _upper_hull(pts_c)
-        projected.append(len(hull) < len(pts_c))
-        for a, b in zip(hull[:-1], hull[1:]):
-            dc = pts_c[b] - pts_c[a]
-            if dc <= 0:
-                continue
-            segments.setdefault(dc / (b - a), []).append((xi, dc, float(b - a)))
+    # Segments in (curve, segment) order, grouped by exact efficiency, the
+    # highest first; a group's coverage adds its members in that order.
+    flat = np.flatnonzero(dc > 0)
+    seg_dc, seg_ds = dc.ravel()[flat], ds.ravel()[flat]
+    _, group = np.unique(-(seg_dc / seg_ds), return_inverse=True)
+    members = np.argsort(group, kind="stable")
+    counts = np.bincount(group)
+    starts = np.cumsum(counts) - counts
+    terms = (w[flat // width] * seg_dc)[members]
+    group_cov = terms[starts]
+    for j in range(1, counts.max(initial=1)):
+        longer = counts > j
+        group_cov[longer] += terms[starts[longer] + j]
 
+    # Fill whole groups while the budget lasts, then the partial one.
     budget = 1.0 - alpha
-    etas = np.zeros(w.size)
-    sizes = np.zeros(w.size)
-    spent = 0.0
-    for eff in sorted(segments, reverse=True):
-        group = segments[eff]
-        group_cov = sum(w[xi] * dc for xi, dc, _ in group)
-        if group_cov <= 0:
-            continue
-        take = min(1.0, (budget - spent) / group_cov)
-        if take > 0:
-            for xi, dc, ds in group:
-                etas[xi] += take * dc
-                sizes[xi] += take * ds
-            spent += take * group_cov
-        if spent >= budget - 1e-12:
-            break
+    kept = np.flatnonzero(group_cov > 0)
+    cov = group_cov[kept]
+    spent_before = np.concatenate(([0.0], np.cumsum(cov)))  # and after the last
+    met = spent_before >= budget - 1e-12
+    met[0] = False  # the first group is always bought from
+    short = np.append((budget - spent_before[:-1]) / cov < 1.0, True)
+    n_whole = int(np.argmax(met | short))
+    take = np.zeros(cov.size)
+    take[:n_whole] = 1.0
+    spent = spent_before[n_whole]
+    if not met[n_whole] and n_whole < cov.size:  # the rest buys part of one group
+        take[n_whole] = (budget - spent) / cov[n_whole]
+        spent += take[n_whole] * cov[n_whole]  # the budget, to rounding
     if spent < budget - 1e-9:  # pragma: no cover - curves end at 1
         raise AssertionError("allocation failed to meet the coverage budget")
 
-    etas = np.minimum(etas, 1.0)
+    # Each curve's level and size add its segments' shares in segment order.
+    share = np.zeros(counts.size)
+    share[kept] = take
+    seg_take = share[group]
+    gained = np.zeros(dc.size)
+    gained[flat] = seg_take * seg_dc
+    spent_size = np.zeros(ds.size)
+    spent_size[flat] = seg_take * seg_ds
+    # cumsum adds left to right (np.sum pairwise); np.dot may add a strided
+    # array in another order, so it gets a contiguous copy
+    etas = np.minimum(np.cumsum(gained.reshape(dc.shape), axis=1)[:, -1], 1.0)
+    sizes = np.cumsum(spent_size.reshape(ds.shape), axis=1)[:, -1].copy()
     return MarginalAllocation(
-        etas=tuple(float(v) for v in etas),
-        expected_sizes=tuple(float(v) for v in sizes),
+        etas=tuple(etas.tolist()),
+        expected_sizes=tuple(sizes.tolist()),
         total_expected_size=float(np.dot(w, sizes)),
         achieved_coverage=float(np.dot(w, etas)),
-        hull_projected=tuple(projected),
+        hull_projected=tuple(projected.tolist()),
     )

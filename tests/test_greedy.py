@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from weakconformal import (
     DiscreteWeakDistribution,
     GreedySequence,
+    MarginalAllocation,
+    SizeProfile,
     Structure,
     check_structure,
     greedy_sequence,
@@ -385,6 +387,58 @@ def test_marginal_allocation_validates():
         marginal_allocation([[0.5, 0.9]], [1.0], 0.1)  # does not reach 1
 
 
+def test_distribution_rejects_non_finite_probabilities():
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="atom 0 has a non-finite probability"):
+            DiscreteWeakDistribution(2, (1, 2), (p, 1.0))
+    with pytest.raises(ValueError, match="atom 1 has a non-finite probability"):
+        DiscreteWeakDistribution(2, (1, 2), (1.0, -math.inf))
+    text = '{"k": 2, "atoms": [{"set": [0], "p": 0.5}, {"set": [1], "p": NaN}]}'
+    with pytest.raises(ValueError, match="atom 1 has a non-finite probability nan"):
+        DiscreteWeakDistribution.from_json(text)
+
+
+def test_distribution_keeps_one_read_only_array_of_each_tuple():
+    dist = DiscreteWeakDistribution.from_sets(64, [((63,), 0.5), ((0, 5), 0.25), ((5,), 0.25)])
+    assert dist._mask_array.dtype == np.uint64 and dist._mask_array.tolist() == list(dist.masks)
+    assert dist._prob_array.tolist() == list(dist.probs)
+    assert not dist._mask_array.flags.writeable and not dist._prob_array.flags.writeable
+    clipped = DiscreteWeakDistribution(2, (1, 2), (1.0 + 5e-10, -5e-10))
+    assert clipped.probs == (1.0 + 5e-10, 0.0) and clipped._prob_array.tolist() == [1.0 + 5e-10, 0.0]
+
+
+@pytest.mark.parametrize("masks", [(1, -1), (1, 4), (1, 1 << 64), (0, 1)])
+def test_distribution_rejects_masks_outside_the_label_space(masks):
+    with pytest.raises(ValueError, match="nonempty subsets of the label space"):
+        DiscreteWeakDistribution(2, masks, (0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "curves, weights, message",
+    [
+        ([[0.5, 1.0], [math.nan, 1.0]], [0.5, 0.5], "curve 1 holds a non-finite coverage"),
+        ([[0.5, math.inf]], [1.0], "curve 0 holds a non-finite coverage"),
+        ([[0.5, 1.0], [-0.5, 1.0]], [0.5, 0.5], "curve 1 falls below 0"),
+        ([[0.5, 1.0], [0.5, 1.0]], [math.nan, 1.0], "weight 0 is not finite"),
+        ([[0.5, 1.0], [0.5, 1.0]], [1.0, math.nan], "weight 1 is not finite"),
+        ([[0.5, 1.0], [0.7, 0.6, 1.0]], [0.5, 0.5], "curve 1 must be nondecreasing"),
+        ([[0.5, 1.0, 1.0], [[0.5, 1.0]]], [0.5, 0.5], "curve 1 is not a nonempty"),
+        ([[0.5, 1.0], []], [0.5, 0.5], "curve 1 is not a nonempty"),
+    ],
+)
+def test_marginal_allocation_names_the_malformed_input(curves, weights, message):
+    # a NaN curve point or weight came back as achieved_coverage=nan, and a
+    # curve below 0 was accepted
+    with pytest.raises(ValueError, match=message):
+        marginal_allocation(curves, weights, 0.1)
+
+
+def test_marginal_allocation_names_the_first_malformed_curve():
+    curves = [[0.5, 1.0], [0.7, 0.6, 1.0], [math.nan, 1.0]]
+    with pytest.raises(ValueError, match="curve 1 "):
+        marginal_allocation(curves, [0.2, 0.3, 0.5], 0.1)
+
+
 # --- the array code against the loops it replaced --------------------------
 #
 # Plain loops over Python-int bitmasks, kept here as the reference for the
@@ -449,6 +503,64 @@ def _ref_size_profile(dist):
     best_covs = np.maximum.accumulate(best_covs)
     best_covs[k] = 1.0
     return best_covs, tuple(best_masks)
+
+
+def _ref_upper_hull(covs):
+    hull = [0]
+    for s in range(1, len(covs)):
+        while len(hull) >= 2:
+            s1, s2 = hull[-2], hull[-1]
+            lhs = (covs[s2] - covs[s1]) * (s - s2)
+            rhs = (covs[s] - covs[s2]) * (s2 - s1)
+            if lhs <= rhs + 1e-15:
+                hull.pop()
+            else:
+                break
+        hull.append(s)
+    return hull
+
+
+def _ref_marginal_allocation(curves, weights, alpha):
+    """marginal_allocation as a loop: segments in a dict keyed by their
+    float efficiency, filled per segment in descending efficiency."""
+    w = np.asarray(weights, dtype=float)
+    segments, projected = {}, []
+    for xi, curve in enumerate(curves):
+        if isinstance(curve, GreedySequence):
+            curve = curve.cum_coverage
+        pts_c = [0.0] + np.asarray(curve, dtype=float).tolist()
+        hull = _ref_upper_hull(pts_c)
+        projected.append(len(hull) < len(pts_c))
+        for a, b in zip(hull[:-1], hull[1:]):
+            dc = pts_c[b] - pts_c[a]
+            if dc <= 0:
+                continue
+            segments.setdefault(dc / (b - a), []).append((xi, dc, float(b - a)))
+    budget = 1.0 - alpha
+    etas, sizes, spent = np.zeros(w.size), np.zeros(w.size), 0.0
+    for eff in sorted(segments, reverse=True):
+        group = segments[eff]
+        group_cov = sum(w[xi] * dc for xi, dc, _ in group)
+        if group_cov <= 0:
+            continue
+        take = min(1.0, (budget - spent) / group_cov)
+        if take > 0:
+            for xi, dc, ds in group:
+                etas[xi] += take * dc
+                sizes[xi] += take * ds
+            spent += take * group_cov
+        if spent >= budget - 1e-12:
+            break
+    if spent < budget - 1e-9:
+        raise AssertionError("allocation failed to meet the coverage budget")
+    etas = np.minimum(etas, 1.0)
+    return MarginalAllocation(
+        etas=tuple(float(v) for v in etas),
+        expected_sizes=tuple(float(v) for v in sizes),
+        total_expected_size=float(np.dot(w, sizes)),
+        achieved_coverage=float(np.dot(w, etas)),
+        hull_projected=tuple(projected),
+    )
 
 
 def _ref_increments(dist, chosen_mask):
@@ -591,6 +703,62 @@ def test_from_marginals_equals_the_loop_bit_for_bit():
         assert (dist.masks, dist.probs) == _ref_from_marginals(k, q)
 
 
+def _zeta_size_profile(dist):
+    """size_profile's frontier as it was computed before the size grouping
+    was cached: the zeta passes in mask order, then one flatnonzero pass
+    per size. Same additions in the same order, so results are bit-equal."""
+    k = dist.k
+    g = np.zeros(1 << k)
+    g[np.array(dist.masks, dtype=np.int64)] = dist.probs
+    for y in range(k):
+        half = g.reshape(-1, 2, 1 << y)
+        half[:, 1] += half[:, 0]
+    cov = math.fsum(dist.probs) - g[::-1]
+    cov[0] = 0.0
+    sizes = np.bitwise_count(np.arange(1 << k))
+    best_covs = np.zeros(k + 1)
+    best_masks = np.zeros(k + 1, dtype=np.int64)
+    for s in range(k + 1):
+        idx = np.flatnonzero(sizes == s)
+        top = idx[np.argmax(cov[idx])]
+        best_covs[s] = cov[top]
+        best_masks[s] = top
+    best_covs = np.maximum.accumulate(best_covs)
+    best_covs[k] = 1.0
+    hull = _ref_upper_hull(best_covs.tolist())
+    return SizeProfile(
+        k=k,
+        best_covs=tuple(float(c) for c in best_covs),
+        best_masks=tuple(int(v) for v in best_masks),
+        hull_sizes=tuple(hull),
+        hull_covs=tuple(float(best_covs[s]) for s in hull),
+    )
+
+
+def _sparse_dist(rng, k, n_atoms):
+    """n_atoms distinct random atoms of 1 to 6 labels, Dirichlet weights."""
+    atoms = set()
+    while len(atoms) < min(n_atoms, (1 << k) - 1):
+        size = int(rng.integers(1, min(k, 6) + 1))
+        atoms.add(tuple(sorted(rng.choice(k, size=size, replace=False).tolist())))
+    atoms = sorted(atoms)
+    return DiscreteWeakDistribution.from_sets(k, list(zip(atoms, rng.dirichlet(np.ones(len(atoms))))))
+
+
+def test_size_profile_equals_the_zeta_reference_bit_for_bit():
+    rng = np.random.default_rng(28)
+    dists = list(_mixed_dists(29, n=120))
+    dists += [_dyadic_dist(rng, int(rng.integers(1, 10)), units=16) for _ in range(100)]
+    for k in range(1, 19):
+        dists += [_sparse_dist(rng, k, 40), _laminar_dist(rng, k), _dyadic_dist(rng, k, units=8)]
+        if k <= 14:
+            dists.append(DiscreteWeakDistribution.from_marginals(k, rng.uniform(0.05, 0.6, size=k)))
+    dists.append(DiscreteWeakDistribution.from_json(SEED1_GENERAL18))
+    assert {d.k for d in dists} == set(range(1, 19))
+    for dist in dists:
+        assert size_profile(dist) == _zeta_size_profile(dist)
+
+
 def test_size_profile_equals_the_loop():
     for dist in _mixed_dists(23, n=120):
         prof = size_profile(dist)
@@ -603,6 +771,64 @@ def test_size_profile_equals_the_loop():
         prof = size_profile(dist)
         assert prof.best_covs == tuple(covs.tolist())
         assert prof.best_masks == masks
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _allocation_inputs(draw):
+    """Curves of unequal lengths on a grid of 1/8 or of random floats, some
+    repeated exactly (so efficiencies tie across curves), some given as
+    greedy sequences; integer weights over their total, zeros included."""
+    grid = draw(st.booleans(), label="grid")
+    point = st.integers(0, 8).map(lambda v: v / 8) if grid else st.floats(0.0, 1.0)
+
+    def curve(points):
+        return [*sorted(points), 1.0]
+
+    pool = draw(st.lists(st.lists(point, max_size=7).map(curve), min_size=1, max_size=5),
+                label="distinct curves")
+    dists = draw(st.lists(_weak_dists(max_k=5), max_size=2), label="greedy runs")
+    pool += [greedy_sequence(d) for d in dists]
+    curves = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12), label="curves")
+    counts = draw(st.lists(st.integers(0, 5), min_size=len(curves), max_size=len(curves))
+                  .filter(any), label="weights")
+    alpha = draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+                 | st.floats(1e-3, 1 - 1e-3), label="alpha")
+    return curves, np.array(counts) / sum(counts), alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(_allocation_inputs())
+@example(([[0.5, 0.8, 1.0]] * 3, np.full(3, 1 / 3), 0.2))
+@example(([[0.25, 1.0], [0.5, 0.75, 1.0], [0.25, 1.0]], np.array([0.25, 0.5, 0.25]), 0.3))
+def test_marginal_allocation_equals_the_loop_bit_for_bit(inputs):
+    curves, w, alpha = inputs
+    assert _outcome(marginal_allocation, curves, w, alpha) == _outcome(
+        _ref_marginal_allocation, curves, w, alpha
+    )
+
+
+def test_marginal_allocation_ties_and_greedy_runs_equal_the_loop():
+    rng = np.random.default_rng(30)
+    tied = 0
+    for _ in range(60):
+        pool = [np.cumsum(rng.integers(1, 4, size=int(rng.integers(1, 9)))) for _ in range(3)]
+        pool = [list(c / c[-1]) for c in pool]
+        pool += [greedy_sequence(d) for d in _mixed_dists(int(rng.integers(1 << 30)), n=2)]
+        curves = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(1, 40)))]
+        w = rng.dirichlet(np.ones(len(curves)))
+        w /= w.sum()
+        for alpha in (1e-9, float(rng.uniform(0.01, 0.99)), 1 - 1e-9):
+            got = marginal_allocation(curves, w, alpha)
+            assert got == _ref_marginal_allocation(curves, w, alpha)
+            tied += len(set(got.etas)) < len(curves)
+    assert tied > 20  # repeated curves do share levels
 
 
 def test_check_structure_equals_the_loop():
