@@ -28,11 +28,11 @@ from .conformal import (
     conformal_threshold,
     evaluate,
 )
-from .harness import ExperimentConfig, run as run_experiment
+from .harness import _TASKS, ExperimentConfig, run as run_experiment
 from .labels import FormatError, PartialMatching, RankingPrefix, read_jsonl
-from .labels import _as_int, weak_contains, write_jsonl
+from .labels import _as_int, _as_real, weak_contains, write_jsonl
 from .matching import MatchingProblem, read_cost_csv
-from .mbest import enumerate_until, m_best
+from .mbest import DEFAULT_CAP, enumerate_until, m_best
 from .ranking import PsiSpec, RankingProblem
 
 __all__ = ["main"]
@@ -143,11 +143,13 @@ def _mbest_field(payload: dict, name: str, build):
     """build(array) from one numeric field, with errors that name the field."""
     try:
         arr = np.array(payload[name], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(
-            f"mbest input: {name!r} must be numbers in a regular (not ragged) array"
+            f"mbest input: {name!r} must be float-sized numbers in a regular (not ragged) array"
         ) from exc
     try:
+        for value in np.array(payload[name], dtype=object).flat:  # the entries as read
+            _as_real(value, "an entry")
         return build(arr)
     except ValueError as exc:
         raise FormatError(f"mbest input: {name!r}: {exc}") from exc
@@ -167,7 +169,7 @@ def _mbest_problem(path: str):
                 "mbest input: 'psi' must be an object such as {\"kind\": \"hinge\"}"
             )
         try:
-            psi = PsiSpec(psi_spec.get("kind", "hinge"), float(psi_spec.get("c", 0.0)))
+            psi = PsiSpec(psi_spec.get("kind", "hinge"), _as_real(psi_spec.get("c", 0.0), "c"))
         except (TypeError, ValueError) as exc:
             raise FormatError(f"mbest input: 'psi': {exc}") from exc
         return _mbest_field(payload, "relevances", lambda r: RankingProblem(r, psi))
@@ -318,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a synthetic experiment")
-    p_run.add_argument("--task", choices=["classify", "rank", "match", "regress"])
+    p_run.add_argument("--task", choices=list(_TASKS))
     p_run.add_argument("--alpha", type=float)
     p_run.add_argument("--trials", dest="n_trials", type=int)
     p_run.add_argument("--seed", type=int)
@@ -348,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_mb.add_mutually_exclusive_group(required=True)
     group.add_argument("--m", type=int, help="number of configurations")
     group.add_argument("--threshold", type=float, help="enumerate scores <= threshold")
-    p_mb.add_argument("--cap", type=int, default=100_000)
+    p_mb.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_mb.set_defaults(fn=_cmd_mbest)
 
     p_ev = sub.add_parser("eval", help="coverage report for prediction sets")
@@ -357,8 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ev.set_defaults(fn=_cmd_eval)
 
     p_gen = sub.add_parser("gen", help="write a synthetic dataset as JSONL")
-    p_gen.add_argument("--task", required=True,
-                       choices=["classify", "rank", "match", "regress"])
+    p_gen.add_argument("--task", required=True, choices=list(_TASKS))
     p_gen.add_argument("--n", type=int, default=1000)
     p_gen.add_argument("--k", type=int)
     p_gen.add_argument("--d", type=int)

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .labels import ExplicitSet, Interval, WeakLabel, WeakRecord, _as_int, weak_contains
+from .labels import ExplicitSet, Interval, WeakLabel, WeakRecord, _as_int, _as_real, weak_contains
 
 __all__ = [
     "TOL",
@@ -181,10 +181,11 @@ class PredictionInterval:
     """Interval prediction set for a numeric response."""
 
     def __init__(self, lo: float, hi: float):
+        lo, hi = _as_real(lo, "lo"), _as_real(hi, "hi")
         if not lo <= hi:  # a NaN end point fails too
             raise ValueError("empty prediction interval")
-        self.lo = float(lo)
-        self.hi = float(hi)
+        self.lo = lo
+        self.hi = hi
 
     def __contains__(self, y) -> bool:
         return self.lo <= float(y) <= self.hi

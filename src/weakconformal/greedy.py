@@ -26,7 +26,7 @@ families where greedy is provably size-optimal (``check_structure``), and a
 knapsack allocation of per-x coverage levels under a marginal coverage
 budget (``marginal_allocation``).
 
-The tools run on arrays. A distribution keeps read-only arrays of its masks
+The tools run on arrays. A distribution is two read-only arrays, its masks
 (uint64, so k = 64 fits) and probabilities, and caches its (atoms, k) bit
 matrix and its greedy run, whose table of coverage increments after each
 prefix serves ``greedy_set`` and ``wolsey_constant`` at every level; column
@@ -54,6 +54,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .conformal import TOL
+from .labels import _as_int, _as_real
 
 __all__ = [
     "DiscreteWeakDistribution",
@@ -81,12 +82,12 @@ _LEVEL_TOL = 1e-12  # a curve point this close under eta reaches eta
 _EMPTY_MASS = 1e-12  # W counts as empty almost surely when P(W nonempty) <= this
 
 
-def _mask_of(labels: Iterable[int], k: int) -> int:
+def _mask_of(labels: Iterable[int], k: int, what: str = "label") -> int:
     mask = 0
     for v in labels:
-        v = int(v)
+        v = _as_int(v, what)
         if not 0 <= v < k:
-            raise ValueError(f"label {v} out of range for k={k}")
+            raise ValueError(f"{what} {v} out of range for k={k}")
         bit = 1 << v
         if mask & bit:
             raise ValueError("duplicate label in atom")
@@ -98,65 +99,71 @@ def _labels_of(mask: int) -> tuple[int, ...]:
     return tuple(y for y in range(mask.bit_length()) if (mask >> y) & 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteWeakDistribution:
     """Distribution of a nonempty random subset of {0, ..., k-1}.
 
-    Atoms are stored as bitmasks (k <= 64) with their probabilities; masks
-    must be distinct and nonzero, probabilities finite, nonnegative and
-    summing to 1 within 1e-9. Besides the two tuples, a distribution keeps
-    one read-only array of each, the masks as uint64 (so label 63 fits),
-    which every array path reads.
+    Atoms are two read-only arrays, the masks as uint64 bitmasks (k <= 64,
+    so label 63 fits) and their probabilities; masks must be distinct and
+    nonzero, probabilities finite, nonnegative and summing to 1 within 1e-9.
+    A sequence that is not an integer (float) array is checked entry by
+    entry: 1.5 or true is no mask, "0.5" no probability.
     """
 
     k: int
-    masks: tuple[int, ...]
-    probs: tuple[float, ...]
+    masks: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self):
-        k = int(self.k)
+        k = _as_int(self.k, "k")
         if not 1 <= k <= 64:
             raise ValueError("k must be in [1, 64]")
-        masks = tuple(map(int, self.masks))
-        probs = tuple(map(float, self.probs))
-        if len(masks) != len(probs) or not masks:
+        masks, probs = self.masks, self.probs
+        if not (isinstance(masks, np.ndarray) and masks.dtype.kind in "iu"):
+            masks = [_as_int(v, f"atom {i}'s mask") for i, v in enumerate(masks)]
+        if not (isinstance(probs, np.ndarray) and probs.dtype.kind == "f"):
+            probs = [_as_real(v, f"atom {i}'s probability") for i, v in enumerate(probs)]
+        p = np.array(probs, dtype=float)
+        if getattr(masks, "ndim", 1) != 1 or p.shape != (len(masks),) or not p.size:
             raise ValueError("need matching, nonempty masks and probs")
-        try:
-            m = np.array(masks, dtype=np.uint64)
-        except OverflowError:  # below 0 or wider than 64 bits
-            m = None
-        if m is None or m.min() < 1 or m.max() > np.uint64((1 << k) - 1):
+        ends = (min(masks), max(masks)) if isinstance(masks, list) else (masks.min(), masks.max())
+        if ends[0] < 1 or ends[1] >= 1 << k:  # before uint64 could wrap a negative round
             raise ValueError("atoms must be nonempty subsets of the label space")
+        m = np.array(masks, dtype=np.uint64)
         sorted_masks = np.sort(m)
         if np.any(sorted_masks[1:] == sorted_masks[:-1]):
             raise ValueError("atom masks must be distinct")
-        p = np.array(probs)
         bad = np.flatnonzero(~np.isfinite(p))
         if bad.size:
             raise ValueError(f"atom {bad[0]} has a non-finite probability {p[bad[0]]}")
         if np.any(p < -TOL):
             raise ValueError("atom probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError(f"atom probabilities sum to {sum(probs)}, not 1")
-        if np.any(p < 0.0):
-            p = np.where(p < 0.0, 0.0, p)
-            probs = tuple(p.tolist())
+        if abs(np.cumsum(p)[-1] - 1.0) > 1e-9:  # summed left to right, as a loop adds
+            raise ValueError(f"atom probabilities sum to {float(np.cumsum(p)[-1])}, not 1")
+        p[p < 0.0] = 0.0  # -0.0 stays
         m.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_mask_array", m)
-        object.__setattr__(self, "_prob_array", p)
+        object.__setattr__(self, "masks", m)
+        object.__setattr__(self, "probs", p)
+
+    def _value(self) -> tuple:
+        return self.k, self.masks.tobytes(), (self.probs + 0.0).tobytes()  # -0.0 as 0.0
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
     @classmethod
     def from_sets(
         cls, k: int, atoms: Iterable[tuple[Iterable[int], float]]
     ) -> "DiscreteWeakDistribution":
-        masks, probs = [], []
-        for labels, p in atoms:
-            masks.append(_mask_of(labels, k))
-            probs.append(p)
-        return cls(k, tuple(masks), tuple(probs))
+        atoms = list(atoms)
+        masks = [_mask_of(labels, k, f"atom {i}'s label") for i, (labels, _) in enumerate(atoms)]
+        return cls(k, masks, [p for _, p in atoms])
 
     @classmethod
     def from_marginals(cls, k: int, q: Sequence[float]) -> "DiscreteWeakDistribution":
@@ -168,31 +175,31 @@ class DiscreteWeakDistribution:
         if k > _ENUM_CAP:
             raise ValueError(f"atom materialization capped at k={_ENUM_CAP}")
         z = _nonempty_mass(float(np.prod(1.0 - q)))
-        masks = np.arange(1, 1 << k)
+        masks = np.arange(1, 1 << k, dtype=np.uint64)
         p = _product_law(masks, q)
         keep = p > 0.0
-        return cls(k, tuple(masks[keep].tolist()), tuple((p[keep] / z).tolist()))
+        return cls(k, masks[keep], p[keep] / z)
 
     @cached_property
     def _bits(self) -> np.ndarray:
         """(atoms, k) bool matrix; row i holds the labels of atom i."""
         shifts = np.arange(self.k, dtype=np.uint64)
-        return ((self._mask_array[:, None] >> shifts) & np.uint64(1)) == 1
+        return ((self.masks[:, None] >> shifts) & np.uint64(1)) == 1
 
     @cached_property
     def _greedy(self) -> tuple["GreedySequence", np.ndarray]:
         return _greedy_run(self)
 
     def atom_sets(self) -> list[tuple[tuple[int, ...], float]]:
-        return [(_labels_of(m), p) for m, p in zip(self.masks, self.probs)]
+        return [(_labels_of(m), p) for m, p in zip(self.masks.tolist(), self.probs.tolist())]
 
     def coverage(self, labels: Iterable[int]) -> float:
         """P(W intersects the given set)."""
-        mask = _mask_of(labels, self.k)
-        return sum(p for m, p in zip(self.masks, self.probs) if m & mask)
+        hit = (self.masks & np.uint64(_mask_of(labels, self.k))) != 0
+        return sum(self.probs[hit].tolist())  # left to right, as a loop adds
 
     def to_json(self) -> str:
-        atoms = [{"set": list(_labels_of(m)), "p": p} for m, p in zip(self.masks, self.probs)]
+        atoms = [{"set": list(s), "p": p} for s, p in self.atom_sets()]
         return json.dumps({"k": self.k, "atoms": atoms})
 
     @classmethod
@@ -257,7 +264,7 @@ def _greedy_run(dist: DiscreteWeakDistribution) -> tuple[GreedySequence, np.ndar
     delta(C_j, y) = P(W disjoint from the first j picks, y in W) for every y."""
     k = dist.k
     bits = dist._bits
-    weighted = bits * dist._prob_array[:, None]
+    weighted = bits * dist.probs[:, None]
     deltas = np.zeros((k + 1, k))
     free = np.ones(k, dtype=bool)
     picked: list[int] = []
@@ -480,9 +487,9 @@ def _subset_sums(dist: DiscreteWeakDistribution) -> np.ndarray:
     k = dist.k
     low = min(k, _LOW_BITS)
     cols = 1 << (k - low)
-    m = dist._mask_array
+    m = dist.masks
     t = np.zeros(1 << k)
-    t[(m & np.uint64((1 << low) - 1)) * np.uint64(cols) + (m >> np.uint64(low))] = dist._prob_array
+    t[(m & np.uint64((1 << low) - 1)) * np.uint64(cols) + (m >> np.uint64(low))] = dist.probs
     for y in range(low):
         half = t.reshape(-1, 2, cols << y)
         half[:, 1] += half[:, 0]
@@ -506,7 +513,7 @@ def size_profile(dist: DiscreteWeakDistribution) -> SizeProfile:
         raise ValueError(f"exhaustive enumeration capped at k={_ENUM_CAP}")
     order, offsets = _size_groups(k)
     by_size = _subset_sums(dist)[order]
-    total = math.fsum(dist.probs)
+    total = math.fsum(dist.probs.tolist())  # fsum reads a list faster than an array
     best_covs = np.zeros(k + 1)  # the empty set covers nothing
     best_masks = np.zeros(k + 1, dtype=np.int64)
     for s in range(1, k + 1):
@@ -589,10 +596,10 @@ def _is_tree(dist: DiscreteWeakDistribution) -> bool:
 
 
 def _is_label_independent(dist: DiscreteWeakDistribution, tol: float) -> bool:
-    bits, probs = dist._bits, dist._prob_array
+    bits, probs = dist._bits, dist.probs
     marg = np.clip((bits * probs[:, None]).sum(axis=0), 0.0, 1.0)  # row-order sums
     # Point mass on one singleton is product form with q = indicator.
-    if len(dist.masks) == 1 and bin(dist.masks[0]).count("1") == 1:
+    if dist.masks.size == 1 and int(dist.masks[0]).bit_count() == 1:
         return True
     # Solve z = 1 - prod(1 - marg*z) for the nonemptiness normalizer.
     if marg.sum() <= 1.0 + 1e-12:
@@ -615,7 +622,7 @@ def _is_label_independent(dist: DiscreteWeakDistribution, tol: float) -> bool:
     # Compare implied conditional atom probabilities. Matching the whole
     # support plus total mass 1 pins the off-support mass to ~0, so no
     # full subset enumeration is needed.
-    implied = _product_law(dist._mask_array, q)
+    implied = _product_law(dist.masks, q)
     return not np.any(np.abs(implied / z - probs) > tol)
 
 

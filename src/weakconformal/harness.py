@@ -63,7 +63,7 @@ import platform
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,15 +103,8 @@ CSV_COLUMNS = [
     "seconds",
 ]
 
-_DEFAULT_K = {"classify": 10, "rank": 7, "match": 6, "regress": 0}
 # full-space scoring beats per-record best-first enumeration up to this size
 _EXHAUSTIVE_SPACE_CAP = 10_000
-_METHODS = {
-    "classify": ("wsc", "fsc", "gws", "pessimistic"),
-    "rank": ("wsc", "fsc"),
-    "match": ("wsc", "fsc"),
-    "regress": ("wsc", "fsc", "pessimistic"),
-}
 
 
 @dataclass(frozen=True)
@@ -135,13 +128,13 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.task not in _METHODS:
-            raise ValueError(f"task must be one of {tuple(_METHODS)}")
+        if self.task not in _TASKS:
+            raise ValueError(f"task must be one of {tuple(_TASKS)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if self.n_trials < 1 or self.n < 10 or self.m_max < 1 or self.seed < 0:
             raise ValueError("n_trials >= 1, n >= 10, m_max >= 1, seed >= 0 required")
-        bad = [m for m in self.methods if m not in _METHODS[self.task]]
+        bad = [m for m in self.methods if m not in _TASKS[self.task].methods]
         if bad:
             raise ValueError(f"methods {bad} not available for task {self.task!r}")
         self.psi()  # a bad psi_c is rejected here, before any trial runs
@@ -168,13 +161,11 @@ class ExperimentConfig:
 
     @property
     def resolved_k(self) -> int:
-        return self.k if self.k is not None else _DEFAULT_K[self.task]
+        return self.k if self.k is not None else _TASKS[self.task].default_k
 
     @property
     def param(self) -> float:
-        return {"classify": self.sigma, "rank": self.sigma, "match": self.noise, "regress": self.mu}[
-            self.task
-        ]
+        return getattr(self, _TASKS[self.task].param)
 
     def psi(self) -> PsiSpec:
         return PsiSpec.hinge() if self.psi_c == 0 else PsiSpec.exp_weighted(self.psi_c)
@@ -402,11 +393,26 @@ def _regress_task(cfg: ExperimentConfig, seed: int):
     return cal, {"wsc": shared, "fsc": shared, "pessimistic": shared}
 
 
+@dataclass(frozen=True)
+class _Task:
+    """What the harness knows of a task: the function that generates, fits
+    and scores a trial's blocks, its default k, the methods it offers, the
+    setting reported as the CSV's param, and the score named in the sidecar."""
+
+    blocks: Callable[[ExperimentConfig, int], tuple[dict, dict]]
+    default_k: int
+    methods: tuple[str, ...]
+    param: str
+    score: str
+
+
 _TASKS = {
-    "classify": _classify_task,
-    "rank": _rank_task,
-    "match": _match_task,
-    "regress": _regress_task,
+    "classify": _Task(
+        _classify_task, 10, ("wsc", "fsc", "gws", "pessimistic"), "sigma", "cumulative_probability"
+    ),
+    "rank": _Task(_rank_task, 7, ("wsc", "fsc"), "sigma", "pairwise_discordance"),
+    "match": _Task(_match_task, 6, ("wsc", "fsc"), "noise", "translated_matching_cost"),
+    "regress": _Task(_regress_task, 0, ("wsc", "fsc", "pessimistic"), "mu", "absolute_residual"),
 }
 
 
@@ -417,7 +423,7 @@ def _trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     """One trial of any task: calibrate each method on its calibration scores,
     count each test block's level sets once at its methods' thresholds, and
     report each method's coverages and sizes on the test block."""
-    cal, test = _TASKS[cfg.task](cfg, _trial_seed(cfg.seed, trial))
+    cal, test = _TASKS[cfg.task].blocks(cfg, _trial_seed(cfg.seed, trial))
     thresholds, calibration_s = {}, {}
     for method in cfg.methods:
         start = time.perf_counter()
@@ -466,12 +472,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     meta = {
         "config": dataclasses.asdict(cfg),
         "columns": CSV_COLUMNS,
-        "score": {
-            "classify": "cumulative_probability",
-            "rank": "pairwise_discordance",
-            "match": "translated_matching_cost",
-            "regress": "absolute_residual",
-        }[cfg.task],
+        "score": _TASKS[cfg.task].score,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "package_version": __version__,

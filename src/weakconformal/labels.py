@@ -55,6 +55,17 @@ def _as_int(value: Any, what: str) -> int:
     raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
+def _as_real(value: Any, what: str) -> float:
+    """value as a float, or ValueError naming what it is: a real number is an
+    int or a float, so "0.5" and the booleans are not read as numbers."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the largest float
+            raise ValueError(f"{what} is too large for a float") from None
+    raise ValueError(f"{what} must be a real number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ExplicitSet:
     """Nonempty set of candidate class ids, stored sorted."""
@@ -84,7 +95,7 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
+        lo, hi = _as_real(self.lo, "lo"), _as_real(self.hi, "hi")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("interval endpoints must be finite")
         if lo > hi:
@@ -159,7 +170,7 @@ def weak_contains(weak: WeakLabel, y: Any) -> bool:
     if isinstance(weak, ExplicitSet):
         return _as_int(y, "a label") in weak.labels
     if isinstance(weak, Interval):
-        return weak.lo <= float(y) <= weak.hi
+        return weak.lo <= _as_real(y, "y") <= weak.hi
     if isinstance(weak, RankingPrefix):
         return _as_permutation(y, weak.k)[: len(weak.items)] == weak.items
     if isinstance(weak, PartialMatching):
@@ -271,6 +282,9 @@ def read_jsonl(path: str) -> Iterator[WeakRecord]:
                 y = obj.get("y")
                 if y is not None and isinstance(y, list):
                     y = tuple(y)
-                yield WeakRecord(np.asarray(obj["x"], dtype=float), weak, y)
+                x = obj["x"]
+                if not isinstance(x, list):
+                    raise ValueError("x must be a flat feature vector")
+                yield WeakRecord(np.array([_as_real(v, "a feature") for v in x]), weak, y)
             except (KeyError, ValueError, TypeError) as exc:
                 raise FormatError(str(exc), lineno) from exc

@@ -25,13 +25,12 @@ score above a threshold, listing the sublevel set {y : score(y) <= threshold};
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
-from .conformal import TOL, _order_index
+from .conformal import TOL, conformal_threshold
 
 __all__ = [
     "PartitionProblem",
@@ -208,16 +207,13 @@ def rank_conformalize(
     per-point baseline count (how many configurations it would emit anyway,
     typically 1 or a model-based estimate). Returns the calibrated rank
     margin Q: predicting the best offset(x) + Q configurations at a fresh
-    point covers the weak label with probability >= 1 - alpha. Returns
-    math.inf when the calibration set is too small for the level.
+    point covers the weak label with probability >= 1 - alpha. The margin is
+    conformal_threshold's order statistic of rank - offset, so it is
+    math.inf when the calibration set is too small for the level, and a
+    rank or offset that is not finite is a ValueError.
     """
     r = np.asarray(ranks, dtype=float)
     o = np.asarray(offsets, dtype=float)
     if r.shape != o.shape or r.ndim != 1 or r.size == 0:
         raise ValueError("ranks and offsets must be equal-length nonempty vectors")
-    diffs = r - o
-    n = diffs.size
-    k = _order_index(n, alpha)
-    if k > n:
-        return math.inf
-    return float(np.partition(diffs, k - 1)[k - 1])
+    return conformal_threshold(r - o, alpha).value

@@ -116,6 +116,15 @@ def test_mbest_bad_payload(tmp_path, capsys):
         ({"relevances": [-350, 1e4, 1e4], "psi": {"kind": "exp_weighted", "c": 2}}, "relevances"),
         # a c that is not finite is the psi's fault, not the relevances'
         ({"relevances": [0.1, 0.5, 0.9], "psi": {"kind": "exp_weighted", "c": math.nan}}, "psi"),
+        # strings and booleans were read as numbers: "0.3" as 0.3, true as 1.0
+        ({"relevances": ["0.3", "1.2", "-0.4"]}, "relevances"),
+        ({"relevances": [True, False, 0.5]}, "relevances"),
+        ({"costs": [["1", "2"], ["3", "0"]]}, "costs"),
+        ({"relevances": [0.1, 0.5, 0.9], "psi": {"kind": "exp_weighted", "c": "0.5"}}, "psi"),
+        ({"relevances": [0.1, 0.5, 0.9], "psi": {"kind": "exp_weighted", "c": True}}, "psi"),
+        # an integer past the largest float was an OverflowError traceback
+        ({"relevances": [10**400, 2, 3]}, "relevances"),
+        ({"relevances": [0.1, 0.5, 0.9], "psi": {"kind": "exp_weighted", "c": 10**400}}, "psi"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
@@ -252,6 +261,16 @@ def test_eval_set_missing_field_reports_field_and_line(tmp_path, capsys):
         ("eval rank", json.dumps({"kind": "configs", "configs": [[0, 1]]}), 1),
         # a NaN end point gave a report with "avg_size": NaN
         ("eval regress", json.dumps({"kind": "interval", "lo": math.nan, "hi": 1.0}), 1),
+        # strings and booleans were read as numbers: "0.5" as 0.5, true as 1.0
+        ("eval regress", json.dumps({"kind": "interval", "lo": True, "hi": 2.0}), 1),
+        ("data", json.dumps({"x": ["0.1", "2"], "weak": {"kind": "set", "labels": [0]}, "y": 0}), 1),
+        ("data", json.dumps({"x": [True, 0.2], "weak": {"kind": "set", "labels": [0]}, "y": 0}), 1),
+        ("data", json.dumps({"x": [0], "weak": {"kind": "interval", "lo": "0.5", "hi": 1.0}}), 1),
+        ("data", json.dumps({"x": [0], "weak": {"kind": "interval", "lo": False, "hi": True}}), 1),
+        ("data", json.dumps({"x": [0], "weak": {"kind": "interval", "lo": 0.5, "hi": 1.0},
+                             "y": "0.7"}), 1),
+        # an integer past the largest float was an OverflowError traceback
+        ("data", json.dumps({"x": [10**400], "weak": {"kind": "set", "labels": [0]}, "y": 0}), 1),
     ],
 )
 def test_malformed_input_is_one_located_error(tmp_path, capsys, command, text, located):
@@ -260,9 +279,10 @@ def test_malformed_input_is_one_located_error(tmp_path, capsys, command, text, l
     if command == "run":
         argv = ["run", "--config", str(path)]
     elif command == "data":  # the records file is the malformed input; the set fits it
-        fits = {"kind": "set", "labels": [0], "k": 3}
-        if json.loads(text)["weak"]["kind"] != "set":
-            fits = {"kind": "configs", "configs": [[0, 1, 2]]}
+        fits = {
+            "set": {"kind": "set", "labels": [0], "k": 3},
+            "interval": {"kind": "interval", "lo": 0.0, "hi": 1.0},
+        }.get(json.loads(text)["weak"]["kind"], {"kind": "configs", "configs": [[0, 1, 2]]})
         sets = tmp_path / "sets.jsonl"
         sets.write_text(json.dumps(fits) + "\n")
         argv = ["eval", "--sets", str(sets), "--data", str(path)]
@@ -356,6 +376,37 @@ def test_run_rejects_any_task_setting_out_of_range_and_writes_nothing(tmp_path, 
     assert len(lines) == 1
     assert argv[-2].lstrip("-").replace("-", "_") in json.loads(lines[0])["error"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--task", "classify", "--methods", "wsc,fsc,gws,pessimistic"],
+        ["--task", "rank", "--psi-c", "0.5"],
+        ["--task", "match", "--k", "3"],
+        ["--task", "regress", "--methods", "wsc,fsc,pessimistic", "--min-half-width", "0.02"],
+    ],
+)
+def test_a_run_replays_from_its_sidecar(tmp_path, capsys, argv):
+    def csv_without_seconds(path):
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        drop = lines[0].index("seconds")
+        return [line[:drop] + line[drop + 1:] for line in lines]
+
+    first = tmp_path / "first.csv"
+    code, _, _ = _run(capsys, "run", *argv, "--n", "240", "--trials", "2", "--seed", "11",
+                      "--out", str(first))
+    assert code == 0
+    meta = json.loads((tmp_path / "first.meta.json").read_text())
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps(dict(meta["config"], out=str(tmp_path / "replay.csv"))))
+    code, _, _ = _run(capsys, "run", "--config", str(config))
+    assert code == 0
+    replayed = json.loads((tmp_path / "replay.meta.json").read_text())
+    assert replayed["trial_seeds"] == meta["trial_seeds"]
+    assert dict(replayed["config"], out=None) == dict(meta["config"], out=None)
+    rows = csv_without_seconds(first)
+    assert len(rows) > 1 and csv_without_seconds(tmp_path / "replay.csv") == rows
 
 
 def test_run_config_file_overrides_flags(tmp_path, capsys):

@@ -398,13 +398,67 @@ def test_distribution_rejects_non_finite_probabilities():
         DiscreteWeakDistribution.from_json(text)
 
 
-def test_distribution_keeps_one_read_only_array_of_each_tuple():
+def test_distribution_is_two_read_only_arrays():
     dist = DiscreteWeakDistribution.from_sets(64, [((63,), 0.5), ((0, 5), 0.25), ((5,), 0.25)])
-    assert dist._mask_array.dtype == np.uint64 and dist._mask_array.tolist() == list(dist.masks)
-    assert dist._prob_array.tolist() == list(dist.probs)
-    assert not dist._mask_array.flags.writeable and not dist._prob_array.flags.writeable
+    assert dist.masks.dtype == np.uint64 and dist.masks.tolist() == [1 << 63, 33, 32]
+    assert dist.probs.dtype == np.float64 and dist.probs.tolist() == [0.5, 0.25, 0.25]
+    assert not dist.masks.flags.writeable and not dist.probs.flags.writeable
     clipped = DiscreteWeakDistribution(2, (1, 2), (1.0 + 5e-10, -5e-10))
-    assert clipped.probs == (1.0 + 5e-10, 0.0) and clipped._prob_array.tolist() == [1.0 + 5e-10, 0.0]
+    assert clipped.probs.tolist() == [1.0 + 5e-10, 0.0]
+    # the arrays are the distribution's own: the caller's stay writable and apart
+    masks, probs = np.array([1, 2], dtype=np.uint64), np.array([0.5, 0.5])
+    dist = DiscreteWeakDistribution(2, masks, probs)
+    masks[0], probs[0] = 3, 0.25
+    assert dist.masks.tolist() == [1, 2] and dist.probs.tolist() == [0.5, 0.5]
+
+
+def test_distribution_equality_and_hash_are_by_value():
+    a = DiscreteWeakDistribution(2, (1, 2), (0.5, 0.5))
+    b = DiscreteWeakDistribution(2, np.array([1, 2], dtype=np.uint64), np.array([0.5, 0.5]))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != DiscreteWeakDistribution(2, (2, 1), (0.5, 0.5))
+    assert a != DiscreteWeakDistribution(3, (1, 2), (0.5, 0.5))
+    assert a != DiscreteWeakDistribution(2, (1, 2), (0.25, 0.75))
+    assert a != ((1, 2), (0.5, 0.5))
+    # a probability of -0.0 stays -0.0 and equals 0.0, so the hashes agree too
+    neg = DiscreteWeakDistribution(2, (1, 2), (1.0, -0.0))
+    pos = DiscreteWeakDistribution(2, (1, 2), (1.0, 0.0))
+    assert math.copysign(1.0, neg.probs[1]) == -1.0
+    assert neg == pos and hash(neg) == hash(pos)
+
+
+@pytest.mark.parametrize(
+    "k, masks, probs, message",
+    [
+        # each was read through int() or float(): 1.5 and true as 1, 2.7 as 2, "0.5" as 0.5
+        (2, (1.5, 2), (0.5, 0.5), "atom 0's mask must be an integer"),
+        (2, (1, True), (0.5, 0.5), "atom 1's mask must be an integer"),
+        (2, np.array([1.0, 2.0]), (0.5, 0.5), "atom 0's mask must be an integer"),
+        (2.7, (1, 2), (0.5, 0.5), "k must be an integer"),
+        (2, (1, 2), ("0.5", 0.5), "atom 0's probability must be a real number"),
+        (2, (1, 2), (0.0, True), "atom 1's probability must be a real number"),
+        (2, np.array([1, -1]), (0.5, 0.5), "nonempty subsets of the label space"),
+        (2, np.array([[1, 2]]), (0.5, 0.5), "matching, nonempty masks and probs"),
+    ],
+)
+def test_distribution_checks_each_atom_rather_than_casting(k, masks, probs, message):
+    with pytest.raises(ValueError, match=message):
+        DiscreteWeakDistribution(k, masks, probs)
+
+
+@pytest.mark.parametrize(
+    "k, atom, message",
+    [
+        ("2", '{"set": [1.9], "p": 1.0}', "atom 0's label must be an integer, not 1.9"),
+        ("2", '{"set": [true], "p": 1.0}', "atom 0's label must be an integer, not True"),
+        ("2.7", '{"set": [1], "p": 1.0}', "k must be an integer, not 2.7"),
+        ("2", '{"set": [1], "p": "1.0"}', "atom 0's probability must be a real number, not '1.0'"),
+        ("2", '{"set": [1], "p": true}', "atom 0's probability must be a real number, not True"),
+    ],
+)
+def test_distribution_json_truncates_nothing(k, atom, message):
+    with pytest.raises(ValueError, match=message):
+        DiscreteWeakDistribution.from_json(f'{{"k": {k}, "atoms": [{atom}]}}')
 
 
 @pytest.mark.parametrize("masks", [(1, -1), (1, 4), (1, 1 << 64), (0, 1)])
@@ -451,7 +505,7 @@ def test_marginal_allocation_names_the_first_malformed_curve():
 
 
 def _ref_greedy_sequence(dist):
-    atoms = list(zip(dist.masks, dist.probs))
+    atoms = list(zip(dist.masks.tolist(), dist.probs.tolist()))
     chosen_mask, picked, cum, covered = 0, [], [], 0.0
     remaining = set(range(dist.k))
     for _ in range(dist.k):
@@ -491,7 +545,7 @@ def _ref_size_profile(dist):
     k = dist.k
     m = np.arange(1 << k, dtype=np.int64)
     cov = np.zeros(1 << k)
-    for amask, p in zip(dist.masks, dist.probs):
+    for amask, p in zip(dist.masks.tolist(), dist.probs.tolist()):
         cov[(m & amask) != 0] += p
     sizes = np.bitwise_count(m)
     best_covs, best_masks = np.zeros(k + 1), []
@@ -565,7 +619,7 @@ def _ref_marginal_allocation(curves, weights, alpha):
 
 def _ref_increments(dist, chosen_mask):
     delta = [0.0] * dist.k
-    for m, p in zip(dist.masks, dist.probs):
+    for m, p in zip(dist.masks.tolist(), dist.probs.tolist()):
         if (m & chosen_mask) == 0:
             for y in range(dist.k):
                 if (m >> y) & 1:
@@ -596,7 +650,7 @@ def _ref_wolsey_constant(dist, eta, j):
 
 
 def _ref_structure(dist, tol=1e-9):
-    k, masks, probs = dist.k, dist.masks, dist.probs
+    k, masks, probs = dist.k, dist.masks.tolist(), dist.probs.tolist()
     marg = np.zeros(k)
     for m, p in zip(masks, probs):
         for y in range(k):
@@ -685,7 +739,7 @@ def test_greedy_sequence_dyadic_ties_go_to_the_smallest_label():
         dist = _dyadic_dist(rng, int(rng.integers(2, 8)), units=8)
         seq = greedy_sequence(dist)
         assert (seq.order, seq.cum_coverage) == _ref_greedy_sequence(dist)
-        gains = [sum(p for m, p in zip(dist.masks, dist.probs) if (m >> y) & 1)
+        gains = [sum(p for m, p in zip(dist.masks.tolist(), dist.probs.tolist()) if (m >> y) & 1)
                  for y in range(dist.k)]
         tied += gains.count(max(gains)) > 1
         assert seq.order[0] == gains.index(max(gains))
@@ -694,13 +748,14 @@ def test_greedy_sequence_dyadic_ties_go_to_the_smallest_label():
 
 def test_from_marginals_equals_the_loop_bit_for_bit():
     rng = np.random.default_rng(22)
-    for k in range(1, 13):
+    for k in range(1, 15):
         q = rng.uniform(0.0, 1.0, size=k)
         q[rng.random(k) < 0.2] = rng.choice([0.0, 1.0])  # zero-probability atoms drop out
         if np.prod(1.0 - q) >= 1.0 - 1e-12:
             continue
         dist = DiscreteWeakDistribution.from_marginals(k, q)
-        assert (dist.masks, dist.probs) == _ref_from_marginals(k, q)
+        masks, probs = _ref_from_marginals(k, q)
+        assert dist.masks.tolist() == list(masks) and dist.probs.tolist() == list(probs)
 
 
 def _zeta_size_profile(dist):
@@ -713,7 +768,7 @@ def _zeta_size_profile(dist):
     for y in range(k):
         half = g.reshape(-1, 2, 1 << y)
         half[:, 1] += half[:, 0]
-    cov = math.fsum(dist.probs) - g[::-1]
+    cov = math.fsum(dist.probs.tolist()) - g[::-1]
     cov[0] = 0.0
     sizes = np.bitwise_count(np.arange(1 << k))
     best_covs = np.zeros(k + 1)

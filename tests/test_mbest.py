@@ -138,6 +138,15 @@ def test_rank_conformalize_rejects_empty():
         rank_conformalize([], [], alpha=0.1)
 
 
+@pytest.mark.parametrize(
+    "ranks, offsets", [([1, math.nan, 3], [0, 0, 0]), ([1, 2, 3], [0, math.inf, 0])]
+)
+def test_rank_conformalize_rejects_what_is_not_finite(ranks, offsets):
+    # a NaN rank gave 3.0 and an infinite offset 1.0: a margin from a partial order
+    with pytest.raises(ValueError, match="must be finite"):
+        rank_conformalize(ranks, offsets, alpha=0.5)
+
+
 def test_rank_conformalize_weak_coverage():
     # exchangeable ranks: sets built with offset+quantile cover the truth
     rng = np.random.default_rng(23)
