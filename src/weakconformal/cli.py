@@ -7,9 +7,10 @@ Subcommands:
   eval       coverage report for prediction sets against a JSONL dataset
   gen        write a synthetic dataset as JSONL
 
-Precedence for `run`/`gen` settings: built-in defaults, then command-line
-flags, then the --config file (TOML or JSON) when given. Errors, usage
-errors included, are reported as one JSON object on stderr with exit code 1.
+Precedence for `run` settings: built-in defaults, then command-line flags,
+then the --config file (TOML or JSON) when given; `gen` takes flags only.
+Errors, usage errors included, are reported as one JSON object on stderr
+with exit code 1.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .conformal import (
 )
 from .harness import _TASKS, ExperimentConfig, run as run_experiment
 from .labels import FormatError, PartialMatching, RankingPrefix, read_jsonl
-from .labels import _as_int, _as_real, weak_contains, write_jsonl
+from .labels import _as_int, _as_real, _finite_floats, weak_contains, write_jsonl
 from .matching import MatchingProblem, read_cost_csv
 from .mbest import DEFAULT_CAP, enumerate_until, m_best
 from .ranking import PsiSpec, RankingProblem
@@ -81,11 +82,7 @@ def _check_config(loaded: dict) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    settings: dict = {}
-    for name in _RUN_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            settings[name] = flag
+    settings = {name: v for name, v in vars(args).items() if name in _RUN_FIELDS and v is not None}
     if args.config:
         loaded = _load_config(args.config)
         if not isinstance(loaded, dict):
@@ -95,14 +92,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise FormatError(f"unknown config keys: {sorted(unknown)}")
         _check_config(loaded)
         settings.update(loaded)
-    if "methods" in settings and isinstance(settings["methods"], str):
-        settings["methods"] = tuple(settings["methods"].split(","))
-    if "methods" in settings:
-        settings["methods"] = tuple(settings["methods"])
-    if "split" in settings and isinstance(settings["split"], str):
-        settings["split"] = tuple(float(v) for v in settings["split"].split(","))
-    if "split" in settings:
-        settings["split"] = tuple(settings["split"])
+    for name, item in (("methods", str), ("split", float)):  # one comma-separated string
+        if isinstance(settings.get(name), str):
+            try:
+                settings[name] = [item(v) for v in settings[name].split(",")]
+            except ValueError as exc:
+                raise FormatError(f"{name} must be comma-separated {item.__name__} values, "
+                                  f"not {settings[name]!r}") from exc
     cfg = ExperimentConfig(**settings)
     results = run_experiment(cfg)
     summary: dict = {"task": cfg.task, "alpha": cfg.alpha, "rows": len(results)}
@@ -124,14 +120,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     if args.scores == "-":
-        lines = sys.stdin.read().split()
+        text = sys.stdin.read()
     else:
         with open(args.scores, "r", encoding="utf-8") as fh:
-            lines = fh.read().split()
-    if not lines:
+            text = fh.read()
+    scores = [score for line_no, raw in enumerate(text.splitlines(), start=1)
+              for score in _finite_floats(raw.split(), line_no)]  # whitespace-separated
+    if not scores:
         raise FormatError("scores file is empty")
-    scores = np.array([float(v) for v in lines])
-    t = conformal_threshold(scores, args.alpha)
+    t = conformal_threshold(np.array(scores), args.alpha)
     print(t.value)
     return 0
 
@@ -274,28 +271,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # --- gen -------------------------------------------------------------------
 
 
-# the settings each generator takes; flags it does not take are ignored
-_GEN_SETTINGS = {
-    "classify": ("n", "k", "d", "sigma", "min_weak_size", "seed"),
-    "rank": ("n", "k", "d", "sigma", "seed"),
-    "match": ("n", "k", "noise", "seed"),
-    "regress": ("n", "d", "mu", "seed", "min_half_width"),
-}
-_GENERATORS = {
-    "classify": lambda **kw: synth.gen_multiclass(synth.MulticlassConfig(**kw)),
-    "rank": lambda **kw: synth.gen_ranking(synth.RankingSimConfig(**kw)),
-    "match": synth.gen_matching,
-    "regress": synth.gen_regression,
-}
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    given = {
-        name: getattr(args, name)
-        for name in _GEN_SETTINGS[args.task]
-        if getattr(args, name) is not None
-    }
-    data = _GENERATORS[args.task](**given)
+    data = synth._generate(args.task, vars(args))  # flags its generator does not read are ignored
     write_jsonl(args.out, synth.to_records(data))
     print(json.dumps({"task": args.task, "n": args.n, "out": args.out}))
     return 0
@@ -323,15 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--task", choices=list(_TASKS))
     p_run.add_argument("--alpha", type=float)
     p_run.add_argument("--trials", dest="n_trials", type=int)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--n", type=int)
-    p_run.add_argument("--k", type=int)
-    p_run.add_argument("--d", type=int)
-    p_run.add_argument("--sigma", type=float)
-    p_run.add_argument("--noise", type=float)
-    p_run.add_argument("--mu", type=float)
-    p_run.add_argument("--min-weak-size", dest="min_weak_size", type=int)
-    p_run.add_argument("--min-half-width", dest="min_half_width", type=float)
     p_run.add_argument("--methods", help="comma-separated, e.g. wsc,fsc")
     p_run.add_argument("--m-max", dest="m_max", type=int)
     p_run.add_argument("--psi-c", dest="psi_c", type=float)
@@ -360,17 +328,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write a synthetic dataset as JSONL")
     p_gen.add_argument("--task", required=True, choices=list(_TASKS))
-    p_gen.add_argument("--n", type=int, default=1000)
-    p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--d", type=int)
-    p_gen.add_argument("--sigma", type=float)
-    p_gen.add_argument("--noise", type=float)
-    p_gen.add_argument("--mu", type=float)
-    p_gen.add_argument("--min-weak-size", dest="min_weak_size", type=int)
-    p_gen.add_argument("--min-half-width", dest="min_half_width", type=float)
-    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(fn=_cmd_gen)
+    p_gen.set_defaults(fn=_cmd_gen, n=1000)
+
+    # one flag per generator setting, shared, typed as its ExperimentConfig field
+    for name in [name for name in synth._RANGES if name in _RUN_FIELDS]:
+        kind = {"int": int, "float": float}[_RUN_FIELDS[name].type.split()[0]]  # "float | None"
+        for p in (p_run, p_gen):
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
 
     return parser
 

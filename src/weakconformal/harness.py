@@ -1,16 +1,16 @@
 """End-to-end experiment harness over the synthetic generators.
 
 One run = one task, one alpha, n_trials independent trials. One trial
-serves all four tasks. A task function generates a fresh dataset from a
-trial-derived seed, splits it train/calibration/test, fits whatever model
-the task needs on the training block and scores both other blocks; the
-trial then calibrates each requested method's split-conformal threshold t
-on its calibration scores, counts the test block's level sets
-{y : s(x, y) <= t} once for all methods that share them, and reports strong
-coverage (strong score <= t), weak coverage (weak score <= t) and the set
-sizes. Rows land in a fixed-schema CSV (appended, never overwritten) plus a
-JSON-lines twin carrying extra fields; a metadata JSON echoes the
-configuration.
+serves all four tasks. It generates a fresh dataset from a trial-derived
+seed (synth._generate) and splits it train/calibration/test; the task
+function fits whatever model the task needs on the training block and
+scores both other blocks; the trial then calibrates each requested method's
+split-conformal threshold t on its calibration scores, counts the test
+block's level sets {y : s(x, y) <= t} once for all methods that share them,
+and reports strong coverage (strong score <= t), weak coverage (weak score
+<= t) and the set sizes. Rows land in a fixed-schema CSV (appended, never
+overwritten) plus a JSON-lines twin carrying extra fields; a metadata JSON
+echoes the configuration.
 
 Methods:
   wsc          calibrate on best-case (weak) scores     -> weak coverage
@@ -132,25 +132,14 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {tuple(_TASKS)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.n_trials < 1 or self.n < 10 or self.m_max < 1 or self.seed < 0:
-            raise ValueError("n_trials >= 1, n >= 10, m_max >= 1, seed >= 0 required")
+        if self.n_trials < 1 or self.n < 10 or self.m_max < 1:
+            raise ValueError("n_trials >= 1, n >= 10, m_max >= 1 required")
         bad = [m for m in self.methods if m not in _TASKS[self.task].methods]
         if bad:
             raise ValueError(f"methods {bad} not available for task {self.task!r}")
         self.psi()  # a bad psi_c is rejected here, before any trial runs
-        # every task's generator settings, also those its generator does not read
-        in_range = {
-            "sigma": 0 <= self.sigma < math.inf,
-            "noise": 0 <= self.noise < math.inf,
-            "mu": 0 < self.mu < math.inf,
-            "min_half_width": self.min_half_width is None or math.isfinite(self.min_half_width),
-        }
-        bad = [name for name, ok in in_range.items() if not ok]
-        if bad:
-            raise ValueError(
-                f"{', '.join(bad)} out of range: sigma and noise must be finite and >= 0, "
-                "mu finite and > 0, min_half_width finite"
-            )
+        # every generator setting, also those the task's generator does not read
+        synth._check_settings(self._generator_settings(self.seed))
         _, ca, te = synth.three_way_split(self.n, self.split)
         if ca.start == ca.stop or te.start == te.stop:
             raise ValueError(
@@ -169,6 +158,14 @@ class ExperimentConfig:
 
     def psi(self) -> PsiSpec:
         return PsiSpec.hinge() if self.psi_c == 0 else PsiSpec.exp_weighted(self.psi_c)
+
+    def _generator_settings(self, seed: int) -> dict:
+        """Every generator setting this config holds, with the given seed, and
+        k resolved for a task whose generator reads k (left out otherwise)."""
+        settings = {**vars(self), "seed": seed, "k": self.resolved_k}
+        if "k" not in synth._TASK_DATA[self.task][2]:
+            del settings["k"]
+        return settings
 
 
 @dataclass
@@ -233,9 +230,10 @@ def _check_first_record(task: str, fast, engine, tol: float = 0.0) -> None:
 
 # --- per-task data -----------------------------------------------------------
 #
-# A task function generates, splits, fits and scores. It returns two dicts
-# keyed by method: the calibration scores, and the test block, a triple of
-# the test records' strong scores, their weak scores and a counter
+# A task function fits and scores a trial's dataset, given the trial seed and
+# the train, calibration and test slices. It returns two dicts keyed by
+# method: the calibration scores, and the test block, a triple of the test
+# records' strong scores, their weak scores and a counter
 # sizes(thresholds) -> (capped sizes, over-cap flags) of their level sets,
 # one column per threshold. Methods with the same score share one block
 # object, whose level sets are then counted once for all their thresholds.
@@ -252,17 +250,11 @@ def _label_set_block(scores: np.ndarray, y: np.ndarray, member: np.ndarray):
     return strong, weak, sizes
 
 
-def _classify_task(cfg: ExperimentConfig, seed: int):
+def _classify_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te: slice):
     """Multiclass data; cumulative-probability scores of a softmax fit for
     wsc, fsc and pessimistic, nested greedy scores of per-label fits for gws.
     Only the fits some method needs are made."""
     k = cfg.resolved_k
-    data = synth.gen_multiclass(
-        synth.MulticlassConfig(
-            n=cfg.n, k=k, d=cfg.d, sigma=cfg.sigma, seed=seed, min_weak_size=cfg.min_weak_size
-        )
-    )
-    tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
     y_ca, y_te, mask_ca, mask_te = data.y[ca], data.y[te], data.member[ca], data.member[te]
     cal, test = {}, {}
     if any(m in cfg.methods for m in ("wsc", "fsc", "pessimistic")):
@@ -289,13 +281,9 @@ def _classify_task(cfg: ExperimentConfig, seed: int):
     return cal, test
 
 
-def _rank_task(cfg: ExperimentConfig, seed: int):
+def _rank_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te: slice):
     """Ranking data and a ListNet fit; prefix-completion scores, and level
     sets counted in lockstep across the test block."""
-    data = synth.gen_ranking(
-        synth.RankingSimConfig(n=cfg.n, k=cfg.resolved_k, d=cfg.d, sigma=cfg.sigma, seed=seed)
-    )
-    tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
     psi = cfg.psi()
     weights = _fit_listnet(data.x[tr], data.order[tr])
 
@@ -357,25 +345,21 @@ def _match_by_engine(data, block: slice, cap: int):
     return np.asarray(strong), np.asarray(weak), sizes
 
 
-def _match_task(cfg: ExperimentConfig, seed: int):
+def _match_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te: slice):
     """Matching data, each record's scores translated by its optimal cost.
     Spaces of at most _EXHAUSTIVE_SPACE_CAP assignments are scored whole;
     larger ones go through the Hungarian solver and best-first enumeration
     per record."""
-    k = cfg.resolved_k
-    data = synth.gen_matching(cfg.n, k, cfg.noise, seed)
-    _, ca, te = synth.three_way_split(cfg.n, cfg.split)
-    scored = _match_by_table if math.factorial(k) <= _EXHAUSTIVE_SPACE_CAP else _match_by_engine
+    small = math.factorial(cfg.resolved_k) <= _EXHAUSTIVE_SPACE_CAP
+    scored = _match_by_table if small else _match_by_engine
     strong_ca, weak_ca, _ = scored(data, ca, cfg.m_max)
     shared = scored(data, te, cfg.m_max)
     return {"wsc": weak_ca, "fsc": strong_ca}, {"wsc": shared, "fsc": shared}
 
 
-def _regress_task(cfg: ExperimentConfig, seed: int):
+def _regress_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te: slice):
     """Interval data and an OLS fit; absolute-residual scores, and intervals
     of width 2t, the same for every record."""
-    data = synth.gen_regression(cfg.n, cfg.d, cfg.mu, seed, min_half_width=cfg.min_half_width)
-    tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
     beta = synth.fit_ols(data.x[tr], data.y[tr])
     strong_ca, weak_ca, pessimistic_ca = interval_block_scores(
         data.x[ca] @ beta, data.y[ca], data.lo[ca], data.hi[ca]
@@ -395,11 +379,11 @@ def _regress_task(cfg: ExperimentConfig, seed: int):
 
 @dataclass(frozen=True)
 class _Task:
-    """What the harness knows of a task: the function that generates, fits
-    and scores a trial's blocks, its default k, the methods it offers, the
-    setting reported as the CSV's param, and the score named in the sidecar."""
+    """What the harness knows of a task besides its generator (synth._TASK_DATA):
+    the function that fits and scores a trial's blocks, its default k, the methods
+    it offers, the setting reported as the CSV's param, and its sidecar score."""
 
-    blocks: Callable[[ExperimentConfig, int], tuple[dict, dict]]
+    blocks: Callable[..., tuple[dict, dict]]
     default_k: int
     methods: tuple[str, ...]
     param: str
@@ -420,10 +404,14 @@ _TASKS = {
 
 
 def _trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
-    """One trial of any task: calibrate each method on its calibration scores,
-    count each test block's level sets once at its methods' thresholds, and
-    report each method's coverages and sizes on the test block."""
-    cal, test = _TASKS[cfg.task].blocks(cfg, _trial_seed(cfg.seed, trial))
+    """One trial of any task: generate and split the data, fit and score it,
+    calibrate each method on its calibration scores, count each test block's
+    level sets once at its methods' thresholds, and report each method's
+    coverages and sizes on the test block."""
+    seed = _trial_seed(cfg.seed, trial)
+    data = synth._generate(cfg.task, cfg._generator_settings(seed))
+    split = synth.three_way_split(cfg.n, cfg.split)
+    cal, test = _TASKS[cfg.task].blocks(cfg, seed, data, *split)
     thresholds, calibration_s = {}, {}
     for method in cfg.methods:
         start = time.perf_counter()

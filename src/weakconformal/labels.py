@@ -44,7 +44,7 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
-def _as_int(value: Any, what: str) -> int:
+def _as_int(value: Any, what: str = "a value") -> int:
     """value as an int, or ValueError naming what it is: 3.7, "3" and the
     booleans are not integers, so none is truncated or read as 0 or 1."""
     if not isinstance(value, bool):
@@ -55,7 +55,19 @@ def _as_int(value: Any, what: str) -> int:
     raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
-def _as_real(value: Any, what: str) -> float:
+def _finite_floats(values: list[str], line: int) -> list[float]:
+    """The values of one line of a plain-text file as floats; FormatError at
+    that line when one is not a finite number."""
+    try:
+        floats = [float(v) for v in values]
+        if all(map(math.isfinite, floats)):
+            return floats
+    except ValueError:  # not a number at all
+        pass
+    raise FormatError(f"every value must be a finite number, not {values}", line)
+
+
+def _as_real(value: Any, what: str = "a value") -> float:
     """value as a float, or ValueError naming what it is: a real number is an
     int or a float, so "0.5" and the booleans are not read as numbers."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .labels import FormatError, PartialMatching, _as_permutation
+from .labels import FormatError, PartialMatching, _as_permutation, _finite_floats
 
 __all__ = [
     "hungarian",
@@ -275,10 +275,7 @@ def read_cost_csv(path: str) -> np.ndarray:
         parts = ln.split(",")
         if len(parts) != k:
             raise FormatError(f"expected {k} comma-separated entries", lineno)
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise FormatError(f"non-numeric entry: {exc}", lineno) from exc
+        rows.append(_finite_floats(parts, lineno))
     return _as_cost_matrix(rows)
 
 

@@ -441,10 +441,11 @@ def levelset_counts_batch(
     t = np.asarray(thresholds, dtype=float).ravel()
     pairs = _pair_terms(r, psi)
     margin = _prune_margin(r.shape[1], _worst_scores(pairs, r))
+    m = min(cap + 1, math.factorial(r.shape[1]))  # a record has k! rankings to count
     exact = np.zeros((r.shape[0], t.size), dtype=np.int64)
     for start in range(0, r.shape[0], _LOCKSTEP_ROWS):
         block = slice(start, start + _LOCKSTEP_ROWS)
-        exact[block] = _lockstep_counts(r[block], pairs[block], margin[block], t, cap + 1)
+        exact[block] = _lockstep_counts(r[block], pairs[block], margin[block], t, m)
     return np.minimum(exact, cap), exact > cap
 
 

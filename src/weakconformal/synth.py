@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labels import ExplicitSet, Interval, PartialMatching, RankingPrefix, WeakRecord
+from .labels import _as_int, _as_real
 from .ranking import _descend, _softmax, _training_rows
 
 __all__ = [
@@ -59,8 +60,6 @@ _PARAMS, _FEATURES, _NOISE, _THRESH, _COUNTS = 0, 1, 2, 3, 4
 
 
 def _rng(seed: int, role: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, not {seed}")
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(role)]))
 
 
@@ -74,6 +73,34 @@ def three_way_split(n: int, fractions: Sequence[float]) -> tuple[slice, slice, s
     return slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, n)
 
 
+# each generator setting's range: a test of (value, all settings), which
+# raises ValueError for a value of the wrong kind, and what the test asks for
+_RANGES: dict[str, tuple[Callable[[object, dict], bool], str]] = {
+    "n": (lambda v, s: _as_int(v) >= 1, "an integer >= 1"),
+    "k": (lambda v, s: _as_int(v) >= 2, "an integer >= 2"),
+    "d": (lambda v, s: _as_int(v) >= 1, "an integer >= 1"),
+    "sigma": (lambda v, s: 0 <= _as_real(v) < math.inf, "a finite number >= 0"),
+    "noise": (lambda v, s: 0 <= _as_real(v) < math.inf, "a finite number >= 0"),
+    "prefix_rate": (lambda v, s: 0 <= _as_real(v) < math.inf, "a finite number >= 0"),
+    "mu": (lambda v, s: 0 < _as_real(v) < math.inf, "a finite number > 0"),
+    "min_weak_size": (lambda v, s: 1 <= _as_int(v) <= s.get("k", v), "an integer in [1, k]"),
+    "min_half_width": (lambda v, s: v is None or math.isfinite(_as_real(v)), "finite or None"),
+    "seed": (lambda v, s: _as_int(v) >= 0, "an integer >= 0"),
+}
+
+
+def _check_settings(settings: dict) -> None:
+    """ValueError naming the first generator setting out of its range; other
+    names in settings are ignored."""
+    for name, (ok, wants) in _RANGES.items():
+        try:
+            good = name not in settings or ok(settings[name], settings)
+        except ValueError:  # not a number of the setting's kind
+            good = False
+        if not good:
+            raise ValueError(f"{name} must be {wants}, not {settings[name]!r}")
+
+
 @dataclass(frozen=True)
 class MulticlassConfig:
     n: int = 10_000
@@ -84,12 +111,7 @@ class MulticlassConfig:
     min_weak_size: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 2 or self.d < 1:
-            raise ValueError("need n >= 1, k >= 2, d >= 1")
-        if not 0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and nonnegative, not {self.sigma}")
-        if not 1 <= self.min_weak_size <= self.k:
-            raise ValueError("min_weak_size must be in [1, k]")
+        _check_settings(vars(self))
 
 
 @dataclass(frozen=True)
@@ -102,10 +124,7 @@ class RankingSimConfig:
     prefix_rate: float = 0.5  # Poisson rate of extra revealed positions
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 2 or self.d < 1:
-            raise ValueError("need n >= 1, k >= 2, d >= 1")
-        if not (0 <= self.sigma < math.inf and 0 <= self.prefix_rate < math.inf):
-            raise ValueError("sigma and prefix_rate must be finite and nonnegative")
+        _check_settings(vars(self))
 
 
 class _Built(Sequence):
@@ -261,8 +280,7 @@ def gen_matching(n: int, k: int = 6, noise: float = 0.25, seed: int = 0) -> Matc
     _GUARD_ROWS records itself, so a numpy whose choice draws differently
     falls back to it too.
     """
-    if n < 1 or k < 2 or not 0 <= noise < math.inf:
-        raise ValueError("need n >= 1, k >= 2 and a finite noise >= 0")
+    _check_settings(dict(n=n, k=k, noise=noise, seed=seed))
     # one permutation per row, drawn in the order of n rng.permutation(k) calls
     planted = _rng(seed, _PARAMS).permuted(np.tile(np.arange(k), (n, 1)), axis=1)
     rng_c = _rng(seed, _COUNTS)
@@ -334,10 +352,7 @@ def gen_regression(
     until >= min_half_width when given, for lower-bounded interval length);
     a min_half_width that 1000 rounds of resampling do not reach is an error.
     """
-    if n < 1 or d < 1 or not 0 < mu < math.inf:
-        raise ValueError("need n >= 1, d >= 1 and a finite mu > 0")
-    if min_half_width is not None and not math.isfinite(min_half_width):
-        raise ValueError(f"min_half_width must be finite, not {min_half_width}")
+    _check_settings(dict(n=n, d=d, mu=mu, seed=seed, min_half_width=min_half_width))
     beta = _rng(seed, _PARAMS).standard_normal(d)
     x = _rng(seed, _FEATURES).standard_normal((n, d))
     y = x @ beta + 0.5 * _rng(seed, _NOISE).standard_normal(n)
@@ -355,6 +370,26 @@ def gen_regression(
             f"Normal(mu={mu}, 0.01^2)"
         )
     return RegressionData(x=x, y=y, lo=y - z, hi=y + z, beta=beta)
+
+
+# each task's generator, named so that the module attribute is looked up when
+# data is built (a tracing wrapper there is what runs), the config class it
+# takes (None: keyword arguments) and the settings it reads
+_TASK_DATA = {
+    "classify": ("gen_multiclass", MulticlassConfig,
+                 ("n", "k", "d", "sigma", "seed", "min_weak_size")),
+    "rank": ("gen_ranking", RankingSimConfig, ("n", "k", "d", "sigma", "seed", "prefix_rate")),
+    "match": ("gen_matching", None, ("n", "k", "noise", "seed")),
+    "regress": ("gen_regression", None, ("n", "d", "mu", "seed", "min_half_width")),
+}
+
+
+def _generate(task: str, settings: dict):
+    """task's dataset from the settings its generator reads; the others are
+    ignored, and one left out or None takes the generator's default."""
+    name, config, reads = _TASK_DATA[task]
+    given = {s: settings[s] for s in reads if settings.get(s) is not None}
+    return globals()[name](config(**given)) if config else globals()[name](**given)
 
 
 def to_records(data) -> list[WeakRecord]:

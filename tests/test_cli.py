@@ -302,6 +302,41 @@ def test_malformed_input_is_one_located_error(tmp_path, capsys, command, text, l
         assert located in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "command, text, located",
+    [
+        # a score that is not a number: "could not convert string to float", no line
+        ("calibrate", "0.5\nabc\n", 2),
+        # a score that is not finite: "calibration scores must be finite", no line
+        ("calibrate", "0.5\n0.2 nan\n", 2),
+        ("calibrate", "inf\n", 1),
+        # a cost entry that is not finite: "cost entries must be finite", no line
+        ("mbest", "2\n0,1\nnan,0\n", 3),
+        ("mbest", "2\n0,inf\n1,0\n", 2),
+        # a split that is not numbers: "could not convert string to float", no name
+        ("run --split", "a,b,c", "split"),
+        ("run", json.dumps({"split": "x,0.5,0.5"}), "split"),
+    ],
+)
+def test_plain_text_input_is_one_located_error(tmp_path, capsys, command, text, located):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    argv = {
+        "calibrate": ["calibrate", "--scores", str(path), "--alpha", "0.1"],
+        "mbest": ["mbest", "--input", str(path), "--m", "2"],
+        "run --split": ["run", "--n", "20", "--trials", "1", "--split", text],
+        "run": ["run", "--config", str(path)],
+    }[command]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    payload = json.loads(err)
+    if isinstance(located, int):
+        assert payload["line"] == located
+    else:
+        assert located in payload["error"]
+
+
 # --- run ----------------------------------------------------------------------
 
 
@@ -366,6 +401,12 @@ def test_run_settings_without_a_result_are_one_named_error(capsys, argv, named):
         ["--task", "classify", "--noise", "inf"],
         ["--task", "rank", "--mu", "nan"],
         ["--task", "match", "--min-half-width", "inf"],
+        # settings the generator reads, which failed only inside the first trial,
+        # with an error such as "need n >= 1, k >= 2, d >= 1" that named none of them
+        ["--task", "classify", "--k", "1"],
+        ["--task", "match", "--k", "1"],
+        ["--task", "classify", "--d", "0"],
+        ["--task", "classify", "--min-weak-size", "11"],
     ],
 )
 def test_run_rejects_any_task_setting_out_of_range_and_writes_nothing(tmp_path, capsys, argv):
@@ -374,7 +415,9 @@ def test_run_rejects_any_task_setting_out_of_range_and_writes_nothing(tmp_path, 
     assert code == 1 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert argv[-2].lstrip("-").replace("-", "_") in json.loads(lines[0])["error"]
+    error = json.loads(lines[0])["error"]  # names the setting and its value
+    assert error.startswith(argv[-2].lstrip("-").replace("-", "_") + " must be")
+    assert error.endswith(f"not {argv[-1]}")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -37,6 +37,15 @@ def test_config_validation():
         ExperimentConfig(task="rank", methods=("wsc", "pessimistic"))
     with pytest.raises(ValueError):
         ExperimentConfig(n=5)
+    # generator settings out of range, which once failed only inside the first trial
+    for kwargs, named in [
+        ({"task": "classify", "k": 1}, "k"),
+        ({"task": "match", "k": 1}, "k"),
+        ({"task": "classify", "d": 0}, "d"),
+        ({"task": "classify", "min_weak_size": 11}, "min_weak_size"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            ExperimentConfig(**kwargs)
 
 
 def test_config_defaults():

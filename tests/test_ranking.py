@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -349,6 +350,22 @@ def test_lockstep_counts_span_blocks_and_tight_caps():
         exact = [(scores <= 0.4).sum(), scores.size]
         assert counts[j].tolist() == [min(e, 1) for e in exact]
         assert flags[j].tolist() == [e > 1 for e in exact]
+
+
+def test_lockstep_cells_are_bounded_by_the_k_factorial_rankings():
+    # a cap past k! sized the cell arrays by cap + 1: about 100 MB here
+    rel = np.random.default_rng(5).normal(size=(10, 4))
+    psi, thresholds = PsiSpec.hinge(), [0.4, 2.0, math.inf]
+    want_counts, want_flags = levelset_counts_batch(rel, psi, thresholds, 24)
+    tracemalloc.start()
+    try:
+        counts, flags = levelset_counts_batch(rel, psi, thresholds, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == want_counts.tolist()
+    assert flags.tolist() == want_flags.tolist()
+    assert peak < 2**20
 
 
 def test_levelset_counts_batch_rejects_bad_input():
