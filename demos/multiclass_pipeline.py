@@ -11,9 +11,9 @@ import numpy as np
 
 from weakconformal.conformal import conformal_threshold, set_block_scores
 from weakconformal.synth import (
-    MulticlassConfig,
     cumulative_probability_scores,
     gen_multiclass,
+    multinomial_loss_grad,
     predict_class_probs,
     three_way_split,
     train_multinomial_logistic,
@@ -24,14 +24,17 @@ K = 8
 
 # 1. draw weak multiclass data: Y is the argmin of noisy class scores, the
 #    weak set W collects every label whose score fell below a random cut
-data = gen_multiclass(MulticlassConfig(n=6000, k=K, d=2, sigma=1.0, seed=7))
+data = gen_multiclass(n=6000, k=K, d=2, sigma=1.0, seed=7)
 tr, ca, te = three_way_split(6000, (0.3, 0.2, 0.5))
 sizes = data.member.sum(axis=1)  # (n, k) weak-set mask: label j is in W_i
 print(f"weak-set sizes: mean {sizes.mean():.2f}, max {sizes.max()}")
 
 # 2. fit a softmax classifier on the training third (strong labels there)
-weights, losses = train_multinomial_logistic(data.x[tr], data.y[tr], K)
-print(f"trainer loss {losses[0]:.3f} -> {losses[-1]:.3f}")
+weights = train_multinomial_logistic(data.x[tr], data.y[tr], K)
+xb_tr = np.column_stack([data.x[tr], np.ones(len(data.x[tr]))])  # bias column last
+loss_before, _ = multinomial_loss_grad(np.zeros_like(weights), xb_tr, data.y[tr])
+loss_after, _ = multinomial_loss_grad(weights, xb_tr, data.y[tr])
+print(f"trainer loss {loss_before:.3f} -> {loss_after:.3f}")
 
 # 3. turn class probabilities into conformity scores (lower = more plausible)
 scores_ca = cumulative_probability_scores(predict_class_probs(weights, data.x[ca]))

@@ -84,8 +84,6 @@ from .ranking import (
 )
 from .regression import interval_block_scores, interval_predict
 from .synth import (
-    MulticlassConfig,
-    RankingSimConfig,
     cumulative_probability_scores,
     fit_ols,
     gen_matching,
@@ -132,8 +130,8 @@ __all__ = [
     # regression
     "interval_block_scores", "interval_predict",
     # synthetic data and trainers
-    "MulticlassConfig", "RankingSimConfig", "gen_multiclass", "gen_ranking",
-    "gen_matching", "gen_regression", "to_records", "three_way_split",
+    "gen_multiclass", "gen_ranking", "gen_matching", "gen_regression",
+    "to_records", "three_way_split",
     "train_per_label_logistic", "train_multinomial_logistic",
     "predict_label_marginals", "predict_class_probs",
     "cumulative_probability_scores", "fit_ols",

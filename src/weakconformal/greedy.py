@@ -242,6 +242,9 @@ class RandomizedSet:
             raise ValueError("t must be a probability")
 
     def realize(self, u: float) -> frozenset[int]:
+        """outer when u < t, else inner; ValueError for u outside [0, 1] or NaN."""
+        if not 0.0 <= u <= 1.0:
+            raise ValueError("randomness u must lie in [0, 1]")
         return self.outer if u < self.t else self.inner
 
     @property
@@ -376,9 +379,12 @@ def _entry_levels(order: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarr
     """Nested scores of a block of greedy runs, one per row: order (n, k),
     prefix coverages cum (n, k), randomness u (n,). The label at position j
     of row i enters at c_{j-1} + u_i (c_j - c_{j-1}), c_0 = 0; the (n, k)
-    result is indexed by label id."""
+    result is indexed by label id. ValueError for a u outside [0, 1] or NaN."""
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0) & (u <= 1)):  # NaN fails both
+        raise ValueError("randomness u must lie in [0, 1]")
     cprev = np.concatenate([np.zeros((cum.shape[0], 1)), cum[:, :-1]], axis=1)
-    by_pos = cprev + np.asarray(u, dtype=float)[:, None] * (cum - cprev)
+    by_pos = cprev + u[:, None] * (cum - cprev)
     out = np.empty_like(by_pos)
     np.put_along_axis(out, order, by_pos, axis=1)
     return out

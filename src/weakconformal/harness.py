@@ -21,8 +21,8 @@ Methods:
 
 A row's seconds are its method's calibration plus its coverage and size
 statistics. Model fitting and the level-set counting are shared across
-methods and left out. Fits take gradient steps alone: no trial reads a
-loss trace, so none is computed.
+methods and left out. Fits call the public trainers of synth and ranking
+by name, so a tracer that wraps those names times them.
 
 Every trial scores whole blocks of records: the generators hold each weak
 label kind as an array block (synth), and one block-score function per task
@@ -70,6 +70,7 @@ import numpy as np
 from . import __version__, synth
 from .conformal import TOL, conformal_threshold, set_block_scores
 from .greedy import label_independent_nested_scores
+from .labels import _as_int, _as_real
 from .matching import (
     MatchingProblem,
     matching_block_scores,
@@ -81,8 +82,8 @@ from .mbest import enumerate_until
 from .ranking import (
     PsiSpec,
     RankingProblem,
-    _fit_listnet,
     levelset_counts_batch,
+    listnet_train,
     predict_relevances,
     prefix_block_scores,
 )
@@ -105,6 +106,15 @@ CSV_COLUMNS = [
 
 # full-space scoring beats per-record best-first enumeration up to this size
 _EXHAUSTIVE_SPACE_CAP = 10_000
+
+
+# the run's own settings, in the form of synth._RANGES
+_RUN_RANGES = {
+    "alpha": (lambda v, s: 0 < _as_real(v) < 1, "a number in (0, 1)"),
+    "n_trials": (lambda v, s: _as_int(v) >= 1, "an integer >= 1"),
+    "n": (lambda v, s: _as_int(v) >= 10, "an integer >= 10"),
+    "m_max": (lambda v, s: _as_int(v) >= 1, "an integer >= 1"),
+}
 
 
 @dataclass(frozen=True)
@@ -130,10 +140,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in _TASKS:
             raise ValueError(f"task must be one of {tuple(_TASKS)}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if self.n_trials < 1 or self.n < 10 or self.m_max < 1:
-            raise ValueError("n_trials >= 1, n >= 10, m_max >= 1 required")
+        synth._check_settings(vars(self), _RUN_RANGES)
         bad = [m for m in self.methods if m not in _TASKS[self.task].methods]
         if bad:
             raise ValueError(f"methods {bad} not available for task {self.task!r}")
@@ -163,7 +170,7 @@ class ExperimentConfig:
         """Every generator setting this config holds, with the given seed, and
         k resolved for a task whose generator reads k (left out otherwise)."""
         settings = {**vars(self), "seed": seed, "k": self.resolved_k}
-        if "k" not in synth._TASK_DATA[self.task][2]:
+        if "k" not in synth._TASK_DATA[self.task][1]:
             del settings["k"]
         return settings
 
@@ -258,7 +265,7 @@ def _classify_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice,
     y_ca, y_te, mask_ca, mask_te = data.y[ca], data.y[te], data.member[ca], data.member[te]
     cal, test = {}, {}
     if any(m in cfg.methods for m in ("wsc", "fsc", "pessimistic")):
-        w_model = synth._fit_multinomial_logistic(data.x[tr], data.y[tr], k)
+        w_model = synth.train_multinomial_logistic(data.x[tr], data.y[tr], k)
 
         def scored(block: slice) -> np.ndarray:
             probs = synth.predict_class_probs(w_model, data.x[block])
@@ -269,7 +276,7 @@ def _classify_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice,
         shared = _label_set_block(scored(te), y_te, mask_te)
         test.update(wsc=shared, fsc=shared, pessimistic=shared)
     if "gws" in cfg.methods:
-        w_marg = synth._fit_per_label_logistic(data.x[tr], data.member[tr].astype(float))
+        w_marg = synth.train_per_label_logistic(data.x[tr], data.member[tr].astype(float))
 
         def nested(block: slice, role: int) -> np.ndarray:
             q = synth.predict_label_marginals(w_marg, data.x[block])
@@ -285,7 +292,7 @@ def _rank_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te:
     """Ranking data and a ListNet fit; prefix-completion scores, and level
     sets counted in lockstep across the test block."""
     psi = cfg.psi()
-    weights = _fit_listnet(data.x[tr], data.order[tr])
+    weights = listnet_train(data.x[tr], data.order[tr])
 
     def scored(block: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rel = predict_relevances(weights, data.x[block])

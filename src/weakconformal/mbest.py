@@ -186,8 +186,10 @@ def compatible_rank(
 
     Raises ValueError if the space holds no compatible configuration, and
     EnumerationCapExceeded if none shows up within cap enumerated
-    configurations.
+    configurations. A cap below 1 is a ValueError.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     state = Enumerator(problem)
     found = state.extend_until(lambda config, score: is_compatible(config), cap)
     if found is not None:

@@ -452,10 +452,9 @@ def levelset_counts_batch(
 # --- trainers ------------------------------------------------------------------
 #
 # _softmax, _training_rows and _descend also serve the label trainers in
-# synth. Each trainer is a private fit that takes gradient steps alone, and a
-# public function that also returns the loss trace. Each loss has one
-# gradient function, which its public loss-and-gradient function and its
-# gradient steps share.
+# synth. Each trainer takes gradient steps alone and returns its weights. Each
+# loss has one gradient function, which its public loss-and-gradient function
+# and its trainer's gradient steps share.
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -472,25 +471,11 @@ def _training_rows(x) -> np.ndarray:
     return x
 
 
-def _descend(
-    grad, loss_grad, weights: np.ndarray, epochs: int, lr: float, trace: list[float] | None
-) -> np.ndarray:
-    """Full-batch gradient descent: epochs steps of weights -= lr * gradient.
-
-    Without a trace list, grad(weights) gives each gradient. With one,
-    loss_grad(weights) gives (loss, the same gradient), and the loss at each
-    iterate, initial first and final last (epochs + 1 entries), is appended
-    to trace. Returns the final weights.
-    """
-    if trace is None:
-        for _ in range(epochs):
-            weights = weights - lr * grad(weights)
-        return weights
+def _descend(grad, weights: np.ndarray, epochs: int, lr: float) -> np.ndarray:
+    """Full-batch gradient descent: epochs steps of weights -= lr * grad(weights).
+    Returns the final weights."""
     for _ in range(epochs):
-        loss, step = loss_grad(weights)
-        trace.append(loss)
-        weights = weights - lr * step
-    trace.append(loss_grad(weights)[0])
+        weights = weights - lr * grad(weights)
     return weights
 
 
@@ -535,39 +520,24 @@ def _listnet_grad(p: np.ndarray, x: np.ndarray, target_p: np.ndarray) -> np.ndar
     return (p - target_p).T @ x / x.shape[0]
 
 
-def _fit_listnet(
+def listnet_train(
     x: np.ndarray,
     rankings: Sequence[Sequence[int]],
     epochs: int = 200,
     lr: float = 0.1,
-    trace: list[float] | None = None,
 ) -> np.ndarray:
-    """listnet_train's weights; the loss trace goes to trace when given."""
+    """Fit per-item linear relevance scorers by full-batch gradient descent.
+
+    Returns the (k, d) weight matrix. Weights start at zero, where the
+    predicted top-1 distribution is uniform and the loss is exactly log(k).
+    """
     x = _training_rows(x)
     if x.ndim != 2 or len(rankings) != x.shape[0]:
         raise ValueError("x must be (n, d) with one ranking per row")
     k = len(rankings[0])
     target_p = _softmax(relevance_targets(rankings, k))
     return _descend(lambda w: _listnet_grad(_softmax(x @ w.T), x, target_p),
-                    lambda w: listnet_loss_grad(w, x, target_p),
-                    np.zeros((k, x.shape[1])), epochs, lr, trace)
-
-
-def listnet_train(
-    x: np.ndarray,
-    rankings: Sequence[Sequence[int]],
-    epochs: int = 200,
-    lr: float = 0.1,
-) -> tuple[np.ndarray, list[float]]:
-    """Fit per-item linear relevance scorers by full-batch gradient descent.
-
-    Returns the (k, d) weight matrix and the loss trace (initial loss
-    first, so the trace has epochs + 1 entries). Weights start at zero,
-    where the predicted top-1 distribution is uniform and the loss is
-    exactly log(k).
-    """
-    trace: list[float] = []
-    return _fit_listnet(x, rankings, epochs, lr, trace), trace
+                    np.zeros((k, x.shape[1])), epochs, lr)
 
 
 def predict_relevances(weights: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -15,10 +15,13 @@ are built only on demand: by the read-only ``weak`` and ``y`` views (record
 i is built when it is read) and by ``to_records``, which feeds the JSONL
 writer.
 
+Every generator takes its settings as keywords and checks them against
+one range rule per setting (_RANGES).
+
 The trainers are deliberately plain full-batch gradient-descent linear
-models (per-label logistic, multinomial logistic) with explicit
-loss-and-gradient functions so their gradients can be checked against
-finite differences.
+models (per-label logistic, multinomial logistic) that return their
+weights. Each loss has an explicit loss-and-gradient function, so its
+gradient can be checked against finite differences.
 """
 from __future__ import annotations
 
@@ -33,8 +36,6 @@ from .labels import _as_int, _as_real
 from .ranking import _descend, _softmax, _training_rows
 
 __all__ = [
-    "MulticlassConfig",
-    "RankingSimConfig",
     "MulticlassData",
     "RankingData",
     "MatchingData",
@@ -89,42 +90,16 @@ _RANGES: dict[str, tuple[Callable[[object, dict], bool], str]] = {
 }
 
 
-def _check_settings(settings: dict) -> None:
-    """ValueError naming the first generator setting out of its range; other
-    names in settings are ignored."""
-    for name, (ok, wants) in _RANGES.items():
+def _check_settings(settings: dict, ranges: dict = _RANGES) -> None:
+    """ValueError naming the first setting out of its range in ranges (the
+    generator settings' by default); other names in settings are ignored."""
+    for name, (ok, wants) in ranges.items():
         try:
             good = name not in settings or ok(settings[name], settings)
         except ValueError:  # not a number of the setting's kind
             good = False
         if not good:
             raise ValueError(f"{name} must be {wants}, not {settings[name]!r}")
-
-
-@dataclass(frozen=True)
-class MulticlassConfig:
-    n: int = 10_000
-    k: int = 10
-    d: int = 2
-    sigma: float = 1.0
-    seed: int = 0
-    min_weak_size: int = 1
-
-    def __post_init__(self):
-        _check_settings(vars(self))
-
-
-@dataclass(frozen=True)
-class RankingSimConfig:
-    n: int = 10_000
-    k: int = 7
-    d: int = 2
-    sigma: float = 1.0
-    seed: int = 0
-    prefix_rate: float = 0.5  # Poisson rate of extra revealed positions
-
-    def __post_init__(self):
-        _check_settings(vars(self))
 
 
 class _Built(Sequence):
@@ -222,17 +197,21 @@ class RegressionData:
         return _Built(len(lo), lambda i: Interval(lo[i], hi[i]))
 
 
-def _oracle_scores(cfg, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _oracle_scores(
+    n: int, k: int, d: int, sigma: float, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared noise model: class scores x^T theta_y + sigma * noise."""
-    rng_p = _rng(cfg.seed, _PARAMS)
-    theta = rng_p.standard_normal((cfg.k, cfg.d))
+    rng_p = _rng(seed, _PARAMS)
+    theta = rng_p.standard_normal((k, d))
     theta /= np.linalg.norm(theta, axis=1, keepdims=True)  # uniform directions
-    x = _rng(cfg.seed, _FEATURES).standard_normal((n, cfg.d))
-    scores = x @ theta.T + cfg.sigma * _rng(cfg.seed, _NOISE).standard_normal((n, cfg.k))
+    x = _rng(seed, _FEATURES).standard_normal((n, d))
+    scores = x @ theta.T + sigma * _rng(seed, _NOISE).standard_normal((n, k))
     return x, scores, theta
 
 
-def gen_multiclass(cfg: MulticlassConfig) -> MulticlassData:
+def gen_multiclass(
+    n: int, k: int = 10, d: int = 2, sigma: float = 1.0, seed: int = 0, min_weak_size: int = 1
+) -> MulticlassData:
     """Weak multiclass data: Y is the score argmin, W the labels whose score
     falls below a uniform random cut between the row's min and max.
 
@@ -240,27 +219,31 @@ def gen_multiclass(cfg: MulticlassConfig) -> MulticlassData:
     smallest score, so every weak set has at least that many labels. The
     argmin always survives the cut: Y is in W by construction.
     """
-    x, scores, theta = _oracle_scores(cfg, cfg.n)
+    _check_settings(dict(n=n, k=k, d=d, sigma=sigma, seed=seed, min_weak_size=min_weak_size))
+    x, scores, theta = _oracle_scores(n, k, d, sigma, seed)
     y = scores.argmin(axis=1)
     row_min = scores.min(axis=1)
     row_max = scores.max(axis=1)
-    u = _rng(cfg.seed, _THRESH).uniform(size=cfg.n)
+    u = _rng(seed, _THRESH).uniform(size=n)
     cut = row_min + u * (row_max - row_min)
-    if cfg.min_weak_size > 1:
-        kth = np.partition(scores, cfg.min_weak_size - 1, axis=1)[:, cfg.min_weak_size - 1]
+    if min_weak_size > 1:
+        kth = np.partition(scores, min_weak_size - 1, axis=1)[:, min_weak_size - 1]
         cut = np.maximum(cut, kth)
     member = scores <= cut[:, None]
     return MulticlassData(x=x, y=y, member=member, oracle_scores=scores, theta=theta)
 
 
-def gen_ranking(cfg: RankingSimConfig) -> RankingData:
+def gen_ranking(
+    n: int, k: int = 7, d: int = 2, sigma: float = 1.0, seed: int = 0, prefix_rate: float = 0.5
+) -> RankingData:
     """Weak ranking data: the truth sorts oracle scores descending (high
     score = top rank); the weak label reveals the top
     min(k, 1 + Poisson(prefix_rate)) positions."""
-    x, scores, theta = _oracle_scores(cfg, cfg.n)
+    _check_settings(dict(n=n, k=k, d=d, sigma=sigma, seed=seed, prefix_rate=prefix_rate))
+    x, scores, theta = _oracle_scores(n, k, d, sigma, seed)
     order = np.argsort(-scores, axis=1, kind="stable")
-    lengths = 1 + _rng(cfg.seed, _COUNTS).poisson(cfg.prefix_rate, size=cfg.n)
-    lengths = np.minimum(lengths, cfg.k)
+    lengths = 1 + _rng(seed, _COUNTS).poisson(prefix_rate, size=n)
+    lengths = np.minimum(lengths, k)
     return RankingData(x=x, order=order, lengths=lengths, oracle_scores=scores, theta=theta)
 
 
@@ -373,23 +356,20 @@ def gen_regression(
 
 
 # each task's generator, named so that the module attribute is looked up when
-# data is built (a tracing wrapper there is what runs), the config class it
-# takes (None: keyword arguments) and the settings it reads
+# data is built (a tracing wrapper there is what runs), and the settings it reads
 _TASK_DATA = {
-    "classify": ("gen_multiclass", MulticlassConfig,
-                 ("n", "k", "d", "sigma", "seed", "min_weak_size")),
-    "rank": ("gen_ranking", RankingSimConfig, ("n", "k", "d", "sigma", "seed", "prefix_rate")),
-    "match": ("gen_matching", None, ("n", "k", "noise", "seed")),
-    "regress": ("gen_regression", None, ("n", "d", "mu", "seed", "min_half_width")),
+    "classify": ("gen_multiclass", ("n", "k", "d", "sigma", "seed", "min_weak_size")),
+    "rank": ("gen_ranking", ("n", "k", "d", "sigma", "seed", "prefix_rate")),
+    "match": ("gen_matching", ("n", "k", "noise", "seed")),
+    "regress": ("gen_regression", ("n", "d", "mu", "seed", "min_half_width")),
 }
 
 
 def _generate(task: str, settings: dict):
     """task's dataset from the settings its generator reads; the others are
     ignored, and one left out or None takes the generator's default."""
-    name, config, reads = _TASK_DATA[task]
-    given = {s: settings[s] for s in reads if settings.get(s) is not None}
-    return globals()[name](config(**given)) if config else globals()[name](**given)
+    name, reads = _TASK_DATA[task]
+    return globals()[name](**{s: settings[s] for s in reads if settings.get(s) is not None})
 
 
 def to_records(data) -> list[WeakRecord]:
@@ -455,52 +435,21 @@ def multinomial_loss_grad(
     return loss, _multinomial_grad(logp, xb, y)
 
 
-def _fit_per_label_logistic(
-    x: np.ndarray,
-    indicators: np.ndarray,
-    epochs: int = 200,
-    lr: float = 0.5,
-    trace: list[float] | None = None,
-) -> np.ndarray:
-    """train_per_label_logistic's weights; the loss trace goes to trace when given."""
-    xb = _with_bias(_training_rows(x))
-    targets = np.asarray(indicators, dtype=float)
-    return _descend(lambda w: _logistic_grad(xb @ w.T, xb, targets),
-                    lambda w: logistic_loss_grad(w, xb, targets),
-                    np.zeros((targets.shape[1], xb.shape[1])), epochs, lr, trace)
-
-
 def train_per_label_logistic(
     x: np.ndarray,
     indicators: np.ndarray,
     epochs: int = 200,
     lr: float = 0.5,
-) -> tuple[np.ndarray, list[float]]:
+) -> np.ndarray:
     """Fit P(y in W | x) per label by full-batch gradient descent.
 
     indicators is the (n, k) 0/1 weak-membership matrix. Returns (k, d+1)
-    weights (bias last) and the loss trace.
+    weights (bias last).
     """
-    trace: list[float] = []
-    return _fit_per_label_logistic(x, indicators, epochs, lr, trace), trace
-
-
-def _fit_multinomial_logistic(
-    x: np.ndarray,
-    y: np.ndarray,
-    k: int,
-    epochs: int = 200,
-    lr: float = 0.5,
-    trace: list[float] | None = None,
-) -> np.ndarray:
-    """train_multinomial_logistic's weights; the loss trace goes to trace when given."""
     xb = _with_bias(_training_rows(x))
-    y = np.asarray(y, dtype=int)
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError("labels out of range")
-    return _descend(lambda w: _multinomial_grad(_log_softmax(xb @ w.T), xb, y),
-                    lambda w: multinomial_loss_grad(w, xb, y),
-                    np.zeros((k, xb.shape[1])), epochs, lr, trace)
+    targets = np.asarray(indicators, dtype=float)
+    return _descend(lambda w: _logistic_grad(xb @ w.T, xb, targets),
+                    np.zeros((targets.shape[1], xb.shape[1])), epochs, lr)
 
 
 def train_multinomial_logistic(
@@ -509,11 +458,14 @@ def train_multinomial_logistic(
     k: int,
     epochs: int = 200,
     lr: float = 0.5,
-) -> tuple[np.ndarray, list[float]]:
-    """Fit P(Y = y | x) by softmax regression; (k, d+1) weights, bias last,
-    and the loss trace."""
-    trace: list[float] = []
-    return _fit_multinomial_logistic(x, y, k, epochs, lr, trace), trace
+) -> np.ndarray:
+    """Fit P(Y = y | x) by softmax regression; (k, d+1) weights, bias last."""
+    xb = _with_bias(_training_rows(x))
+    y = np.asarray(y, dtype=int)
+    if y.min() < 0 or y.max() >= k:
+        raise ValueError("labels out of range")
+    return _descend(lambda w: _multinomial_grad(_log_softmax(xb @ w.T), xb, y),
+                    np.zeros((k, xb.shape[1])), epochs, lr)
 
 
 def predict_label_marginals(weights: np.ndarray, x: np.ndarray) -> np.ndarray:

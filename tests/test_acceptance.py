@@ -118,7 +118,7 @@ def test_02_weak_thresholds_dominated_and_sets_nested(coverage_runs, capsys):
     # explicit set-inclusion spot checks, one small run per task
     nested = True
 
-    data = synth.gen_multiclass(synth.MulticlassConfig(n=300, k=6, d=2, seed=61))
+    data = synth.gen_multiclass(n=300, k=6, d=2, seed=61)
     scores = data.oracle_scores
     mask = np.zeros((300, 6), dtype=bool)
     for i, w in enumerate(data.weak):
@@ -141,7 +141,7 @@ def test_02_weak_thresholds_dominated_and_sets_nested(coverage_runs, capsys):
     nested &= tw <= tf + 1e-12  # same centers, so interval inclusion is width order
 
     psi = PsiSpec.hinge()
-    rk = synth.gen_ranking(synth.RankingSimConfig(n=120, k=4, seed=63))
+    rk = synth.gen_ranking(n=120, k=4, seed=63)
     rel = rk.oracle_scores
     strong_r = np.array([rank_score(rel[i], rk.y[i], psi) for i in range(60)])
     weak_r = np.array([partial_rank_score(rel[i], rk.weak[i], psi) for i in range(60)])

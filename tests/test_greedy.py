@@ -1088,3 +1088,15 @@ def test_greedy_set_hits_eta_and_never_beats_the_optimum(data):
     )
     if kind != "general":  # greedy is size-optimal on both structures
         assert prof.min_cover_size(eta) <= len(rs.outer)
+
+
+@pytest.mark.parametrize("u", [-0.1, 2.0, math.nan])
+def test_nested_scores_and_realize_reject_randomness_outside_the_unit_interval(golden_dist, u):
+    # u = 2.0 gave levels above 1, NaN gave NaN scores and realized the inner set
+    seq = greedy_sequence(golden_dist)
+    q = np.array([[0.6, 0.3, 0.2]])
+    for call in (lambda: nested_score(seq, 0, u), lambda: nested_score_vector(seq, u),
+                 lambda: label_independent_nested_scores(q, np.array([u])),
+                 lambda: greedy_set(golden_dist, 0.9).realize(u)):
+        with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
+            call()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weakconformal
-from weakconformal import synth
+from weakconformal import harness, ranking, synth
 from weakconformal.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -43,9 +43,34 @@ def test_config_validation():
         ({"task": "match", "k": 1}, "k"),
         ({"task": "classify", "d": 0}, "d"),
         ({"task": "classify", "min_weak_size": 11}, "min_weak_size"),
+        # run settings of the wrong type, which once ran or failed mid-trial
+        ({"m_max": 2.5}, "m_max"),
+        ({"m_max": True}, "m_max"),
+        ({"n_trials": True}, "n_trials"),
+        ({"n_trials": 1.5}, "n_trials"),
     ]:
         with pytest.raises(ValueError, match=f"^{named} must be"):
             ExperimentConfig(**kwargs)
+
+
+def test_trials_fit_through_the_public_trainers(monkeypatch):
+    # the trials once fit through private twins, which a tracer of public names missed
+    calls = {}
+    trainers = [(synth, "train_multinomial_logistic"), (synth, "train_per_label_logistic"),
+                (ranking, "listnet_train")]
+    for home, name in trainers:
+        fn = getattr(home, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        for module in (synth, ranking, harness):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    run(ExperimentConfig(task="classify", methods=("wsc", "gws"), n=120, n_trials=1))
+    run(ExperimentConfig(task="rank", k=4, n=120, n_trials=1))
+    assert calls == {name: 1 for _, name in trainers}
 
 
 def test_config_defaults():
@@ -336,10 +361,9 @@ def test_truncation_means_more_than_m_max_members():
     # both score at or under the threshold
     cfg = ExperimentConfig(task="rank", k=2, n=60, m_max=1, n_trials=1, seed=1)
     results = run(cfg)
-    data = synth.gen_ranking(synth.RankingSimConfig(n=60, k=2, d=cfg.d, sigma=cfg.sigma,
-                                                    seed=_trial_seed(1, 0)))
+    data = synth.gen_ranking(n=60, k=2, d=cfg.d, sigma=cfg.sigma, seed=_trial_seed(1, 0))
     tr, _, te = synth.three_way_split(cfg.n, cfg.split)
-    rel = predict_relevances(listnet_train(data.x[tr], data.y[tr])[0], data.x[te])
+    rel = predict_relevances(listnet_train(data.x[tr], data.y[tr]), data.x[te])
     psi = cfg.psi()
     for r in results:
         both = [max(rank_score(row, (0, 1), psi), rank_score(row, (1, 0), psi)) <= r.threshold

@@ -121,6 +121,15 @@ def test_compatible_rank_cap_exceeded():
         compatible_rank(problem, lambda y: False, cap=10)
 
 
+def test_cap_below_one_is_rejected():
+    problem = RankingProblem(np.arange(4.0), PsiSpec.hinge())
+    for cap in (0, -5):  # compatible_rank once answered rank 1 at cap 0
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            compatible_rank(problem, lambda y: True, cap=cap)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            enumerate_until(problem, math.inf, cap=cap)
+
+
 def test_rank_conformalize_spec_example():
     assert rank_conformalize([1, 1, 2, 3], [0, 0, 0, 0], alpha=0.25) == 3
 

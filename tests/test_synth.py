@@ -21,8 +21,6 @@ from weakconformal.matching import hungarian
 from weakconformal.ranking import listnet_loss_grad, listnet_train, relevance_targets
 from weakconformal.synth import (
     MatchingData,
-    MulticlassConfig,
-    RankingSimConfig,
     cumulative_probability_scores,
     fit_ols,
     gen_matching,
@@ -72,33 +70,33 @@ def test_three_way_split_validates():
 
 
 def test_multiclass_deterministic():
-    cfg = MulticlassConfig(n=200, k=5, d=3, sigma=0.7, seed=11)
-    a = gen_multiclass(cfg)
-    b = gen_multiclass(cfg)
+    cfg = dict(n=200, k=5, d=3, sigma=0.7, seed=11)
+    a = gen_multiclass(**cfg)
+    b = gen_multiclass(**cfg)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.oracle_scores, b.oracle_scores)
     assert a.weak == b.weak
-    c = gen_multiclass(MulticlassConfig(n=200, k=5, d=3, sigma=0.7, seed=12))
+    c = gen_multiclass(n=200, k=5, d=3, sigma=0.7, seed=12)
     assert not np.array_equal(a.x, c.x)
 
 
 def test_multiclass_truth_in_weak():
-    data = gen_multiclass(MulticlassConfig(n=500, k=8, seed=3))
+    data = gen_multiclass(n=500, k=8, seed=3)
     for yi, w in zip(data.y, data.weak):
         assert weak_contains(w, int(yi))
 
 
 def test_multiclass_min_weak_size_floor():
-    data = gen_multiclass(MulticlassConfig(n=500, k=8, seed=3, min_weak_size=3))
+    data = gen_multiclass(n=500, k=8, seed=3, min_weak_size=3)
     sizes = [len(w.labels) for w in data.weak]
     assert min(sizes) >= 3
-    loose = gen_multiclass(MulticlassConfig(n=500, k=8, seed=3, min_weak_size=1))
+    loose = gen_multiclass(n=500, k=8, seed=3, min_weak_size=1)
     assert min(len(w.labels) for w in loose.weak) == 1
 
 
 def test_ranking_prefix_of_truth():
-    data = gen_ranking(RankingSimConfig(n=300, k=6, seed=5, prefix_rate=1.0))
+    data = gen_ranking(n=300, k=6, seed=5, prefix_rate=1.0)
     for ranking, w in zip(data.y, data.weak):
         assert sorted(ranking) == list(range(6))
         assert 1 <= len(w.items) <= 6
@@ -107,8 +105,8 @@ def test_ranking_prefix_of_truth():
 
 
 def test_ranking_deterministic():
-    cfg = RankingSimConfig(n=100, k=5, seed=9)
-    a, b = gen_ranking(cfg), gen_ranking(cfg)
+    cfg = dict(n=100, k=5, seed=9)
+    a, b = gen_ranking(**cfg), gen_ranking(**cfg)
     assert np.array_equal(a.x, b.x)
     assert a.y == b.y
     assert a.weak == b.weak
@@ -155,7 +153,7 @@ def test_regression_truth_in_weak_and_width_floor():
 
 
 def test_to_records_shapes():
-    mc = gen_multiclass(MulticlassConfig(n=20, k=4, d=3, seed=1))
+    mc = gen_multiclass(n=20, k=4, d=3, seed=1)
     recs = to_records(mc)
     assert len(recs) == 20
     assert recs[0].x.shape == (3,)
@@ -199,8 +197,8 @@ GOLDEN_VIEWS = {
 
 def _small(task):
     return {
-        "classify": lambda: gen_multiclass(MulticlassConfig(n=4, k=5, seed=3, min_weak_size=2)),
-        "rank": lambda: gen_ranking(RankingSimConfig(n=4, k=5, seed=3, prefix_rate=1.0)),
+        "classify": lambda: gen_multiclass(n=4, k=5, seed=3, min_weak_size=2),
+        "rank": lambda: gen_ranking(n=4, k=5, seed=3, prefix_rate=1.0),
         "match": lambda: gen_matching(4, 4, 0.5, seed=3),
         "regress": lambda: gen_regression(4, 2, 0.1, seed=3, min_half_width=0.05),
     }[task]()
@@ -256,8 +254,8 @@ def test_gen_defaults_to_1000_records(tmp_path):
 @pytest.mark.parametrize("task", sorted(GOLDEN_VIEWS))
 def test_jsonl_records_jsonl_round_trip_is_exact(tmp_path, task):
     data = {
-        "classify": lambda: gen_multiclass(MulticlassConfig(n=60, k=6, seed=8)),
-        "rank": lambda: gen_ranking(RankingSimConfig(n=60, k=5, seed=8, prefix_rate=2.0)),
+        "classify": lambda: gen_multiclass(n=60, k=6, seed=8),
+        "rank": lambda: gen_ranking(n=60, k=5, seed=8, prefix_rate=2.0),
         "match": lambda: gen_matching(60, 5, 0.4, seed=8),
         "regress": lambda: gen_regression(60, 3, 0.1, seed=8),
     }[task]()
@@ -428,13 +426,14 @@ def test_multinomial_gradient_matches_finite_differences():
 
 
 def test_per_label_trainer_descends():
-    data = gen_multiclass(MulticlassConfig(n=300, k=4, d=2, seed=13))
+    data = gen_multiclass(n=300, k=4, d=2, seed=13)
     ind = np.zeros((300, 4))
     for i, w in enumerate(data.weak):
         ind[i, list(w.labels)] = 1.0
-    weights, losses = train_per_label_logistic(data.x, ind, epochs=50)
-    assert len(losses) == 51
-    assert losses[-1] < losses[0]
+    weights = train_per_label_logistic(data.x, ind, epochs=50)
+    xb = np.concatenate([data.x, np.ones((300, 1))], axis=1)
+    initial, _ = logistic_loss_grad(np.zeros((4, 3)), xb, ind)
+    assert logistic_loss_grad(weights, xb, ind)[0] < initial
     assert weights.shape == (4, 3)
     q = predict_label_marginals(weights, data.x)
     assert q.shape == (300, 4)
@@ -442,11 +441,13 @@ def test_per_label_trainer_descends():
 
 
 def test_multinomial_trainer_descends_and_predicts():
-    data = gen_multiclass(MulticlassConfig(n=300, k=4, d=2, sigma=0.2, seed=14))
-    weights, losses = train_multinomial_logistic(data.x, data.y, 4, epochs=80)
-    assert len(losses) == 81
-    assert losses[0] == pytest.approx(np.log(4))  # zero-init softmax is uniform
-    assert losses[-1] < losses[0]
+    data = gen_multiclass(n=300, k=4, d=2, sigma=0.2, seed=14)
+    weights = train_multinomial_logistic(data.x, data.y, 4, epochs=80)
+    xb = np.concatenate([data.x, np.ones((300, 1))], axis=1)
+    assert not train_multinomial_logistic(data.x, data.y, 4, epochs=0).any()
+    initial, _ = multinomial_loss_grad(np.zeros((4, 3)), xb, data.y)
+    assert initial == pytest.approx(np.log(4))  # zero-init softmax is uniform
+    assert multinomial_loss_grad(weights, xb, data.y)[0] < initial
     probs = predict_class_probs(weights, data.x)
     assert np.allclose(probs.sum(axis=1), 1.0)
     acc = (probs.argmax(axis=1) == data.y).mean()
@@ -454,15 +455,11 @@ def test_multinomial_trainer_descends_and_predicts():
 
 
 def _descent_reference(loss_grad, weights, epochs, lr):
-    """The loop each trainer used to write out: initial loss first, the loss
-    at the final weights last."""
-    losses = []
+    """The loop each trainer used to write out, stepping along the gradient
+    of the public loss-and-gradient function."""
     for _ in range(epochs):
-        loss, grad = loss_grad(weights)
-        losses.append(loss)
-        weights = weights - lr * grad
-    losses.append(loss_grad(weights)[0])
-    return weights, losses
+        weights = weights - lr * loss_grad(weights)[1]
+    return weights
 
 
 def _softmax_reference(z):
@@ -472,10 +469,10 @@ def _softmax_reference(z):
 
 
 def test_trainers_are_bit_equal_to_the_written_out_loop():
-    data = gen_multiclass(MulticlassConfig(n=240, k=5, d=3, seed=15))
+    data = gen_multiclass(n=240, k=5, d=3, seed=15)
     xb = np.concatenate([data.x, np.ones((240, 1))], axis=1)
     member = data.member.astype(float)
-    ranked = gen_ranking(RankingSimConfig(n=240, k=6, d=3, seed=16))
+    ranked = gen_ranking(n=240, k=6, d=3, seed=16)
     target_p = _softmax_reference(relevance_targets(ranked.order, 6))
     cases = [
         (train_per_label_logistic(data.x, member, epochs=60, lr=0.7),
@@ -488,10 +485,9 @@ def test_trainers_are_bit_equal_to_the_written_out_loop():
          _descent_reference(lambda w: listnet_loss_grad(w, ranked.x, target_p),
                             np.zeros((6, 3)), 60, 0.2)),
     ]
-    for (weights, losses), (weights_ref, losses_ref) in cases:
+    for weights, weights_ref in cases:
         assert weights.tobytes() == weights_ref.tobytes()
-        assert losses == losses_ref
-    weights = cases[1][0][0]
+    weights = cases[1][0]
     assert (predict_class_probs(weights, data.x).tobytes()
             == _softmax_reference(xb @ weights.T).tobytes())
 
