@@ -31,7 +31,7 @@ from .conformal import (
 )
 from .harness import _TASKS, ExperimentConfig, run as run_experiment
 from .labels import FormatError, PartialMatching, RankingPrefix, read_jsonl
-from .labels import _as_int, _as_real, _finite_floats, weak_contains, write_jsonl
+from .labels import _as_int, _as_real, _finite_floats, _strict_json, weak_contains, write_jsonl
 from .matching import MatchingProblem, read_cost_csv
 from .mbest import DEFAULT_CAP, enumerate_until, m_best
 from .ranking import PsiSpec, RankingProblem
@@ -110,8 +110,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "strong_cov": float(np.mean([r.strong_cov for r in rows])),
             "weak_cov": float(np.mean([r.weak_cov for r in rows])),
             "avg_size": float(np.mean([r.avg_size for r in rows])),
+            "truncation_fraction": float(np.mean([r.truncation_fraction for r in rows])),
         }
-    print(json.dumps(summary, indent=2))
+    print(_strict_json(summary, indent=2))
     return 0
 
 
@@ -264,7 +265,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     }
     if report.size_histogram is not None:
         out["size_histogram"] = {str(k): v for k, v in sorted(report.size_histogram.items())}
-    print(json.dumps(out, indent=2))
+    print(_strict_json(out, indent=2))
     return 0
 
 

@@ -37,8 +37,11 @@ per-record engine checks below and matchings of k >= 8.
 
 Level sets are counted block by block, for all thresholds at once:
   classify  labels at or under each threshold;
-  rank      the ranking best-first search run in lockstep across records
-            (ranking.levelset_counts_batch);
+  rank      from the rankings within a small Kendall distance of each
+            record's best, scored against each threshold less the search's
+            rounding margin; the records these leave undecided, a score in
+            that margin band included, run the ranking best-first search in
+            lockstep (ranking.levelset_counts_batch);
   match     one table of all k! assignment totals per chunk of records,
             which also gives the base, strong and weak scores, for spaces
             of at most 10^4 assignments; per-record Hungarian solves and
@@ -49,9 +52,9 @@ Their block-level paths check their result on the first record of the
 block against the per-record engine (RankingProblem best-first counts;
 Hungarian base, strong and weak scores) and raise RuntimeError on a
 disagreement. A record counts as truncated when more than m_max
-configurations lie at or under the threshold; every path enumerates or
-keeps m_max + 1 of them to tell. The truncated fraction is in the JSON rows,
-not the CSV.
+configurations lie at or under the threshold; every path finds, enumerates
+or keeps m_max + 1 of them to tell. The truncated fraction is in the JSON
+rows and in run's printed summary, not the CSV.
 """
 from __future__ import annotations
 
@@ -70,7 +73,7 @@ import numpy as np
 from . import __version__, synth
 from .conformal import TOL, conformal_threshold, set_block_scores
 from .greedy import label_independent_nested_scores
-from .labels import _as_int, _as_real
+from .labels import _as_int, _as_real, _strict_json
 from .matching import (
     MatchingProblem,
     matching_block_scores,
@@ -479,6 +482,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     }
     # strict JSON, serialised before any file is touched
     meta_text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    jsonl_text = "".join(_strict_json(dataclasses.asdict(row)) + "\n" for row in results)
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8") as fh:
         if fresh:
@@ -487,8 +491,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
             fh.write(row.csv_row() + "\n")
     stem = path[: -len(".csv")] if path.endswith(".csv") else path
     with open(stem + ".jsonl", "a", encoding="utf-8") as fh:
-        for row in results:
-            fh.write(json.dumps(dataclasses.asdict(row)) + "\n")
+        fh.write(jsonl_text)
     with open(stem + ".meta.json", "w", encoding="utf-8") as fh:
         fh.write(meta_text)
 

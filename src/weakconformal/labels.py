@@ -78,6 +78,23 @@ def _as_real(value: Any, what: str = "a value") -> float:
     raise ValueError(f"{what} must be a real number, not {value!r}")
 
 
+def _strict_json(obj: Any, indent: int | None = None) -> str:
+    """obj as strict JSON text: a float that is not finite is written as the
+    results CSV spells it, "inf", "-inf" or "nan", not as a bare Infinity or
+    NaN token, which strict parsers reject."""
+
+    def spelled(v):
+        if isinstance(v, dict):
+            return {key: spelled(x) for key, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [spelled(x) for x in v]
+        if isinstance(v, float) and not math.isfinite(v):
+            return repr(float(v))
+        return v
+
+    return json.dumps(spelled(obj), indent=indent, allow_nan=False)
+
+
 @dataclass(frozen=True)
 class ExplicitSet:
     """Nonempty set of candidate class ids, stored sorted."""

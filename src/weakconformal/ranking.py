@@ -18,12 +18,21 @@ sublevel set at that score. The relevance-descending ranking scores 0, and
 the runner-up within a cell is an adjacent transposition of the cell's best,
 which changes only its own pair term: the swap delta prunes the candidates,
 and the re-summed score chooses among the rest.
+
+The capped sizes of a block of records' level sets (levelset_counts_batch)
+equal the best-first search's. Most records are decided without it: when
+m = min(cap + 1, k!) rankings within a small Kendall distance of the
+record's best score at least the search's rounding margin under a
+threshold, the search would emit m rankings under it. The search runs, in
+lockstep across records, only for the others, those with a score inside
+the margin band included.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -331,6 +340,46 @@ class RankingProblem:
 
 # records per lockstep block: bounds the cell arrays (about 0.4 MB at k = 7, cap 20)
 _LOCKSTEP_ROWS = 128
+# rankings per chunk of the Kendall ball's scores: bounds their index and term
+# arrays (about 0.7 MB each at k = 7)
+_BALL_RANKINGS = 4096
+
+
+def _ball_radius(k: int, m: int) -> int:
+    """The smallest r such that at least m permutations of k positions have
+    at most r inversions (m <= k!): from the counts of permutations by
+    inversion number, the coefficients of prod_{s <= k} (1 + x + ... + x^(s-1))."""
+    counts = [1]
+    for s in range(2, k + 1):
+        prefix = [0, *accumulate(counts)]
+        counts = [prefix[min(d + 1, len(counts))] - prefix[max(d + 1 - s, 0)]
+                  for d in range(len(counts) + s - 1)]
+    return next(r for r, total in enumerate(accumulate(counts)) if total >= m)
+
+
+@lru_cache(maxsize=64)
+def _kendall_ball(k: int, m: int) -> np.ndarray:
+    """The permutations q of k positions with at most r inversions, for the
+    smallest r whose ball holds at least m of them: q applied to a ranking y
+    as y[q] lies within Kendall distance r of y. One row per permutation;
+    read-only, since every caller shares it.
+
+    Decoded from the inversion vectors (Lehmer codes) c, 0 <= c[i] <= k-1-i,
+    whose entries sum to at most r, so no permutation outside the ball is
+    visited: q[i] is the c[i]-th smallest position that q[:i] leaves.
+    """
+    r = _ball_radius(k, m)
+    ball = np.zeros((1, 0), dtype=np.intp)
+    for i in range(k):  # append c[i] to every code with room left
+        room = r - ball.sum(axis=1)
+        ball = np.concatenate([
+            np.column_stack([ball[room >= v], np.full(np.count_nonzero(room >= v), v)])
+            for v in range(min(k - 1 - i, r) + 1)
+        ])
+    for i in range(k - 2, -1, -1):  # decode from the right: q[i] = c[i] shifts the later entries
+        ball[:, i + 1 :] += ball[:, i + 1 :] >= ball[:, i, None]
+    ball.flags.writeable = False
+    return ball
 
 
 def _lockstep_counts(
@@ -428,10 +477,24 @@ def levelset_counts_batch(
     """Capped sizes of the sublevel sets {y : rank_score(row, y) <= t}.
 
     One row of rel per record, one column of the results per threshold.
-    Equal to a best-first enumeration of each RankingProblem up to cap + 1
-    configurations: counts holds min(size, cap), and flags marks the sizes
-    above cap. The search runs in lockstep across records, in blocks.
-    ValueError, naming the row, when some ranking's score is not finite.
+    Equal to a best-first enumeration of each RankingProblem up to
+    m = min(cap + 1, k!) configurations: counts holds min(size, cap), and
+    flags marks the sizes above cap. ValueError, naming the row, when some
+    ranking's score is not finite.
+
+    Most records are decided from a Kendall ball, and only the rest are
+    searched. The enumeration's count at t is the number of configurations
+    it emits before the first that scores above t, at most m. Its pops are
+    exact up to rounding: a popped second-best exceeds the smallest score
+    not yet emitted by at most the record's _prune_margin, the bound that
+    RankingProblem._second_best prunes with. So if m distinct rankings score
+    <= t - margin, each of the first m pops has one of them still unemitted
+    and scores <= t, and the count is exactly m. The rankings tried are the
+    ball of _kendall_ball(k, m) applied to the record's best ranking, scored
+    by _sum_pairs as the search scores them. A record with m of them at or
+    under t - margin at every threshold gets m; every other record, those
+    with a ball score in the band (t - margin, t] included, runs the search
+    in lockstep with the others left (_lockstep_counts), in blocks.
     """
     r = np.asarray(rel, dtype=float)
     if r.ndim != 2 or r.shape[1] < 2 or not np.all(np.isfinite(r)):
@@ -441,10 +504,23 @@ def levelset_counts_batch(
     t = np.asarray(thresholds, dtype=float).ravel()
     pairs = _pair_terms(r, psi)
     margin = _prune_margin(r.shape[1], _worst_scores(pairs, r))
-    m = min(cap + 1, math.factorial(r.shape[1]))  # a record has k! rankings to count
-    exact = np.zeros((r.shape[0], t.size), dtype=np.int64)
-    for start in range(0, r.shape[0], _LOCKSTEP_ROWS):
-        block = slice(start, start + _LOCKSTEP_ROWS)
+    n, k = r.shape
+    m = min(cap + 1, math.factorial(k))  # a record has k! rankings to count
+    ball = _kendall_ball(k, m)
+    root = np.argsort(-r, axis=1, kind="stable")  # the search's root, which scores 0
+    limit = t[None, :] - margin[:, None]
+    below = np.empty((n, t.size), dtype=np.int64)  # ball rankings at or under t - margin
+    step = max(1, _BALL_RANKINGS // len(ball))  # records per block
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        perms = root[block][:, ball]  # (records, ball, k)
+        rows = np.arange(start, start + len(perms)).repeat(len(ball))
+        scores = _sum_pairs(pairs, rows, perms.reshape(-1, k)).reshape(len(perms), len(ball))
+        below[block] = (scores[:, :, None] <= limit[block, None, :]).sum(axis=1)
+    exact = np.full((n, t.size), m, dtype=np.int64)
+    rest = np.flatnonzero((below < m).any(axis=1))
+    for start in range(0, rest.size, _LOCKSTEP_ROWS):
+        block = rest[start : start + _LOCKSTEP_ROWS]
         exact[block] = _lockstep_counts(r[block], pairs[block], margin[block], t, m)
     return np.minimum(exact, cap), exact > cap
 

@@ -17,6 +17,15 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _strict(text):
+    """text parsed as strict JSON: a bare Infinity or NaN token fails."""
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 # --- calibrate ---------------------------------------------------------------
 
 
@@ -184,6 +193,16 @@ def test_gen_regress_eval_intervals(tmp_path, capsys):
     report = json.loads(out)
     assert report["strong_coverage"] == 1.0
     assert report["avg_size"] == pytest.approx(100.0)
+
+
+def test_eval_reports_an_infinite_size_as_strict_json(tmp_path, capsys):
+    data = tmp_path / "reg.jsonl"
+    assert _run(capsys, "gen", "--task", "regress", "--n", "5", "--out", str(data))[0] == 0
+    sets = tmp_path / "sets.jsonl"
+    sets.write_text('{"kind": "interval", "lo": 0.0, "hi": 1e999}\n' * 5)  # hi reads as inf
+    code, out, _ = _run(capsys, "eval", "--sets", str(sets), "--data", str(data))
+    assert code == 0
+    assert _strict(out)["avg_size"] == "inf"
 
 
 def test_eval_configs_kind(tmp_path, capsys):
@@ -354,6 +373,48 @@ def test_run_summary_and_csv(tmp_path, capsys):
     assert 0.0 <= summary["wsc"]["strong_cov"] <= 1.0
     assert summary["wsc"]["avg_size"] <= summary["fsc"]["avg_size"] + 1e-12
     assert out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "task, field",
+    [("regress", "avg_size"), ("classify", "threshold")],  # infinite at this alpha
+)
+def test_run_writes_strict_json_when_a_value_is_not_finite(tmp_path, capsys, task, field):
+    out_csv = tmp_path / "rows.csv"
+    code, out, _ = _run(capsys, "run", "--task", task, "--alpha", "0.0001", "--n", "200",
+                        "--trials", "2", "--out", str(out_csv))
+    assert code == 0
+    summary = _strict(out)
+    rows = [_strict(line) for line in (tmp_path / "rows.jsonl").read_text().splitlines()]
+    assert len(rows) == summary["rows"]
+    assert all(row[field] == "inf" for row in rows)  # the CSV's own spelling
+    assert "inf" in out_csv.read_text().splitlines()[1].split(",")
+    if task == "regress":
+        assert summary["wsc"]["avg_size"] == "inf"
+
+
+def test_a_finite_run_writes_the_rows_as_plain_json(tmp_path):
+    import dataclasses
+
+    from weakconformal.harness import ExperimentConfig, run
+
+    out_csv = tmp_path / "rows.csv"
+    results = run(ExperimentConfig(task="rank", n=200, n_trials=2, seed=3, out=str(out_csv)))
+    lines = (tmp_path / "rows.jsonl").read_text().splitlines()
+    assert lines == [json.dumps(dataclasses.asdict(row)) for row in results]
+
+
+@pytest.mark.parametrize("task, capped", [("rank", True), ("classify", False)])
+def test_run_summary_reports_the_truncation_fraction(capsys, task, capped):
+    code, out, _ = _run(capsys, "run", "--task", task, "--n", "200", "--trials", "2",
+                        "--seed", "5")
+    assert code == 0
+    summary = _strict(out)
+    for method in ("wsc", "fsc"):
+        fraction = summary[method]["truncation_fraction"]
+        assert 0.0 <= fraction <= 1.0
+        if not capped:
+            assert fraction == 0.0
 
 
 @pytest.mark.parametrize("c", ["nan", "inf"])

@@ -21,10 +21,15 @@ from weakconformal import (
 )
 from weakconformal.harness import _levelset_counts
 from weakconformal.labels import _as_permutation
+from weakconformal import ranking
 from weakconformal.ranking import (
     _softmax,
     _complete_prefixes,
+    _kendall_ball,
     _pair_terms,
+    _prune_margin,
+    _sum_pairs,
+    _worst_scores,
     levelset_counts_batch,
     listnet_loss_grad,
     prefix_block_scores,
@@ -368,6 +373,126 @@ def test_lockstep_cells_are_bounded_by_the_k_factorial_rankings():
     assert counts.tolist() == want_counts.tolist()
     assert flags.tolist() == want_flags.tolist()
     assert peak < 2**20
+
+
+def test_a_whole_space_ball_is_bounded_by_its_blocks():
+    # a cap past 7! makes the ball every ranking; the parent's lockstep sized
+    # its cell arrays by 128 records x 5040 rankings, about 70 MB here
+    rel = np.random.default_rng(6).normal(size=(300, 7))
+    psi, thresholds = PsiSpec.hinge(), [1e3, math.inf]  # above every worst score
+    _kendall_ball(7, 5040)
+    tracemalloc.start()
+    try:
+        counts, flags = levelset_counts_batch(rel, psi, thresholds, 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == [[5040, 5040]] * 300
+    assert not flags.any()
+    assert peak < 4 * 2**20
+
+
+# --- the Kendall ball ---------------------------------------------------------
+
+
+def _inversions(p):
+    return sum(a > b for i, a in enumerate(p) for b in p[i + 1 :])
+
+
+def test_kendall_ball_is_the_smallest_inversion_ball_holding_m():
+    for k in range(2, 8):
+        by_radius = {}
+        for p in permutations(range(k)):
+            by_radius.setdefault(_inversions(p), []).append(p)
+        for m in sorted({1, 2, 3, 7, 8, 27, 28, 76, 77, 174, 175, 200, math.factorial(k)}):
+            if m > math.factorial(k):
+                continue
+            ball = _kendall_ball(k, m)
+            r = max(_inversions(tuple(q)) for q in ball.tolist())
+            want = sorted(p for d in range(r + 1) for p in by_radius[d])
+            assert sorted(map(tuple, ball.tolist())) == want
+            assert len(ball) >= m and (r == 0 or len(want) - len(by_radius[r]) < m)
+            assert not ball.flags.writeable
+    assert [len(_kendall_ball(7, m)) for m in (1, 7, 27, 76, 174)] == [1, 7, 27, 76, 174]
+    assert [len(_kendall_ball(7, m)) for m in (2, 8, 28, 77)] == [7, 27, 76, 174]
+
+
+def _ball_probes(rel_row, psi, m):
+    """Thresholds at the m-th smallest ball score of the row, one ulp and one
+    rounding margin either side of it, at +inf and below 0."""
+    k = rel_row.size
+    pairs = _pair_terms(rel_row[None], psi)
+    margin = float(_prune_margin(k, _worst_scores(pairs, rel_row[None]))[0])
+    ball = _kendall_ball(k, m)
+    root = np.argsort(-rel_row, kind="stable")
+    scores = np.sort(_sum_pairs(pairs, np.zeros(len(ball), dtype=np.intp), root[ball]))
+    s = float(scores[m - 1])
+    return [
+        s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf),
+        s - margin, s + margin, math.nextafter(s + margin, -math.inf),
+        math.nextafter(s + margin, math.inf), math.inf, -0.5,
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(2, 8),
+    ties=st.sampled_from(["none", "some", "all"]),
+    psi=st.sampled_from(PSIS),
+    magnitude=st.sampled_from([1.0, 1e6, 1e12]),
+    cap_pick=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ball_path_equals_the_engine(k, ties, psi, magnitude, cap_pick, seed):
+    rng = np.random.default_rng(seed)
+    n = 6
+    if ties == "none":
+        rel = rng.normal(size=(n, k))
+    else:
+        rel = rng.integers(0, 3, size=(n, k)).astype(float)
+        if ties == "all":
+            rel[::2] = rel[::2, :1]  # every other row is one tied value
+    rel = rel * magnitude
+    rel[1:3] = rel[0] + rng.normal(size=(2, k)) * 1e-9 * magnitude  # near copies of row 0
+    psi = PsiSpec(psi.kind, psi.c / magnitude)  # the exp weights stay in range
+    # caps from 1 through past k!, within what the per-record engine enumerates quickly
+    cap = 1 + cap_pick % (math.factorial(k) + 2 if k <= 5 else 60)
+    m = min(cap + 1, math.factorial(k))
+    probes = _ball_probes(rel[0], psi, m)
+    for thresholds in [[t] for t in probes] + [probes]:
+        counts, flags = levelset_counts_batch(rel, psi, thresholds, cap)
+        for j in range(n):
+            want = _levelset_counts(RankingProblem(rel[j], psi), thresholds, cap)
+            assert counts[j].tolist() == want[0].tolist(), (j, thresholds)
+            assert flags[j].tolist() == want[1].tolist(), (j, thresholds)
+
+
+def test_the_lockstep_sees_few_records_of_a_gate_trial(monkeypatch):
+    # the rank trial of the release gate: the ball decides nearly every
+    # test record, and only the rest reach the lockstep
+    from weakconformal.harness import ExperimentConfig, run
+
+    seen = []
+    lockstep = ranking._lockstep_counts
+
+    def spy(r, *args):
+        seen.append(len(r))
+        return lockstep(r, *args)
+
+    monkeypatch.setattr(ranking, "_lockstep_counts", spy)
+    counted = []
+    batch = ranking.levelset_counts_batch
+
+    def counting(rel, *args):
+        counted.append(len(rel))
+        return batch(rel, *args)
+
+    monkeypatch.setattr("weakconformal.harness.levelset_counts_batch", counting)
+    for seed in (0, 1):
+        run(ExperimentConfig(task="rank", k=7, alpha=0.1, n=4000, split=(0.25, 0.25, 0.5),
+                             n_trials=1, seed=seed, methods=("wsc", "fsc")))
+    assert counted == [2000, 2000]
+    assert sum(seen) < 0.1 * sum(counted)
 
 
 def test_levelset_counts_batch_rejects_bad_input():
