@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -179,6 +180,8 @@ def _mbest_problem(path: str):
 def _cmd_mbest(args: argparse.Namespace) -> int:
     problem = _mbest_problem(args.input)
     if args.threshold is not None:
+        if math.isnan(args.threshold):  # enumerate_until would print an empty set
+            raise ValueError("--threshold must be a number, not nan")
         result = enumerate_until(problem, args.threshold, cap=args.cap)
     else:
         result = m_best(problem, args.m)

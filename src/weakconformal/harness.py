@@ -37,11 +37,10 @@ per-record engine checks below and matchings of k >= 8.
 
 Level sets are counted block by block, for all thresholds at once:
   classify  labels at or under each threshold;
-  rank      from the rankings within a small Kendall distance of each
-            record's best, scored against each threshold less the search's
-            rounding margin; the records these leave undecided, a score in
-            that margin band included, run the ranking best-first search in
-            lockstep (ranking.levelset_counts_batch);
+  rank      from the rankings within a Kendall distance of each record's
+            best, and a bound on those outside it; a record with a score
+            within the search's rounding margin of a threshold runs the
+            best-first search (ranking.levelset_counts_batch);
   match     one table of all k! assignment totals per chunk of records,
             which also gives the base, strong and weak scores, for spaces
             of at most 10^4 assignments; per-record Hungarian solves and
@@ -64,7 +63,6 @@ import math
 import os
 import platform
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -81,7 +79,7 @@ from .matching import (
     min_matching_cost,
     partial_matching_score,
 )
-from .mbest import enumerate_until
+from .mbest import _levelset_counts
 from .ranking import (
     PsiSpec,
     RankingProblem,
@@ -214,20 +212,6 @@ def _size_stats(sizes: np.ndarray) -> tuple[float, float, float]:
     )
 
 
-def _levelset_counts(
-    problem, thresholds: Sequence[float], cap: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sizes of {y : score <= t} for several t on one problem, capped.
-
-    One enumeration up to the largest threshold, of at most cap + 1
-    configurations, serves every threshold. Returns min(size, cap) and a
-    flag for sizes above cap.
-    """
-    result = enumerate_until(problem, max(thresholds), cap + 1)
-    exact = np.array([bisect_right(result.scores, t) for t in thresholds])
-    return np.minimum(exact, cap), exact > cap
-
-
 def _check_first_record(task: str, fast, engine, tol: float = 0.0) -> None:
     """Guard of the block-level paths: on the block's first record they must
     agree with the per-record engine, within tol."""
@@ -293,7 +277,7 @@ def _classify_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice,
 
 def _rank_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te: slice):
     """Ranking data and a ListNet fit; prefix-completion scores, and level
-    sets counted in lockstep across the test block."""
+    sets counted from Kendall balls across the test block."""
     psi = cfg.psi()
     weights = listnet_train(data.x[tr], data.order[tr])
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -37,11 +38,28 @@ __all__ = [
 
 
 def _as_cost_matrix(costs) -> np.ndarray:
+    """costs as a square float matrix; ValueError when it is not one, when
+    an entry is not finite, or when some |c| exceeds M = float max / (4k(k + 2)).
+
+    Then every sum stays finite. A total is at most kM. A phase of
+    _solve_square moves a potential by at most 2kM (a first step of at least
+    -M, then nonnegative ones adding up to an alternating sum of at most
+    2k - 1 costs), so the root's potentials lie within 2k^2 M, and the
+    reoptimisations of _second_best add at most the rise of the best total,
+    2kM. So a reduced cost lies within (4k^2 + 4k + 1)M, and a path length,
+    an alternating sum less two potentials, within (4k^2 + 6k - 1)M.
+    """
     arr = np.asarray(costs, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("cost matrix must be square and nonempty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("cost entries must be finite")
+    limit = sys.float_info.max / (4 * len(arr) * (len(arr) + 2))
+    if np.abs(arr).max() > limit:
+        raise ValueError(
+            f"cost entries must lie within +-{limit:.6g} for k = {len(arr)}: larger ones "
+            "can overflow an assignment total or the solver's potentials"
+        )
     return arr
 
 

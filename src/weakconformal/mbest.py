@@ -25,12 +25,14 @@ score above a threshold, listing the sublevel set {y : score(y) <= threshold};
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
 from .conformal import TOL, conformal_threshold
+from .labels import _as_int
 
 __all__ = [
     "PartitionProblem",
@@ -147,7 +149,7 @@ class Enumerator:
 
 def m_best(problem: PartitionProblem, m: int) -> MBestResult:
     """The m smallest-score configurations (all of them if fewer exist)."""
-    if m < 1:
+    if _as_int(m, "m") < 1:
         raise ValueError("m must be >= 1")
     state = Enumerator(problem)
     state.extend_to(m)
@@ -164,7 +166,7 @@ def enumerate_until(
     returned with ``truncated=True``: enumeration stops at the cap, so more
     members may follow.
     """
-    if cap < 1:
+    if _as_int(cap, "cap") < 1:
         raise ValueError("cap must be >= 1")
     state = Enumerator(problem)
     # stop where membership ends; a NaN threshold admits nothing
@@ -186,9 +188,9 @@ def compatible_rank(
 
     Raises ValueError if the space holds no compatible configuration, and
     EnumerationCapExceeded if none shows up within cap enumerated
-    configurations. A cap below 1 is a ValueError.
+    configurations. A cap that is not an integer >= 1 is a ValueError.
     """
-    if cap < 1:
+    if _as_int(cap, "cap") < 1:
         raise ValueError("cap must be >= 1")
     state = Enumerator(problem)
     found = state.extend_until(lambda config, score: is_compatible(config), cap)
@@ -197,6 +199,17 @@ def compatible_rank(
     if state.exhausted:
         raise ValueError("no compatible configuration exists in the space")
     raise EnumerationCapExceeded(f"no compatible configuration within the first {cap}")
+
+
+def _levelset_counts(problem, thresholds: Sequence[float],
+                     cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes of {y : score <= t} for several t on one problem: min(size, cap)
+    and a flag for sizes above cap, from one enumeration of at most cap + 1
+    configurations. The per-record engine of the harness and of
+    ranking.levelset_counts_batch."""
+    result = enumerate_until(problem, max(thresholds), cap + 1)
+    exact = np.array([bisect_right(result.scores, t) for t in thresholds])
+    return np.minimum(exact, cap), exact > cap
 
 
 def rank_conformalize(

@@ -20,12 +20,13 @@ which changes only its own pair term: the swap delta prunes the candidates,
 and the re-summed score chooses among the rest.
 
 The capped sizes of a block of records' level sets (levelset_counts_batch)
-equal the best-first search's. Most records are decided without it: when
-m = min(cap + 1, k!) rankings within a small Kendall distance of the
-record's best score at least the search's rounding margin under a
-threshold, the search would emit m rankings under it. The search runs, in
-lockstep across records, only for the others, those with a score inside
-the margin band included.
+equal the best-first search's, and are read off the rankings within a
+Kendall distance r of each record's best, widened until they decide it:
+either m = min(cap + 1, k!) of them score the search's rounding margin
+under a threshold, or an exact lower bound on the rankings outside the
+ball shows that none of those lies under it. The per-record search runs
+only for a record with a ball score inside the margin band, or one still
+undecided once its ball holds over _BALL_RANKINGS rankings.
 """
 from __future__ import annotations
 
@@ -37,9 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .conformal import TOL
-from .labels import RankingPrefix, _as_permutation
-from .mbest import PartitionError
+from .labels import RankingPrefix, _as_int, _as_permutation
+from .mbest import _levelset_counts
 
 __all__ = [
     "PsiSpec",
@@ -286,9 +286,7 @@ class RankingProblem:
         within the rounding margin of the smallest delta are re-summed; the
         others cannot hold the minimum. Nones for a singleton cell."""
         swap = self._swap
-        deltas = [
-            math.inf if (a, b) in constraints else swap[a][b] for a, b in zip(best, best[1:])
-        ]
+        deltas = [math.inf if (a, b) in constraints else swap[a][b] for a, b in zip(best, best[1:])]
         low = min(deltas)
         if low == math.inf:
             return None, None, None
@@ -303,20 +301,9 @@ class RankingProblem:
         return found
 
     def _cell(
-        self,
-        constraints: frozenset[tuple[int, int]],
-        best: tuple[int, ...],
-        best_score: float,
+        self, constraints: frozenset[tuple[int, int]], best: tuple[int, ...], best_score: float
     ) -> RankingCell:
-        second, second_score, pos = self._second_best(constraints, best)
-        return RankingCell(
-            constraints=constraints,
-            best=best,
-            best_score=best_score,
-            second=second,
-            second_score=second_score,
-            second_pos=pos,
-        )
+        return RankingCell(constraints, best, best_score, *self._second_best(constraints, best))
 
     def root(self) -> RankingCell:
         best = best_ranking(self.r)
@@ -327,21 +314,16 @@ class RankingProblem:
             raise ValueError("cannot split a cell without a second-best")
         i = cell.second_pos
         a, b = cell.best[i], cell.best[i + 1]
-        keep = self._cell(
-            cell.constraints | {(a, b)}, cell.best, cell.best_score
-        )
-        moved = self._cell(
-            cell.constraints | {(b, a)}, cell.second, cell.second_score
-        )
+        keep = self._cell(cell.constraints | {(a, b)}, cell.best, cell.best_score)
+        moved = self._cell(cell.constraints | {(b, a)}, cell.second, cell.second_score)
         return keep, moved
 
 
-# --- lockstep level-set counts -------------------------------------------------
+# --- level-set counts from Kendall balls -------------------------------------
 
-# records per lockstep block: bounds the cell arrays (about 0.4 MB at k = 7, cap 20)
-_LOCKSTEP_ROWS = 128
 # rankings per chunk of the Kendall ball's scores: bounds their index and term
-# arrays (about 0.7 MB each at k = 7)
+# arrays (about 0.7 MB each at k = 7); a record the ball of this size leaves
+# undecided goes to the best-first search
 _BALL_RANKINGS = 4096
 
 
@@ -382,93 +364,36 @@ def _kendall_ball(k: int, m: int) -> np.ndarray:
     return ball
 
 
-def _lockstep_counts(
-    r: np.ndarray, pairs: np.ndarray, margin: np.ndarray, t: np.ndarray, m: int
-) -> np.ndarray:
-    """For each row of r and each threshold, how many of the first m
-    configurations that Enumerator(RankingProblem(row, psi)) emits score <= t.
+def _outside_bound(pairs, root, rows, r: int) -> np.ndarray:
+    """For each record in rows, a lower bound on the exact score of every
+    ranking more than r inversions from its root; +inf when there is none.
 
-    pairs and margin are the rows' _pair_terms table and _prune_margin.
-    Every record runs the enumerator's best-first search at once: each step
-    pops, per record, the cell with the smallest (second_score, creation
-    order), emits its second-best and splits the cell as RankingProblem.split
-    does. A cell is its best ranking, its second-best with that ranking's
-    re-summed score, and a boolean precedence matrix prec[a, b] for "a
-    placed before b". A record stops once all thresholds lie below its last
-    score, after m configurations, or when its space is exhausted.
+    A ranking scores the cost of each pair the root orders that it places
+    the wrong way round, and 0 for the others; with more than r of them, at
+    least the sum of the r + 1 smallest costs. The costs are nonnegative, so
+    the float bound lies within _prune_margin / 4 of the exact one.
     """
-    n, k = r.shape
-    delta = pairs.transpose(0, 2, 1) - pairs  # delta[n, a, b]: a, directly above b, swaps
-    best = np.zeros((n, m, k), dtype=np.intp)
-    second = np.full((n, m), np.inf)  # inf: no second-best, or no cell
-    second_pos = np.zeros((n, m), dtype=np.intp)
-    prec = np.zeros((n, m, k, k), dtype=bool)
-    order = np.zeros((n, m), dtype=np.int64)
-    cells = np.ones(n, dtype=np.intp)
-    created = np.ones(n, dtype=np.int64)  # Enumerator._counter
-    swaps = np.tile(np.arange(k), (k - 1, 1))  # row p: positions p and p + 1 exchanged
-    p = np.arange(k - 1)
-    swaps[p, p], swaps[p, p + 1] = p + 1, p
+    i, j = _position_pairs(root.shape[1])
+    if r >= i.size:
+        return np.full(rows.size, np.inf)
+    wrong = pairs[rows[:, None], root[rows][:, j], root[rows][:, i]]
+    return np.partition(wrong, r, axis=1)[:, : r + 1].sum(axis=1)
 
-    def fill_second(rr: np.ndarray, slots: np.ndarray) -> None:
-        # RankingProblem._second_best on arrays: the swaps the constraints
-        # allow whose delta is within the margin of the smallest are re-summed
-        cur = best[rr, slots]
-        above, below = cur[:, :-1], cur[:, 1:]
-        d = delta[rr[:, None], above, below]
-        d[prec[rr[:, None], slots[:, None], above, below]] = np.inf
-        at = np.arange(rr.size)
-        near = d <= (d[at, d.argmin(axis=1)] + margin[rr])[:, None]
-        near &= d < np.inf
-        c, pos = np.nonzero(near)
-        resum = np.full(d.shape, np.inf)
-        resum[c, pos] = _sum_pairs(pairs, rr[c], cur[c[:, None], swaps[pos]])
-        pos = resum.argmin(axis=1)  # the lowest position among equal scores
-        second[rr, slots] = resum[at, pos]
-        second_pos[rr, slots] = pos
 
-    # the root's best is the relevance-descending ranking, which scores 0
-    best[:, 0] = np.argsort(-r, axis=1, kind="stable")
-    fill_second(np.arange(n), np.zeros(n, dtype=np.intp))
-    last = np.zeros(n)
-    inside = last[:, None] <= t[None, :]
-    counts = inside.astype(np.int64)
-    emitted = np.ones(n, dtype=np.intp)
-    live = inside.any(axis=1) & (emitted < m)
-    while live.any():
-        rr = np.flatnonzero(live)
-        sec = second[rr]
-        low = sec.min(axis=1)
-        done = np.isinf(low)  # exhausted spaces
-        live[rr[done]] = False
-        rr, sec, low = rr[~done], sec[~done], low[~done]
-        if np.any(low < last[rr] - TOL):
-            raise PartitionError(
-                "second-best score below last emitted score: ranking cells "
-                "do not partition the space"
-            )
-        slot = np.where(sec == low[:, None], order[rr], np.iinfo(np.int64).max).argmin(axis=1)
-        inside[rr] &= low[:, None] <= t[None, :]
-        counts[rr] += inside[rr]
-        last[rr] = low
-        emitted[rr] += 1
-        go = inside[rr].any(axis=1) & (emitted[rr] < m)
-        live[rr[~go]] = False
-        rr, slot = rr[go], slot[go]
-        # split: the kept cell holds a above b, the moved cell b above a
-        pos = second_pos[rr, slot]
-        a, b = best[rr, slot, pos], best[rr, slot, pos + 1]
-        new = cells[rr]
-        best[rr, new] = best[rr, slot]
-        best[rr, new, pos], best[rr, new, pos + 1] = b, a
-        prec[rr, new] = prec[rr, slot]
-        prec[rr, new, b, a] = True
-        prec[rr, slot, a, b] = True
-        order[rr, new] = created[rr]
-        created[rr] += 1
-        cells[rr] += 1
-        fill_second(np.concatenate([rr, rr]), np.concatenate([slot, new]))
-    return counts
+def _ball_counts(pairs, root, ball, rows, t, margin) -> tuple[np.ndarray, np.ndarray]:
+    """Per record in rows and threshold: how many rankings of the ball
+    around the record's root score <= t - margin, and whether one scores in
+    (t - margin, t]. In blocks of about _BALL_RANKINGS rankings."""
+    limits = np.hstack([t - margin[rows, None], np.broadcast_to(t, (rows.size, t.size))])
+    counts = np.empty(limits.shape, dtype=np.int64)
+    step = max(1, _BALL_RANKINGS // len(ball))  # records per block
+    for start in range(0, rows.size, step):
+        block, at = rows[start : start + step], slice(start, start + step)
+        perms = root[block][:, ball].reshape(-1, root.shape[1])
+        scores = _sum_pairs(pairs, block.repeat(len(ball)), perms).reshape(len(block), -1, 1)
+        counts[at] = (scores <= limits[at, None]).sum(axis=1)
+    below = counts[:, : t.size]
+    return below, counts[:, t.size :] > below
 
 
 def levelset_counts_batch(
@@ -482,46 +407,53 @@ def levelset_counts_batch(
     flags marks the sizes above cap. ValueError, naming the row, when some
     ranking's score is not finite.
 
-    Most records are decided from a Kendall ball, and only the rest are
-    searched. The enumeration's count at t is the number of configurations
-    it emits before the first that scores above t, at most m. Its pops are
-    exact up to rounding: a popped second-best exceeds the smallest score
-    not yet emitted by at most the record's _prune_margin, the bound that
-    RankingProblem._second_best prunes with. So if m distinct rankings score
-    <= t - margin, each of the first m pops has one of them still unemitted
-    and scores <= t, and the count is exactly m. The rankings tried are the
-    ball of _kendall_ball(k, m) applied to the record's best ranking, scored
-    by _sum_pairs as the search scores them. A record with m of them at or
-    under t - margin at every threshold gets m; every other record, those
-    with a ball score in the band (t - margin, t] included, runs the search
-    in lockstep with the others left (_lockstep_counts), in blocks.
+    The enumeration's count at t is the number of configurations it emits
+    before the first that scores above t, at most m. A pop exceeds the
+    smallest score not yet emitted by at most the record's _prune_margin.
+    A record is decided from a Kendall ball around its root (_kendall_ball),
+    scored by _sum_pairs as the search scores it. Let b be the number of
+    ball rankings at or under t - margin.
+      - If b >= m, each of the first m pops has one of them still unemitted
+        and so scores <= t: the count is m.
+      - Otherwise, if no ball ranking scores in (t - margin, t] and the
+        _outside_bound for the ball's radius exceeds t + margin, every
+        other ranking scores above t (one outside the ball scores at least
+        that bound less margin / 2). So while one of the b is not yet
+        emitted, a pop scores <= t and is one of them, and once all are
+        emitted, a pop scores above t: the count is b.
+    A record left undecided moves to a ball of twice the rankings, up to
+    the whole space, where the bound is +inf. The per-record search counts
+    one with a band score and b < m, or left by the whole space or a ball
+    of over _BALL_RANKINGS rankings.
     """
     r = np.asarray(rel, dtype=float)
     if r.ndim != 2 or r.shape[1] < 2 or not np.all(np.isfinite(r)):
         raise ValueError("rel must be (n, k) with k >= 2 finite relevances per row")
-    if cap < 1:
+    if _as_int(cap, "cap") < 1:
         raise ValueError("cap must be >= 1")
     t = np.asarray(thresholds, dtype=float).ravel()
     pairs = _pair_terms(r, psi)
     margin = _prune_margin(r.shape[1], _worst_scores(pairs, r))
     n, k = r.shape
     m = min(cap + 1, math.factorial(k))  # a record has k! rankings to count
-    ball = _kendall_ball(k, m)
     root = np.argsort(-r, axis=1, kind="stable")  # the search's root, which scores 0
-    limit = t[None, :] - margin[:, None]
-    below = np.empty((n, t.size), dtype=np.int64)  # ball rankings at or under t - margin
-    step = max(1, _BALL_RANKINGS // len(ball))  # records per block
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        perms = root[block][:, ball]  # (records, ball, k)
-        rows = np.arange(start, start + len(perms)).repeat(len(ball))
-        scores = _sum_pairs(pairs, rows, perms.reshape(-1, k)).reshape(len(perms), len(ball))
-        below[block] = (scores[:, :, None] <= limit[block, None, :]).sum(axis=1)
     exact = np.full((n, t.size), m, dtype=np.int64)
-    rest = np.flatnonzero((below < m).any(axis=1))
-    for start in range(0, rest.size, _LOCKSTEP_ROWS):
-        block = rest[start : start + _LOCKSTEP_ROWS]
-        exact[block] = _lockstep_counts(r[block], pairs[block], margin[block], t, m)
+    rows, size = np.arange(n), m
+    while rows.size:
+        ball = _kendall_ball(k, size)
+        below, band = _ball_counts(pairs, root, ball, rows, t, margin)
+        left = (below < m).any(axis=1)  # the others keep m at every threshold
+        rows, below, band = rows[left], below[left], band[left]
+        outside = _outside_bound(pairs, root, rows, _ball_radius(k, len(ball)))
+        decided = (below >= m) | (~band & (outside[:, None] > t + margin[rows, None]))
+        done = decided.all(axis=1)
+        exact[rows[done]] = np.minimum(below[done], m)
+        size = min(2 * len(ball), math.factorial(k))
+        last = len(ball) > _BALL_RANKINGS or size == len(ball)
+        search = ~done & (last | ((below < m) & band).any(axis=1))
+        for i in rows[search]:  # min(size, cap) + (size > cap): the size capped at m
+            exact[i] = sum(_levelset_counts(RankingProblem(r[i], psi), t, cap))
+        rows = rows[~done & ~search]
     return np.minimum(exact, cap), exact > cap
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -147,6 +148,37 @@ def test_mbest_malformed_payload_is_one_named_error(tmp_path, capsys, payload, f
     message = json.loads(lines[0])["error"]
     assert repr(field) in message
     assert "inhomogeneous" not in message
+
+
+def _cost_limit(k):
+    # the largest cost magnitude whose totals and solver potentials stay finite
+    return sys.float_info.max / (4 * k * (k + 2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_mbest_rejects_costs_that_could_overflow(tmp_path, capsys):
+    # 1e308 entries printed "scores": [Infinity, Infinity] and exited 0
+    path = tmp_path / "costs.json"
+    for costs in ([[1e308, 1e308], [1e308, 1e308]],
+                  [[math.nextafter(_cost_limit(2), math.inf), 0.0], [0.0, 0.0]]):
+        path.write_text(json.dumps({"costs": costs}))
+        code, out, err = _run(capsys, "mbest", "--input", str(path), "--m", "2")
+        assert code == 1 and out == ""
+        message = json.loads(err)["error"]
+        assert "'costs'" in message and "overflow" in message
+    path.write_text(json.dumps({"costs": [[_cost_limit(2), -_cost_limit(2)], [0.0, 0.0]]}))
+    code, out, _ = _run(capsys, "mbest", "--input", str(path), "--m", "2")
+    assert code == 0
+    assert _strict(out)["scores"] == [-_cost_limit(2), _cost_limit(2)]
+
+
+def test_mbest_rejects_a_nan_threshold(tmp_path, capsys):
+    # a NaN threshold admits nothing: it printed an empty set and exited 0
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps({"relevances": [3.0, 1.0, 2.0]}))
+    code, out, err = _run(capsys, "mbest", "--input", str(path), "--threshold", "nan")
+    assert code == 1 and out == ""
+    assert "threshold" in json.loads(err)["error"]
 
 
 # --- gen / eval round trip -----------------------------------------------------

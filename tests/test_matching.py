@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -111,6 +112,28 @@ def test_m_best_on_large_constant_matrix():
     res = m_best(MatchingProblem(costs), 6)
     assert sorted(res.configs) == sorted(permutations(range(3)))
     assert res.scores == [_brute_min(costs)] * 6
+
+
+@pytest.mark.filterwarnings("error")
+def test_costs_that_could_overflow_are_rejected():
+    # the largest magnitude for k = 4 is float max / (4k(k + 2)): at it every
+    # total and potential stays finite, one ulp past it is a ValueError
+    limit = sys.float_info.max / 96
+    rng = np.random.default_rng(1)
+    raw = rng.uniform(-1, 1, size=(4, 4))
+    costs = raw / np.abs(raw).max() * limit
+    res = m_best(MatchingProblem(costs), 24)
+    assert res.scores == sorted(matching_score(costs, p) for p in permutations(range(4)))
+    assert all(math.isfinite(s) for s in res.scores)
+    # 5e307 entries warned of overflow nine times in the reoptimisation
+    past = costs.copy()
+    past[0, 0] = math.nextafter(limit, math.inf)
+    for big in (raw * 5e307, past, -past):
+        for call in (MatchingProblem, hungarian, min_matching_cost):
+            with pytest.raises(ValueError, match="overflow"):
+                call(big)
+        with pytest.raises(ValueError, match="overflow"):
+            matching_score(big, (0, 1, 2, 3))
 
 
 def test_hungarian_conflicting_constraints():

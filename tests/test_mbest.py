@@ -130,6 +130,20 @@ def test_cap_below_one_is_rejected():
             enumerate_until(problem, math.inf, cap=cap)
 
 
+def test_counts_and_caps_must_be_integers():
+    # a cap of 2.5 ran to 3 configurations, and compatible_rank reported
+    # "within the first 1.5"; True was read as 1
+    problem = RankingProblem(np.arange(4.0), PsiSpec.hinge())
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            m_best(problem, bad)
+        with pytest.raises(ValueError, match="integer"):
+            enumerate_until(problem, math.inf, cap=bad)
+        with pytest.raises(ValueError, match="integer"):
+            compatible_rank(problem, lambda y: False, cap=bad)
+    assert len(m_best(problem, np.int64(3))) == 3
+
+
 def test_rank_conformalize_spec_example():
     assert rank_conformalize([1, 1, 2, 3], [0, 0, 0, 0], alpha=0.25) == 3
 

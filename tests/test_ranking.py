@@ -19,13 +19,15 @@ from weakconformal import (
     rank_score,
     rank_scores_batch,
 )
-from weakconformal.harness import _levelset_counts
 from weakconformal.labels import _as_permutation
+from weakconformal.mbest import _levelset_counts
 from weakconformal import ranking
 from weakconformal.ranking import (
     _softmax,
     _complete_prefixes,
+    _ball_radius,
     _kendall_ball,
+    _outside_bound,
     _pair_terms,
     _prune_margin,
     _sum_pairs,
@@ -308,7 +310,7 @@ def test_predict_relevances_shape():
     np.testing.assert_allclose(predict_relevances(weights, x), [[2.0, 3.0, 5.0]])
 
 
-# --- lockstep level-set counts ---------------------------------------------------
+# --- level-set counts ---------------------------------------------------------
 
 
 def _probe_thresholds(rng, scores):
@@ -418,8 +420,9 @@ def test_kendall_ball_is_the_smallest_inversion_ball_holding_m():
 
 
 def _ball_probes(rel_row, psi, m):
-    """Thresholds at the m-th smallest ball score of the row, one ulp and one
-    rounding margin either side of it, at +inf and below 0."""
+    """Thresholds at the m-th smallest ball score of the row and at the bound
+    on the rankings outside the ball, one ulp and one rounding margin either
+    side of each, at +inf and below 0."""
     k = rel_row.size
     pairs = _pair_terms(rel_row[None], psi)
     margin = float(_prune_margin(k, _worst_scores(pairs, rel_row[None]))[0])
@@ -427,11 +430,19 @@ def _ball_probes(rel_row, psi, m):
     root = np.argsort(-rel_row, kind="stable")
     scores = np.sort(_sum_pairs(pairs, np.zeros(len(ball), dtype=np.intp), root[ball]))
     s = float(scores[m - 1])
-    return [
+    probes = [
         s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf),
         s - margin, s + margin, math.nextafter(s + margin, -math.inf),
         math.nextafter(s + margin, math.inf), math.inf, -0.5,
     ]
+    radius = _ball_radius(k, len(ball))
+    bound = float(_outside_bound(pairs, root[None], np.zeros(1, dtype=np.intp), radius)[0])
+    if bound < math.inf:  # the whole space has no ranking outside the ball
+        probes += [
+            bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf),
+            bound - margin, bound + margin,
+        ]
+    return probes
 
 
 @settings(max_examples=150, deadline=None)
@@ -467,19 +478,46 @@ def test_ball_path_equals_the_engine(k, ties, psi, magnitude, cap_pick, seed):
             assert flags[j].tolist() == want[1].tolist(), (j, thresholds)
 
 
+def test_records_that_need_larger_balls_equal_the_engine(monkeypatch):
+    # thresholds past the first ball's bound: records move through two or
+    # more larger balls before the bound decides them, with no search
+    rng = np.random.default_rng(7)
+    rel = rng.normal(size=(40, 8))
+    psi, cap = PsiSpec.hinge(), 200
+    pairs, root, rows = _pair_terms(rel, psi), np.argsort(-rel, axis=1, kind="stable"), np.arange(40)
+    first = _ball_radius(8, cap + 1)
+    bound = [float(np.median(_outside_bound(pairs, root, rows, first + d))) for d in (0, 2)]
+    thresholds = [bound[1], bound[0] / 2]
+    sizes, searched = [], []
+    ball_counts, engine = ranking._ball_counts, ranking._levelset_counts
+
+    def spy(pairs, root, ball, *args):
+        sizes.append(len(ball))
+        return ball_counts(pairs, root, ball, *args)
+
+    monkeypatch.setattr(ranking, "_ball_counts", spy)
+    monkeypatch.setattr(ranking, "_levelset_counts", lambda *a: searched.append(a) or engine(*a))
+    counts, flags = levelset_counts_batch(rel, psi, thresholds, cap)
+    assert len(sizes) >= 3 and not searched
+    for j in range(rel.shape[0]):
+        want = _levelset_counts(RankingProblem(rel[j], psi), thresholds, cap)
+        assert counts[j].tolist() == want[0].tolist()
+        assert flags[j].tolist() == want[1].tolist()
+
+
 def test_the_lockstep_sees_few_records_of_a_gate_trial(monkeypatch):
-    # the rank trial of the release gate: the ball decides nearly every
-    # test record, and only the rest reach the lockstep
+    # the rank trial of the release gate: the Kendall balls decide nearly
+    # every test record, and only the rest reach the per-record search
     from weakconformal.harness import ExperimentConfig, run
 
     seen = []
-    lockstep = ranking._lockstep_counts
+    engine = ranking._levelset_counts
 
-    def spy(r, *args):
-        seen.append(len(r))
-        return lockstep(r, *args)
+    def spy(problem, *args):
+        seen.append(problem)
+        return engine(problem, *args)
 
-    monkeypatch.setattr(ranking, "_lockstep_counts", spy)
+    monkeypatch.setattr(ranking, "_levelset_counts", spy)
     counted = []
     batch = ranking.levelset_counts_batch
 
@@ -492,7 +530,7 @@ def test_the_lockstep_sees_few_records_of_a_gate_trial(monkeypatch):
         run(ExperimentConfig(task="rank", k=7, alpha=0.1, n=4000, split=(0.25, 0.25, 0.5),
                              n_trials=1, seed=seed, methods=("wsc", "fsc")))
     assert counted == [2000, 2000]
-    assert sum(seen) < 0.1 * sum(counted)
+    assert len(seen) <= 0.01 * sum(counted)
 
 
 def test_levelset_counts_batch_rejects_bad_input():
@@ -502,6 +540,9 @@ def test_levelset_counts_batch_rejects_bad_input():
         levelset_counts_batch(np.array([[0.0, math.nan]]), PsiSpec.hinge(), [1.0], 3)
     with pytest.raises(ValueError):
         levelset_counts_batch(np.zeros((2, 3)), PsiSpec.hinge(), [1.0], 0)
+    for cap in (2.5, True):  # 2.5 returned sizes of 2.5
+        with pytest.raises(ValueError, match="integer"):
+            levelset_counts_batch(np.zeros((2, 3)), PsiSpec.hinge(), [1.0], cap)
 
 
 @pytest.mark.filterwarnings("error")
