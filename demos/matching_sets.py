@@ -34,7 +34,7 @@ print("cheapest assignment", tuple(perm), f"cost {cost:.3f}")
 
 def scores(block):
     strong, weak, _ = matching_block_scores(
-        data.costs[block], data.planted[block], data.revealed[block], keep=1
+        data.costs[block], data.planted[block], data.revealed[block], keep=0
     )
     return strong, weak
 

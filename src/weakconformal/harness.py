@@ -30,7 +30,7 @@ turns a block's scores, relevances or costs plus its weak block into the
 strong, weak and, where defined, pessimistic scores:
   classify  conformal.set_block_scores       a masked min and max
   rank      ranking.prefix_block_scores      the completed prefix
-  match     matching.matching_block_scores   the pinned columns of the table
+  match     matching.matching_block_scores   a DP over subsets of columns
   regress   regression.interval_block_scores a clamp
 No per-record weak-label object is built on these paths, except for the
 per-record engine checks below and matchings of k >= 8.
@@ -41,10 +41,12 @@ Level sets are counted block by block, for all thresholds at once:
             best, and a bound on those outside it; a record with a score
             within the search's rounding margin of a threshold runs the
             best-first search (ranking.levelset_counts_batch);
-  match     one table of all k! assignment totals per chunk of records,
-            which also gives the base, strong and weak scores, for spaces
-            of at most 10^4 assignments; per-record Hungarian solves and
-            best-first enumeration beyond that;
+  match     for spaces of at most 10^4 assignments, a DP over subsets of
+            columns gives each record's base, strong and weak scores, and
+            one table of all k! assignment totals per chunk of test records
+            gives the counts (the calibration block builds none);
+            per-record Hungarian solves and best-first enumeration beyond
+            that;
   regress   the interval width 2t.
 The rank and match counts are capped at m_max (coverage columns stay exact).
 Their block-level paths check their result on the first record of the
@@ -299,14 +301,15 @@ def _rank_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te:
     return {"wsc": weak_ca, "fsc": strong_ca}, {"wsc": shared, "fsc": shared}
 
 
-def _match_by_table(data, block: slice, cap: int):
+def _match_by_table(data, block: slice, cap: int, counted: bool = True):
     """Translated (strong, weak) scores of a block of matching records from
-    matching_block_scores' table of all k! assignment totals, and a counter
-    of their level sets from each record's cap + 1 smallest translated
-    totals. The first record's scores are checked against the Hungarian
-    solves of _match_by_engine."""
+    matching_block_scores' subset DP and, when counted, a counter of their
+    level sets from each record's cap + 1 smallest translated totals in its
+    table of all k! assignment totals (uncounted, no table is built). The
+    first record's scores are checked against the Hungarian solves of
+    _match_by_engine."""
     strong, weak, smallest = matching_block_scores(
-        data.costs[block], data.planted[block], data.revealed[block], cap + 1
+        data.costs[block], data.planted[block], data.revealed[block], cap + 1 if counted else 0
     )
     if len(strong):
         first = range(len(data.costs))[block][0]
@@ -320,9 +323,10 @@ def _match_by_table(data, block: slice, cap: int):
     return strong, weak, sizes
 
 
-def _match_by_engine(data, block: slice, cap: int):
+def _match_by_engine(data, block: slice, cap: int, counted: bool = True):
     """Translated (strong, weak) scores of a block of matching records from
-    per-record Hungarian solves, and a best-first level-set counter."""
+    per-record Hungarian solves, and a best-first level-set counter. counted
+    changes nothing here: the counter enumerates only when it is called."""
     costs = data.costs[block]
     bases = [min_matching_cost(c) for c in costs]
     strong = [matching_score(c, y) - b for c, y, b in zip(costs, data.y[block], bases)]
@@ -346,7 +350,7 @@ def _match_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te
     per record."""
     small = math.factorial(cfg.resolved_k) <= _EXHAUSTIVE_SPACE_CAP
     scored = _match_by_table if small else _match_by_engine
-    strong_ca, weak_ca, _ = scored(data, ca, cfg.m_max)
+    strong_ca, weak_ca, _ = scored(data, ca, cfg.m_max, counted=False)
     shared = scored(data, te, cfg.m_max)
     return {"wsc": weak_ca, "fsc": strong_ca}, {"wsc": shared, "fsc": shared}
 

@@ -19,11 +19,12 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .labels import FormatError, PartialMatching, _as_permutation, _finite_floats
+from .labels import FormatError, PartialMatching, _as_int, _as_permutation, _finite_floats
 
 __all__ = [
     "hungarian",
@@ -35,6 +36,11 @@ __all__ = [
     "MatchingCell",
     "MatchingProblem",
 ]
+
+
+def _cost_limit(k: int) -> float:
+    """The largest |c| a k x k cost matrix may hold: _as_cost_matrix's M."""
+    return sys.float_info.max / (4 * k * (k + 2))
 
 
 def _as_cost_matrix(costs) -> np.ndarray:
@@ -54,7 +60,7 @@ def _as_cost_matrix(costs) -> np.ndarray:
         raise ValueError("cost matrix must be square and nonempty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("cost entries must be finite")
-    limit = sys.float_info.max / (4 * len(arr) * (len(arr) + 2))
+    limit = _cost_limit(len(arr))
     if np.abs(arr).max() > limit:
         raise ValueError(
             f"cost entries must lie within +-{limit:.6g} for k = {len(arr)}: larger ones "
@@ -214,64 +220,129 @@ def partial_matching_score(costs, w: PartialMatching) -> float:
     return result[1]
 
 
-# assignment totals per chunk of matching_block_scores' table (64 records at k = 6)
+# entries per chunk of matching_block_scores: k! assignment totals per record in
+# its table (64 records at k = 6), k * 2^(k - 1) sums per record in its DP
 _TABLE_ENTRIES = 64 * 720
 
 
-def _permutation_index(perms) -> np.ndarray:
-    """Each row's place among the permutations of [0, k) in lexicographic
-    order, the order of itertools.permutations(range(k)).
+@lru_cache(maxsize=16)
+def _subset_steps(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The steps of the subset DP over k columns, one per row u = 1 .. k - 1.
 
-    This is the Lehmer code: the sum over positions u of the number of later
-    entries smaller than the row's entry at u, times (k - 1 - u)!.
+    Step u lists the sets T of u + 1 columns in itertools.combinations order
+    and, for each, the u + 1 ways into it: prev, the index of T less column v
+    among the sets of u columns (for u = 1 the single columns, in order), and
+    cols, that v. Read-only, since every caller shares them.
     """
-    p = np.asarray(perms)
-    k = p.shape[1]
-    later = np.triu(np.ones((k, k), dtype=bool), 1)  # later[u, v]: v comes after u
-    smaller = ((p[:, None, :] < p[:, :, None]) & later).sum(axis=2)
-    return smaller @ np.array([math.factorial(k - 1 - u) for u in range(k)])
+    index = {(v,): v for v in range(k)}
+    steps = []
+    for u in range(1, k):
+        subsets = list(itertools.combinations(range(k), u + 1))
+        prev = np.array([[index[tuple(c for c in t if c != v)] for v in t] for t in subsets])
+        cols = np.array(subsets)
+        prev.flags.writeable = cols.flags.writeable = False
+        steps.append((prev, cols))
+        index = {t: i for i, t in enumerate(subsets)}
+    return tuple(steps)
+
+
+def _cheapest_totals(costs: np.ndarray) -> np.ndarray:
+    """Each record's smallest assignment total, by a DP over the sets of
+    columns that rows 0 .. u take: best[S + {v}] = min(best[S] + c[u, v]).
+
+    The DP adds a total's entries in row order, as _total does, and float
+    addition is monotone, so fl(min(a, b) + c) = min(fl(a + c), fl(b + c)):
+    the result is bit-equal to the smallest of the k! row-order totals, at
+    fewer than k * 2^(k - 1) additions per record. An infinite entry is an
+    absent pair.
+    """
+    best = costs[:, 0, :]
+    for u, (prev, cols) in enumerate(_subset_steps(costs.shape[1]), start=1):
+        best = (best[:, prev] + costs[:, u, cols]).min(axis=2)
+    return best[:, 0]
+
+
+def _check_block(costs, planted, revealed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """matching_block_scores' inputs as arrays; ValueError, naming the first
+    bad record, when they do not describe n records of k agents."""
+    costs = np.asarray(costs, dtype=float)
+    if costs.ndim != 3 or costs.shape[1] != costs.shape[2] or costs.shape[1] == 0:
+        raise ValueError(f"costs must be (n, k, k) with k >= 1, got shape {costs.shape}")
+    n, k = costs.shape[:2]
+    planted, revealed = np.asarray(planted), np.asarray(revealed)
+    for name, a in (("planted", planted), ("revealed", revealed)):
+        if a.shape != (n, k) or a.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be an ({n}, {k}) integer array, got {a.dtype} {a.shape}")
+    limit = _cost_limit(k)
+    pins = np.where(revealed >= 0, revealed, -1 - np.arange(k))  # unpinned agents all differ
+    problems = (
+        (~(np.abs(costs) <= limit).all(axis=(1, 2)),
+         f"cost entries must be finite and within +-{limit:.6g} for k = {k}"),
+        ((np.sort(planted, axis=1) != np.arange(k)).any(axis=1),
+         f"the true assignment is not a permutation of [0, {k})"),
+        (((revealed < -1) | (revealed >= k)).any(axis=1),
+         f"a pinned position lies outside [0, {k}) and is not -1"),
+        ((np.diff(np.sort(pins, axis=1), axis=1) == 0).any(axis=1),
+         "two agents are pinned to one position"),
+    )
+    for bad, what in problems:
+        if bad.any():
+            raise ValueError(f"record {np.flatnonzero(bad)[0]}: {what}")
+    return costs, planted, revealed
 
 
 def matching_block_scores(
     costs, planted, revealed, keep: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Translated strong and weak scores of a block of matching records, from
-    one table of all k! assignment totals per chunk of records.
+    """Translated strong and weak scores of a block of matching records, and
+    each record's keep smallest translated assignment totals.
 
     costs is (n, k, k). Row i of planted is record i's true assignment, and
     revealed[i, u] the position its weak label pins agent u to, or -1. Totals
     are added row by row, like every matching score, and translated by the
-    record's optimal cost, the table's minimum. The strong score is the
-    truth's total; the weak score is the smallest total among assignments
-    that keep the pinned pairs. Also returns each record's keep smallest
-    translated totals, in no particular order, from which level sets are
-    counted. The table holds k! columns, so this suits small k.
+    record's optimal cost, its base. The strong score is the truth's total;
+    the weak score is the smallest total among assignments that keep the
+    pinned pairs. The base and the weak score come from a DP over subsets of
+    columns (_cheapest_totals), with every unpinned column of a pinned row
+    absent for the weak score; both are bit-equal to the minima of the table
+    of all k! totals. That table is built only when keep > 0, chunk by chunk:
+    its keep smallest translated totals per record, in no particular order,
+    are what level sets are counted from, and its k! columns suit small k.
+    keep = 0 builds no table and returns (n, 0) totals.
+
+    ValueError, naming the first bad record, when a cost entry is not finite
+    or exceeds _as_cost_matrix's limit, a truth is not a permutation, or a
+    pin is out of range or shared by two agents.
     """
-    costs = np.asarray(costs, dtype=float)
-    revealed = np.asarray(revealed)
+    costs, planted, revealed = _check_block(costs, planted, revealed)
     n, k = costs.shape[:2]
-    perms = np.array(list(itertools.permutations(range(k))))
-    truth = _permutation_index(planted)
-    keep = min(keep, perms.shape[0])
-    strong, weak, smallest = np.empty(n), np.empty(n), np.empty((n, keep))
-    step = max(1, _TABLE_ENTRIES // perms.shape[0])
+    keep = min(_as_int(keep, "keep"), math.factorial(k))
+    if keep < 0:
+        raise ValueError("keep must be >= 0")
+    base, weak = np.empty(n), np.empty(n)
+    absent = (revealed[:, :, None] >= 0) & (revealed[:, :, None] != np.arange(k))
+    step = max(1, _TABLE_ENTRIES // (k << (k - 1)))
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        chunk = costs[rows]
-        totals = chunk[:, 0, perms[:, 0]]
-        for u in range(1, k):
-            totals += chunk[:, u, perms[:, u]]
-        base = totals.min(axis=1)
-        strong[rows] = totals[np.arange(totals.shape[0]), truth[rows]] - base
-        fits = np.ones(totals.shape, dtype=bool)
-        for u in range(k):
-            pin = revealed[rows, u, None]
-            fits &= (perms[:, u] == pin) | (pin < 0)
-        weak[rows] = np.where(fits, totals, np.inf).min(axis=1) - base
-        totals -= base[:, None]
-        if keep < perms.shape[0]:
-            totals = np.partition(totals, keep - 1, axis=1)[:, :keep]
-        smallest[rows] = totals
+        base[rows] = _cheapest_totals(costs[rows])
+        weak[rows] = _cheapest_totals(np.where(absent[rows], np.inf, costs[rows]))
+    truth = costs[np.arange(n)[:, None], np.arange(k), planted]
+    # cumsum adds left to right, exactly as _total does
+    strong = np.cumsum(truth, axis=1)[:, -1] - base
+    weak -= base
+    smallest = np.empty((n, keep))
+    if keep:
+        perms = np.array(list(itertools.permutations(range(k))))
+        step = max(1, _TABLE_ENTRIES // len(perms))
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            chunk = costs[rows]
+            totals = chunk[:, 0, perms[:, 0]]
+            for u in range(1, k):
+                totals += chunk[:, u, perms[:, u]]
+            if keep < len(perms):
+                totals.partition(keep - 1, axis=1)
+            np.subtract(totals[:, :keep], base[rows, None], out=smallest[rows])
     return strong, weak, smallest
 
 
@@ -337,12 +408,20 @@ class MatchingProblem:
 
     Scores are matching costs minus ``offset`` (pass the minimum cost to
     work in translated scores; the enumeration order is unaffected).
+
+    ``margin`` bounds how far below the last emitted score a reoptimised
+    second-best may round: four times the error bound gamma_{k-1} * sum|c|
+    of a row-order total of k entries, as ranking._prune_margin is for a
+    ranking's sum, with sum|c| at most the sum of each row's largest |c|.
+    Two totals can round up to twice that bound out of their exact order,
+    and the reduced costs may order near-tied assignments either way.
     """
 
     def __init__(self, costs, offset: float = 0.0):
         self.costs = _as_cost_matrix(costs)
         self.k = self.costs.shape[0]
         self.offset = float(offset)
+        self.margin = 4 * (self.k + 1) * 2.0**-53 * float(np.abs(self.costs).max(axis=1).sum())
 
     def score(self, config: Sequence[int]) -> float:
         return matching_score(self.costs, config) - self.offset

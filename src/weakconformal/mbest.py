@@ -66,6 +66,10 @@ class PartitionProblem(Protocol):
     None when the cell is a singleton). ``split(cell)`` must return two
     cells that partition the parent minus nothing: the first keeps the
     parent's best, the second has the parent's second-best as its best.
+
+    A backend may also carry ``margin``: how far below the last emitted
+    score its rounding may put the next pop. The engine reads it once per
+    enumeration and checks the order against the larger of it and TOL.
     """
 
     def root(self) -> Any: ...
@@ -92,6 +96,7 @@ class Enumerator:
 
     def __init__(self, problem: PartitionProblem):
         self.problem = problem
+        self._tol = max(TOL, float(getattr(problem, "margin", 0.0)))
         root = problem.root()
         self.configs: list = [root.best]
         self.scores: list[float] = [float(root.best_score)]
@@ -108,7 +113,7 @@ class Enumerator:
         """Grow the enumeration to at least m configurations (or exhaust)."""
         while len(self.configs) < m and self._heap:
             second_score, order, cell = heapq.heappop(self._heap)
-            if second_score < self.scores[-1] - TOL:
+            if second_score < self.scores[-1] - self._tol:
                 raise PartitionError(
                     "second-best score below last emitted score: backend cells "
                     "do not partition the space"

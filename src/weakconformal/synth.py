@@ -33,7 +33,7 @@ import numpy as np
 
 from .labels import ExplicitSet, Interval, PartialMatching, RankingPrefix, WeakRecord
 from .labels import _as_int, _as_real
-from .ranking import _descend, _softmax, _training_rows
+from .ranking import _descend, _row_max, _softmax, _training_rows
 
 __all__ = [
     "MulticlassData",
@@ -413,7 +413,7 @@ def _logistic_grad(z: np.ndarray, xb: np.ndarray, targets: np.ndarray) -> np.nda
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - _row_max(z)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 

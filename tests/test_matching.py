@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from weakconformal import matching
-from weakconformal.matching import _permutation_index
 from weakconformal import (
     FormatError,
     MatchingProblem,
@@ -319,13 +318,3 @@ def test_score_sums_in_row_order_like_the_enumeration():
     for config, score in zip(best.configs, best.scores):
         assert matching_score(costs, config) == score
 
-
-def test_permutation_index_is_the_itertools_position():
-    # the match table finds each record's true assignment by this column
-    rng = np.random.default_rng(40)
-    for k in range(1, 8):
-        perms = list(permutations(range(k)))
-        column = {perm: j for j, perm in enumerate(perms)}
-        rows = np.array([perms[j] for j in rng.integers(0, len(perms), size=50)])
-        assert _permutation_index(rows).tolist() == [column[tuple(r)] for r in rows.tolist()]
-        assert _permutation_index(np.array(perms)).tolist() == list(range(len(perms)))

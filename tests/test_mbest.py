@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import permutations
 
@@ -16,6 +17,7 @@ from weakconformal import (
     compatible_rank,
     enumerate_until,
     m_best,
+    matching_score,
     rank_conformalize,
     rank_score,
     weak_contains,
@@ -208,6 +210,41 @@ class _BadCells:
 def test_invalid_partition_detected():
     with pytest.raises(PartitionError):
         m_best(_BadCells(), 4)
+
+
+def _sign_costs():
+    # totals of +-1e100 entries round in steps near 1e84, so the reoptimised
+    # second-best of a cell can sit a few ulps under the score emitted before it
+    return np.sign(np.random.default_rng(0).uniform(-1, 1, (5, 5))) * 1e100
+
+
+def test_enumeration_order_allows_the_problems_rounding_margin():
+    costs = _sign_costs()
+    problem = MatchingProblem(costs)
+    res = m_best(problem, 120)
+    pairs = list(zip(res.scores, res.scores[1:]))
+    assert any(b < a for a, b in pairs)  # out of order, which an absolute TOL rejected
+    assert all(b >= a - problem.margin for a, b in pairs)
+    assert sorted(res.configs) == sorted(permutations(range(5)))
+    assert sorted(res.scores) == sorted(matching_score(costs, p) for p in permutations(range(5)))
+    assert res.scores == [matching_score(costs, y) for y in res.configs]
+
+
+class _UnderMargin(MatchingProblem):
+    """A matching backend whose split cells claim second-bests four margins
+    under their own: the emitted order breaks by more than the margin."""
+
+    def split(self, cell):
+        return tuple(
+            dataclasses.replace(child, second_score=child.second_score - 4 * self.margin)
+            if child.second is not None else child
+            for child in super().split(cell)
+        )
+
+
+def test_an_order_broken_past_the_margin_is_detected():
+    with pytest.raises(PartitionError, match="second-best score below last emitted"):
+        m_best(_UnderMargin(_sign_costs()), 120)
 
 
 def test_matching_backend_through_engine():

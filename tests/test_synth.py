@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakconformal import synth
+from weakconformal import ranking, synth
 from weakconformal.cli import main
 from weakconformal.labels import (
     ExplicitSet,
@@ -18,7 +18,7 @@ from weakconformal.labels import (
     write_jsonl,
 )
 from weakconformal.matching import hungarian
-from weakconformal.ranking import listnet_loss_grad, listnet_train, relevance_targets
+from weakconformal.ranking import _row_max, listnet_loss_grad, listnet_train, relevance_targets
 from weakconformal.synth import (
     MatchingData,
     cumulative_probability_scores,
@@ -490,6 +490,73 @@ def test_trainers_are_bit_equal_to_the_written_out_loop():
     weights = cases[1][0]
     assert (predict_class_probs(weights, data.x).tobytes()
             == _softmax_reference(xb @ weights.T).tobytes())
+
+
+# sha256 of each trainer output of _trainer_outputs, recorded while the softmaxes
+# still took numpy's max(axis=1) reduction (numpy 2.4.6 with OpenBLAS, x86-64)
+_TRAINER_DIGESTS = {
+    "multinomial x1": "bac6335476c66316539fa0579fa3ca51f89d0833266ab10fce94017239d54cc0",
+    "per_label x1": "bac7c456ec34f66dc2067a4b7c8eea1b95d35d8dc893118861f00161c5eebe3d",
+    "listnet x1": "8851d704dc786169b3958e4e2214426519cac2b9404267b0e9252502af16a9dc",
+    "listnet_loss_grad x1 w0": "e0c9c403206e0b21544017957c7557d2dcc2a836ffbd0c1fa1314f6917d5685f",
+    "listnet_loss_grad x1 w1": "425739945ced31019424133c44e006f8aaad8930cae5d723bd5be2f4f9172b26",
+    "multinomial x10": "bc699bc0c7e15be98a4ed5872fd47d97bf9a690391518a3404e59b66b4aaba79",
+    "per_label x10": "b4442a04efd9d05b20a35e6a8bfcf5f46ab09b550a5a1913b51e4e9152506608",
+    "listnet x10": "9e1715a9197a16f8373d0b7498c50fd0036a22552e37c3380a243c18e35c0ea4",
+    "listnet_loss_grad x10 w0": "b059a677b74ff4632d064d70ffa68ef9cb5daef6cd24f7299369f25eb98f775b",
+    "listnet_loss_grad x10 w1": "aa4b2e55269b6940efd62d74daad2c7360bbf15437d5585937e36ca65b235899",
+}
+
+
+def _trainer_outputs() -> dict[str, str]:
+    """sha256 of the trainers' weights and of listnet_loss_grad's gradient and
+    loss, on features of scale 1 and 10 whose first rows are zero, and at zero
+    weights, where every logit is 0."""
+    out = {}
+    rng = np.random.default_rng(23)
+    for scale in (1.0, 10.0):
+        x = rng.normal(size=(120, 3)) * scale
+        x[:10] = 0.0  # rows whose logits stay at the bias, zero at the start
+        y = rng.integers(0, 7, size=120)
+        member = rng.random((120, 7)) < 0.4
+        rankings = rng.permuted(np.tile(np.arange(6), (120, 1)), axis=1)
+        target = rng.random((120, 6))
+        target /= target.sum(axis=1, keepdims=True)
+        out[f"multinomial x{scale:g}"] = train_multinomial_logistic(x, y, 7, epochs=40)
+        out[f"per_label x{scale:g}"] = train_per_label_logistic(x, member.astype(float), epochs=40)
+        out[f"listnet x{scale:g}"] = listnet_train(x, rankings, epochs=40)
+        for w_scale in (0.0, 1.0):
+            weights = rng.normal(size=(6, 3)) * w_scale
+            loss, grad = listnet_loss_grad(weights, x, target)
+            out[f"listnet_loss_grad x{scale:g} w{w_scale:g}"] = np.append(grad.ravel(), loss)
+    return {name: hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+            for name, a in out.items()}
+
+
+def test_trainers_match_their_recorded_digests():
+    assert _trainer_outputs() == _TRAINER_DIGESTS
+
+
+def test_trainers_are_bit_equal_with_the_reduction_row_max(monkeypatch):
+    # the same check without recorded digests: swap _row_max for the reduction
+    fast = _trainer_outputs()
+    for module in (ranking, synth):
+        monkeypatch.setattr(module, "_row_max", lambda z: z.max(axis=1, keepdims=True))
+    assert _trainer_outputs() == fast
+
+
+def test_row_max_equals_the_reduction():
+    z = np.array([
+        [0.0, -0.0, -1.0], [-0.0, 0.0, -1.0], [-0.0, -0.0, -0.0], [-np.inf, -np.inf, -np.inf],
+        [np.inf, 1.0, 2.0], [np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [np.inf, 1.0, np.nan],
+        [-np.inf, 0.0, -0.0],
+    ])
+    rng = np.random.default_rng(5)
+    for block in (z, rng.normal(size=(50, 1)), rng.integers(-2, 3, size=(50, 10)) * 1.0):
+        got, ref = _row_max(block), block.max(axis=1, keepdims=True)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_multinomial_trainer_rejects_bad_labels():
