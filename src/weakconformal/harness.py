@@ -207,11 +207,8 @@ def _size_stats(sizes: np.ndarray) -> tuple[float, float, float]:
     if np.isinf(sizes).all():
         # quantile interpolation between infinities warns; the answer is plain
         return math.inf, math.inf, math.inf
-    return (
-        float(sizes.mean()),
-        float(np.quantile(sizes, 0.5)),
-        float(np.quantile(sizes, 0.9)),
-    )
+    p50, p90 = np.quantile(sizes, [0.5, 0.9])
+    return float(sizes.mean()), float(p50), float(p90)
 
 
 def _check_first_record(task: str, fast, engine, tol: float = 0.0) -> None:

@@ -55,6 +55,17 @@ def _as_int(value: Any, what: str = "a value") -> int:
     raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
+def _as_int_array(values: Any, what: str = "an entry") -> np.ndarray:
+    """values as an integer array, or ValueError naming what by _as_int's rule
+    for the first entry that is not an integer (2.9, 2.0 and True are not)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        for v in a.ravel().tolist():
+            _as_int(v, what)
+        a = a.astype(np.intp)
+    return a
+
+
 def _finite_floats(values: list[str], line: int) -> list[float]:
     """The values of one line of a plain-text file as floats; FormatError at
     that line when one is not a finite number."""

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .labels import RankingPrefix, _as_int, _as_permutation
+from .labels import RankingPrefix, _as_int, _as_int_array, _as_permutation, _as_real
 from .mbest import _levelset_counts
 
 __all__ = [
@@ -461,10 +461,22 @@ def levelset_counts_batch(
 
 # --- trainers ------------------------------------------------------------------
 #
-# _row_max, _softmax, _training_rows and _descend also serve the label trainers
-# in synth. Each trainer takes gradient steps alone and returns its weights. Each
-# loss has one gradient function, which its public loss-and-gradient function
-# and its trainer's gradient steps share.
+# _softmax, _training_rows, _descend, _exp_columns and _column_gradient also
+# serve the label trainers and predictions in synth. Each trainer takes
+# gradient steps alone and returns its weights. Each loss has one gradient
+# function, which its public loss-and-gradient function and its trainer's
+# gradient steps share.
+#
+# The gradient functions take their logits as a (k, n) block, one row per label
+# or item and one column per record: w @ x.T, and not x @ w.T. numpy's per-row
+# reductions are slow on rows of a few logits; on the (k, n) block the softmax's
+# max and sum over each record's logits become k long elementwise passes. Every
+# value is the one the (n, k) layout gives: w @ x.T is (x @ w.T).T bit for bit,
+# a max is exact in any order, _column_sums adds each column in the order
+# numpy's sum(axis=1) adds a row, and the gradient (x.T @ d.T).T is the BLAS
+# call that d.T @ x makes on the (n, k) block d. The public functions sum their
+# losses over a C-ordered (n, k) copy, so that they add in the row layout's
+# order; the trainers make no such copy.
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -483,17 +495,80 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+# numpy's pairwise sum adds up to this many entries with eight accumulators
+_PAIRWISE_BLOCK = 128
+
+
+def _column_sums(e: np.ndarray) -> np.ndarray:
+    """e.sum(axis=0) of a (k, n) block, each column added in the order numpy's
+    sum(axis=1) adds a row of k (np.add.reduce's pairwise sum, from 0.0), so
+    the sums are ascontiguousarray(e.T).sum(axis=1) bit for bit, the sign of
+    zero included; only the sign and payload of a NaN may differ.
+
+    Fewer than 8 entries are added in sequence. Up to _PAIRWISE_BLOCK, entry i
+    goes to accumulator i mod 8 up to the last multiple of 8, the accumulators
+    are combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the
+    rest are added in sequence. A longer column is summed as two halves, the
+    first a multiple of 8 entries long.
+    """
+    k = len(e)
+    if k > _PAIRWISE_BLOCK:
+        half = k // 2 - k // 2 % 8
+        return _column_sums(e[:half]) + _column_sums(e[half:])
+    if k < 8:
+        total, whole = e[0].copy(), 1
+    else:
+        whole = k - k % 8
+        r = e[:8] if whole == 8 else e[:8] + e[8:16]
+        for i in range(16, whole, 8):
+            r += e[i:i + 8]
+        total = r[0] + r[1]
+        total += r[2] + r[3]
+        right = r[4] + r[5]
+        right += r[6] + r[7]
+        total += right
+    for row in e[whole:]:
+        total += row
+    total += 0.0  # the reduction starts from 0.0, so a sum of -0.0 entries is 0.0
+    return total
+
+
+def _exp_columns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces of a softmax over each column of the (k, n) logits z: z less
+    its column max (z itself, shifted in place), the exponential of that, and
+    the exponential's column sums."""
+    z -= np.maximum.reduce(z, axis=0)
+    e = np.exp(z)
+    return z, e, _column_sums(e)
+
+
+def _column_gradient(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d.T @ x / n for the (k, n) residuals d of the (n, d) rows x: the (k, d)
+    gradient of a mean loss over linear scorers."""
+    return (x.T @ d.T).T / x.shape[0]
+
+
 def _training_rows(x) -> np.ndarray:
-    """x as a float array, or ValueError when the training block is empty."""
+    """x as an (n, d) float array of finite features, or ValueError when it is
+    not one or the training block is empty."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"x must be an (n, d) array of features, not of shape {x.shape}")
     if len(x) == 0:
         raise ValueError("the training block is empty: there is nothing to fit")
+    if not np.isfinite(x).all():
+        raise ValueError("x must hold finite features only")
     return x
 
 
 def _descend(grad, weights: np.ndarray, epochs: int, lr: float) -> np.ndarray:
     """Full-batch gradient descent: epochs steps of weights -= lr * grad(weights).
-    Returns the final weights."""
+    Returns the final weights; ValueError for epochs < 0 or an lr that is not a
+    finite number > 0."""
+    if _as_int(epochs, "epochs") < 0:
+        raise ValueError(f"epochs must be >= 0, not {epochs}")
+    if not 0 < _as_real(lr, "lr") < math.inf:
+        raise ValueError(f"lr must be a finite number > 0, not {lr}")
     for _ in range(epochs):
         weights = weights - lr * grad(weights)
     return weights
@@ -503,9 +578,10 @@ def relevance_targets(rankings: Sequence[Sequence[int]], k: int) -> np.ndarray:
     """Proxy relevance of each item: k - 1 minus its position in the truth.
 
     rankings holds one permutation of [0, k) per row (a list of tuples or an
-    (n, k) array); anything else is a ValueError.
+    (n, k) integer array); anything else, floats and booleans included, is a
+    ValueError.
     """
-    y = np.asarray(rankings)
+    y = _as_int_array(rankings, "a ranked item")
     if y.ndim != 2 or y.shape[1] != k or not np.array_equal(
         np.sort(y, axis=1), np.broadcast_to(np.arange(k), y.shape)
     ):
@@ -524,20 +600,20 @@ def listnet_loss_grad(
     choice probabilities induced by the proxy relevances (softmax of
     relevance_targets).
     """
-    n = x.shape[0]
-    scores = x @ weights.T
-    shifted = scores - _row_max(scores)
-    e = np.exp(shifted)  # shared by the loss and the softmax in the gradient
-    total = e.sum(axis=1, keepdims=True)
-    logp = shifted - np.log(total)
-    loss = float(-(target_p * logp).sum() / n)
-    return loss, _listnet_grad(e / total, x, target_p)
+    shifted, e, total = _exp_columns(weights @ x.T)
+    logp = np.ascontiguousarray((shifted - np.log(total)).T)
+    loss = float(-(target_p * logp).sum() / x.shape[0])
+    return loss, _listnet_grad(e, total, x, np.asarray(target_p).T)
 
 
-def _listnet_grad(p: np.ndarray, x: np.ndarray, target_p: np.ndarray) -> np.ndarray:
-    """listnet_loss_grad's gradient, from the top-1 probabilities
-    p = _softmax(x @ weights.T)."""
-    return (p - target_p).T @ x / x.shape[0]
+def _listnet_grad(
+    e: np.ndarray, total: np.ndarray, x: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """listnet_loss_grad's gradient, from the pieces _exp_columns(weights @ x.T)
+    gives, and the (k, n) top-1 target probabilities."""
+    d = e / total
+    d -= target
+    return _column_gradient(d, x)
 
 
 def listnet_train(
@@ -552,12 +628,16 @@ def listnet_train(
     predicted top-1 distribution is uniform and the loss is exactly log(k).
     """
     x = _training_rows(x)
-    if x.ndim != 2 or len(rankings) != x.shape[0]:
+    if len(rankings) != x.shape[0]:
         raise ValueError("x must be (n, d) with one ranking per row")
     k = len(rankings[0])
-    target_p = _softmax(relevance_targets(rankings, k))
-    return _descend(lambda w: _listnet_grad(_softmax(x @ w.T), x, target_p),
-                    np.zeros((k, x.shape[1])), epochs, lr)
+    target = np.ascontiguousarray(_softmax(relevance_targets(rankings, k)).T)
+
+    def grad(w):
+        _, e, total = _exp_columns(w @ x.T)
+        return _listnet_grad(e, total, x, target)
+
+    return _descend(grad, np.zeros((k, x.shape[1])), epochs, lr)
 
 
 def predict_relevances(weights: np.ndarray, x: np.ndarray) -> np.ndarray:

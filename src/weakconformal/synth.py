@@ -21,7 +21,14 @@ one range rule per setting (_RANGES).
 The trainers are deliberately plain full-batch gradient-descent linear
 models (per-label logistic, multinomial logistic) that return their
 weights. Each loss has an explicit loss-and-gradient function, so its
-gradient can be checked against finite differences.
+gradient can be checked against finite differences. The gradient steps hold
+the logits as a (k, n) block, one column per record, as ListNet's do in
+ranking: the softmax's column sums follow the order in which numpy's
+sum(axis=1) adds a row of k logits, so the weights are bit-equal to those of
+the (n, k) row layout. The trainers reject what they would otherwise
+reshape: labels or indicators that do not give one row per record, labels
+that are not integers in [0, k), indicators other than 0 and 1, features
+that are not finite, and epochs or lr out of range.
 """
 from __future__ import annotations
 
@@ -32,8 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labels import ExplicitSet, Interval, PartialMatching, RankingPrefix, WeakRecord
-from .labels import _as_int, _as_real
-from .ranking import _descend, _row_max, _softmax, _training_rows
+from .labels import _as_int, _as_int_array, _as_real
+from .ranking import _column_gradient, _descend, _exp_columns, _softmax, _training_rows
+# _row_max stays importable from synth, whose label softmax took it before
+from .ranking import _row_max  # noqa: F401
 
 __all__ = [
     "MulticlassData",
@@ -383,9 +392,13 @@ def to_records(data) -> list[WeakRecord]:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # one exponential that cannot overflow: exp(-z) above 0, exp(z) below
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # one exponential that cannot overflow, e = exp(-|z|): the sigmoid is
+    # 1 / (1 + e) at z >= 0, where e <= 1, and e / (1 + e) below, so its
+    # numerator is max(e, z >= 0)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _with_bias(x: np.ndarray) -> np.ndarray:
@@ -401,28 +414,41 @@ def logistic_loss_grad(
     weights (k, p), xb (n, p), targets (n, k) in {0, 1}; returns the summed
     per-label mean losses and the matching (k, p) gradient.
     """
-    n = xb.shape[0]
-    z = xb @ weights.T
-    loss = float((np.logaddexp(0.0, z) - targets * z).sum() / n)
-    return loss, _logistic_grad(z, xb, targets)
+    z = weights @ xb.T
+    zn = np.ascontiguousarray(z.T)
+    loss = float((np.logaddexp(0.0, zn) - targets * zn).sum() / xb.shape[0])
+    return loss, _logistic_grad(z, xb, np.asarray(targets).T)
 
 
 def _logistic_grad(z: np.ndarray, xb: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """logistic_loss_grad's gradient, from the logits z = xb @ weights.T."""
-    return (_sigmoid(z) - targets).T @ xb / xb.shape[0]
+    """logistic_loss_grad's gradient, from the (k, n) logits z = weights @ xb.T
+    and the (k, n) targets."""
+    d = _sigmoid(z)
+    d -= targets
+    return _column_gradient(d, xb)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - _row_max(z)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    """Log-probabilities of the (k, n) logits z, each column a record's;
+    z is overwritten."""
+    shifted, _, total = _exp_columns(z)
+    shifted -= np.log(total)
+    return shifted
 
 
-def _multinomial_grad(logp: np.ndarray, xb: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """multinomial_loss_grad's gradient, from the log-probabilities
-    logp = _log_softmax(xb @ weights.T)."""
-    p = np.exp(logp)
-    p[np.arange(len(y)), y] -= 1.0
-    return p.T @ xb / xb.shape[0]
+def _one_hot(y: np.ndarray, k: int) -> np.ndarray:
+    """The (k, n) indicator of the labels y: 1 at (y[i], i), 0 elsewhere."""
+    hot = np.zeros((k, len(y)))
+    hot[y, np.arange(len(y))] = 1.0
+    return hot
+
+
+def _multinomial_grad(logp: np.ndarray, xb: np.ndarray, hot: np.ndarray) -> np.ndarray:
+    """multinomial_loss_grad's gradient, from the (k, n) log-probabilities
+    logp = _log_softmax(weights @ xb.T) and the labels' _one_hot."""
+    d = np.exp(logp)
+    d -= hot
+    return _column_gradient(d, xb)
 
 
 def multinomial_loss_grad(
@@ -430,9 +456,22 @@ def multinomial_loss_grad(
 ) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy (mean over records) with (k, p) weights."""
     n = xb.shape[0]
-    logp = _log_softmax(xb @ weights.T)
-    loss = float(-logp[np.arange(n), y].sum() / n)
-    return loss, _multinomial_grad(logp, xb, y)
+    logp = _log_softmax(weights @ xb.T)
+    loss = float(-logp[y, np.arange(n)].sum() / n)
+    return loss, _multinomial_grad(logp, xb, _one_hot(y, len(weights)))
+
+
+def _labels(y, n: int, k: int) -> np.ndarray:
+    """y as n class labels in [0, k), or ValueError naming it: labels are
+    integers by _as_int's rule, so 2.9 is not truncated to 2."""
+    y = _as_int_array(y, "a label")
+    if y.shape != (n,):
+        raise ValueError(
+            f"y must hold one label per row of x ({n}), not an array of shape {y.shape}"
+        )
+    if y.min() < 0 or y.max() >= k:
+        raise ValueError(f"labels must lie in [0, {k})")
+    return y
 
 
 def train_per_label_logistic(
@@ -448,8 +487,14 @@ def train_per_label_logistic(
     """
     xb = _with_bias(_training_rows(x))
     targets = np.asarray(indicators, dtype=float)
-    return _descend(lambda w: _logistic_grad(xb @ w.T, xb, targets),
-                    np.zeros((targets.shape[1], xb.shape[1])), epochs, lr)
+    if targets.ndim != 2 or len(targets) != len(xb):
+        raise ValueError(f"indicators must be ({len(xb)}, k), one row per row of x, "
+                         f"not of shape {targets.shape}")
+    if not ((targets == 0) | (targets == 1)).all():
+        raise ValueError("indicators must be 0 or 1")
+    targets = np.ascontiguousarray(targets.T)
+    return _descend(lambda w: _logistic_grad(w @ xb.T, xb, targets),
+                    np.zeros((len(targets), xb.shape[1])), epochs, lr)
 
 
 def train_multinomial_logistic(
@@ -461,10 +506,10 @@ def train_multinomial_logistic(
 ) -> np.ndarray:
     """Fit P(Y = y | x) by softmax regression; (k, d+1) weights, bias last."""
     xb = _with_bias(_training_rows(x))
-    y = np.asarray(y, dtype=int)
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError("labels out of range")
-    return _descend(lambda w: _multinomial_grad(_log_softmax(xb @ w.T), xb, y),
+    if _as_int(k, "k") < 1:
+        raise ValueError(f"k must be >= 1, not {k}")
+    hot = _one_hot(_labels(y, len(xb), k), k)
+    return _descend(lambda w: _multinomial_grad(_log_softmax(w @ xb.T), xb, hot),
                     np.zeros((k, xb.shape[1])), epochs, lr)
 
 

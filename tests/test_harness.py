@@ -15,6 +15,7 @@ from weakconformal.harness import (
     TrialResult,
     _match_by_engine,
     _match_by_table,
+    _size_stats,
     _trial_seed,
     run,
 )
@@ -432,3 +433,21 @@ def test_block_counters_are_checked_against_the_engine_on_the_first_record(monke
     monkeypatch.setattr(harness, "min_matching_cost", lambda costs: min_cost(costs) - 1.0)
     with pytest.raises(RuntimeError, match="match: block-level result"):
         run(ExperimentConfig(task="match", k=4, n=80, n_trials=1, seed=2))
+
+
+def test_size_stats_equal_two_quantile_calls():
+    # one np.quantile call for both quantiles reads what two calls read
+    rng = np.random.default_rng(44)
+    for _ in range(2000):
+        n = int(rng.integers(1, 60))
+        sizes = rng.integers(0, 30, size=n).astype(float)
+        if rng.random() < 0.5:
+            sizes[rng.random(n) < rng.random()] = math.inf
+        with np.errstate(invalid="ignore"):
+            got = _size_stats(sizes)
+            if np.isinf(sizes).all():
+                ref = (math.inf, math.inf, math.inf)
+            else:
+                ref = (float(sizes.mean()), float(np.quantile(sizes, 0.5)),
+                       float(np.quantile(sizes, 0.9)))
+        assert np.array(got).tobytes() == np.array(ref).tobytes()

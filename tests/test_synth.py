@@ -18,7 +18,13 @@ from weakconformal.labels import (
     write_jsonl,
 )
 from weakconformal.matching import hungarian
-from weakconformal.ranking import _row_max, listnet_loss_grad, listnet_train, relevance_targets
+from weakconformal.ranking import (
+    _column_sums,
+    _row_max,
+    listnet_loss_grad,
+    listnet_train,
+    relevance_targets,
+)
 from weakconformal.synth import (
     MatchingData,
     cumulative_probability_scores,
@@ -557,6 +563,208 @@ def test_row_max_equals_the_reduction():
         assert got.shape == ref.shape
         assert np.array_equal(got, ref, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+# sha256 of each output of _wide_trainer_outputs, recorded while the trainers
+# still held their logits as (n, k) rows (numpy 2.4.6 with OpenBLAS, x86-64). At
+# k = 8, 10, 17 and 130 numpy sums a row of logits with eight accumulators, and
+# at 130 as two halves, where _TRAINER_DIGESTS' k of 6 and 7 add in sequence.
+_WIDE_TRAINER_DIGESTS = {
+    "multinomial k8": "e0cd28b6af1bc468cec3c39123c0da8a733a27f3651cb0a192187061e008956a",
+    "per_label k8": "0db99abd358b9ce8ae090364221e5a20b5138a7381496da90a1d52b05e0971cc",
+    "listnet k8": "d6f1f497872e454b570b1ba415b94ed0100821abf91bfbd2ea7d67da98576022",
+    "logistic_loss_grad k8 w0": "5e20800d65699b35a4d51cd5bb6511e894cf8616ab61b2469387939edcfa93bb",
+    "multinomial_loss_grad k8 w0": "f5df4c5952e4045e92ecdf6ebecdac2cd342337e5304562941749a128b021ca9",
+    "listnet_loss_grad k8 w0": "b85403274cab8d0b6c9df6c86b3dfb9bcc09956be1dfee238fdf9d05c6343a0f",
+    "logistic_loss_grad k8 w1": "7fea9b29b54a1bcbcaaef690697019faed69ca4d4d8ad9512329fb3414b4fb27",
+    "multinomial_loss_grad k8 w1": "3020b6f28785168c5d5067ca36b8c9bc80375f64677e1233837eef97bbab5748",
+    "listnet_loss_grad k8 w1": "e5f1587bd808fbf4cf01856539ec9a38656da143c2b18bede815023a8d8a29ee",
+    "multinomial k10": "1039d16e05ac40414b54f09a0552c1c354eb06ab7d84d79183c857db17909542",
+    "per_label k10": "76880870cde20860379337fe2bdcac682ee325a96be00342484fb6a7c9a63199",
+    "listnet k10": "cf92d985c7deadd531f82ecd93bab2661731f1ce0253c0d0d222417f629a2e47",
+    "logistic_loss_grad k10 w0": "78a3b8cd2f117feb9635d56c448c59268fc81e354ae3183fef8a2220f3312480",
+    "multinomial_loss_grad k10 w0": "72c09a143834464fbc987b2b0bcbd0bc94d4f6fee6e7316be56b35aa4b32980e",
+    "listnet_loss_grad k10 w0": "c9d0354ac4c918b2435d8e660675893c0b3c2702fa136ad1d6c0daf3fd0bf149",
+    "logistic_loss_grad k10 w1": "00490b7ed4120f43afa2b90d0e3642e6a587d14f117099a1d89595b8fdc3e1d7",
+    "multinomial_loss_grad k10 w1": "2c99c04e5e55bbd86ddb23a9ffff33b4a879e3b98dde07b14b51df53fcde2996",
+    "listnet_loss_grad k10 w1": "98efe62061fbd034eaa3e76f418cb9f910a60a29bd2155884da6e2430bf6b10e",
+    "multinomial k17": "fcc7d9f0dab663ee96bbddc28b0d532613a647d47139002ae47320dcb31bb966",
+    "per_label k17": "419893465b89f38955722b8a3e205e4ea7319b9ea821d9fcd16527a74820cea8",
+    "listnet k17": "15437b1525f41893680112c83f48ad93c276638ba9fee59a6fb0bf46e0aba54e",
+    "logistic_loss_grad k17 w0": "3701cc8b57f28a43c69496f7fd6616d03254d4105857b0b3650c445b744c4bbd",
+    "multinomial_loss_grad k17 w0": "4d62ea17e6af719519bf8e338176a2b74551f15d8312559c2ee1fb0b89b430c0",
+    "listnet_loss_grad k17 w0": "268d0ad1fd71557bf625f070b943be2da79d302d7831d9dabc9078609657e083",
+    "logistic_loss_grad k17 w1": "8c95d0f6b0bae4b3226a6e159632182c3f79515feecfb088ef233695dd4b4438",
+    "multinomial_loss_grad k17 w1": "e90b85f029c133a9db8cf44254aa1c809683ea3b9f180b0ca272c23557969cd0",
+    "listnet_loss_grad k17 w1": "7b52c6ed904dc16e9bc66a2c3d5fa7c259a2a5f145e3423aa58f0221bf8e42c4",
+    "multinomial k130": "52d1f1c34c2eaa811696226cfbf4597adfd37fbd9bf6e0232d2ae41f5e3be813",
+    "per_label k130": "4fb02f3aaa0b3a0c374b681ab2bf771589ab6914b5036cc5201614d43ba692e7",
+    "listnet k130": "03fa06906fc556c8e25baee49901915108fb541cffbf172b4191754700d2512c",
+    "logistic_loss_grad k130 w0": "85ecb18a0497c1ba15ab523a755541653e7ecae252d647a45d011b9f62e2833d",
+    "multinomial_loss_grad k130 w0": "ab5cded98f4c2a5ed8707e31feb992a24039c7931cd04e44b1a169ae77c50f43",
+    "listnet_loss_grad k130 w0": "ed41f6cd767f60ebeeb59a4a4229d5870ae3b8eb8dcb5d74754d7734102df853",
+    "logistic_loss_grad k130 w1": "55d1a738ca2ab774dbb1b06eda946ce66772d8ad5705eb1ecc252c24a62582e2",
+    "multinomial_loss_grad k130 w1": "592dc062b48e0e4cba27b2b5dbf1232ecc0e6bde500af4d4142c922a6082d739",
+    "listnet_loss_grad k130 w1": "cc798523519b5bca1fdcb55c6ea7f56198bbf1c9854bd662fe402d272d89c385",
+}
+
+
+def _wide_trainer_outputs() -> dict[str, str]:
+    """sha256 of the trainers' weights and of the three loss-and-gradient
+    functions' gradient and loss at zero and at random weights, for k = 8, 10,
+    17 and 130 (few records and epochs at 130)."""
+    out = {}
+    rng = np.random.default_rng(29)
+    for k in (8, 10, 17, 130):
+        n, epochs = (40, 6) if k == 130 else (150, 30)
+        x = rng.normal(size=(n, 3)) * 3.0
+        x[:5] = 0.0
+        xb = np.concatenate([x, np.ones((n, 1))], axis=1)
+        y = rng.integers(0, k, size=n)
+        member = (rng.random((n, k)) < 0.4).astype(float)
+        rankings = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+        target = rng.random((n, k))
+        target /= target.sum(axis=1, keepdims=True)
+        out[f"multinomial k{k}"] = train_multinomial_logistic(x, y, k, epochs=epochs)
+        out[f"per_label k{k}"] = train_per_label_logistic(x, member, epochs=epochs)
+        out[f"listnet k{k}"] = listnet_train(x, rankings, epochs=epochs)
+        for w_scale in (0.0, 1.0):
+            weights = rng.normal(size=(k, 4)) * w_scale
+            for name, (loss, grad) in (
+                ("logistic", logistic_loss_grad(weights, xb, member)),
+                ("multinomial", multinomial_loss_grad(weights, xb, y)),
+                ("listnet", listnet_loss_grad(weights[:, :3], x, target)),
+            ):
+                out[f"{name}_loss_grad k{k} w{w_scale:g}"] = np.append(grad.ravel(), loss)
+    return {name: hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+            for name, a in out.items()}
+
+
+def test_trainers_match_their_recorded_digests_at_wider_k():
+    assert _wide_trainer_outputs() == _WIDE_TRAINER_DIGESTS
+
+
+def test_column_sums_equal_the_row_sums():
+    # values and sign bits, the sign of zero included; a NaN's sign and payload
+    # are not compared, since numpy's elementwise add does not pick between two
+    # NaN operands the same way at every position of an array
+    rng = np.random.default_rng(6)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1e308, -1e308])
+    for k in range(1, 301):
+        blocks = (
+            rng.normal(size=(k, 40)) * 10.0 ** rng.integers(-8, 8, size=(k, 40)),
+            rng.choice(special, size=(k, 40)),
+            rng.choice(np.array([0.0, -0.0]), size=(k, 40), p=[0.02, 0.98]),
+        )
+        for e in blocks:
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, ref = _column_sums(e), np.ascontiguousarray(e.T).sum(axis=1)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref, equal_nan=True), k
+            number = ~np.isnan(ref)
+            assert np.array_equal(np.signbit(got[number]), np.signbit(ref[number])), k
+
+
+def _row_layout_train(loss: str, x, target, k: int, epochs: int, lr: float):
+    """The trainers' descent written out on (n, k) logit rows, with numpy's own
+    max(axis=1) and sum(axis=1) reductions; target is y, the 0/1 indicators or
+    the top-1 target probabilities, by loss."""
+    xb = x if loss == "listnet" else np.concatenate([x, np.ones((len(x), 1))], axis=1)
+    weights = np.zeros((k, xb.shape[1]))
+    for _ in range(epochs):
+        z = xb @ weights.T
+        if loss == "logistic":
+            d = _sigmoid_where(z) - target
+        elif loss == "multinomial":
+            z = z - z.max(axis=1, keepdims=True)
+            d = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
+            d[np.arange(len(target)), target] -= 1.0
+        else:
+            d = _softmax_reference(z) - target
+        weights = weights - lr * (d.T @ xb / len(xb))
+    return weights
+
+
+def test_trainers_are_bit_equal_to_the_row_layout_loop():
+    # every branch of numpy's pairwise row sum: in sequence below 8, eight
+    # accumulators with and without a rest up to 128, and two halves above
+    rng = np.random.default_rng(9)
+    for k in (2, 3, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 130, 257):
+        n = 30
+        x = rng.normal(size=(n, 2)) * 4.0
+        y = rng.integers(0, k, size=n)
+        member = (rng.random((n, k)) < 0.5).astype(float)
+        rankings = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+        target_p = _softmax_reference(relevance_targets(rankings, k))
+        for weights, ref in (
+            (train_multinomial_logistic(x, y, k, epochs=5, lr=0.4),
+             _row_layout_train("multinomial", x, y, k, 5, 0.4)),
+            (train_per_label_logistic(x, member, epochs=5, lr=0.4),
+             _row_layout_train("logistic", x, member, k, 5, 0.4)),
+            (listnet_train(x, rankings, epochs=5, lr=0.4),
+             _row_layout_train("listnet", x, target_p, k, 5, 0.4)),
+        ):
+            assert weights.tobytes() == ref.tobytes(), k
+
+
+def _sigmoid_where(z):
+    """The sigmoid as np.where once chose between its two branches."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_sigmoid_is_byte_equal_to_the_where_form():
+    rng = np.random.default_rng(7)
+    edges = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 745.5, -745.5, 1.0, -1.0,
+                      5e-324, -5e-324])
+    for z in (edges, edges.reshape(3, 4), rng.normal(scale=40.0, size=(9, 33))):
+        assert _sigmoid(z).tobytes() == _sigmoid_where(z).tobytes()
+
+
+def test_trainers_reject_bad_inputs():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(6, 2))
+    y = np.array([0, 1, 2, 0, 1, 2])
+    member = (rng.random((6, 3)) < 0.5).astype(float)
+    rankings = rng.permuted(np.tile(np.arange(3), (6, 1)), axis=1)
+    nan_x = x.copy()
+    nan_x[2, 1] = np.nan
+    trainers = {
+        "multinomial": lambda x=x, **kw: train_multinomial_logistic(x, y, 3, **kw),
+        "per_label": lambda x=x, **kw: train_per_label_logistic(x, member, **kw),
+        "listnet": lambda x=x, **kw: listnet_train(x, rankings, **kw),
+    }
+    for name, train in trainers.items():
+        for kwargs, named in [
+            ({"x": nan_x}, "x"), ({"x": x[:, 0]}, "x"), ({"x": np.full((6, 2), np.inf)}, "x"),
+            ({"lr": np.nan}, "lr"), ({"lr": np.inf}, "lr"), ({"lr": 0.0}, "lr"), ({"lr": "0.5"}, "lr"),
+            ({"epochs": -1}, "epochs"), ({"epochs": 2.5}, "epochs"), ({"epochs": True}, "epochs"),
+        ]:
+            with pytest.raises(ValueError, match=named):
+                train(**kwargs)
+        assert train(epochs=3).shape[0] == 3, name
+    for labels, named in [
+        (y[:5], "y"), (y[:, None], "y"), (np.array([0, 1, 2.9, 0, 1, 2]), "label"),
+        (np.array([0.0, 1, 2, 0, 1, 2]), "label"), (np.ones(6, dtype=bool), "label"),
+        (np.array([0, 1, 3, 0, 1, 2]), "labels"), (np.array([0, 1, -1, 0, 1, 2]), "labels"),
+    ]:
+        with pytest.raises(ValueError, match=named):
+            train_multinomial_logistic(x, labels, 3)
+    for k, named in [(2.5, "k"), (0, "k")]:
+        with pytest.raises(ValueError, match=named):
+            train_multinomial_logistic(x, y, k)
+    for ranks in (rankings.astype(float), np.array([[True, False], [False, True]] * 3)):
+        with pytest.raises(ValueError, match="ranked item"):
+            listnet_train(x, ranks)
+    for indicators in (member[:1], member[:5], member[:, 0], member * 2.0, member - 0.5,
+                       np.where(member > 0, np.nan, 0.0)):
+        with pytest.raises(ValueError, match="indicators"):
+            train_per_label_logistic(x, indicators)
+    # valid inputs of other kinds still train: lists, booleans as indicators
+    assert np.array_equal(train_multinomial_logistic(x.tolist(), y.tolist(), 3, epochs=3),
+                          train_multinomial_logistic(x, y, 3, epochs=3))
+    assert np.array_equal(train_per_label_logistic(x, member > 0, epochs=3),
+                          train_per_label_logistic(x, member, epochs=3))
 
 
 def test_multinomial_trainer_rejects_bad_labels():
