@@ -12,6 +12,7 @@ from weakconformal.matching import (
     MatchingProblem,
     hungarian,
     matching_block_scores,
+    matching_levelset_counts,
     min_matching_cost,
 )
 from weakconformal.mbest import enumerate_until
@@ -33,14 +34,11 @@ print("cheapest assignment", tuple(perm), f"cost {cost:.3f}")
 
 
 def scores(block):
-    strong, weak, _ = matching_block_scores(
-        data.costs[block], data.planted[block], data.revealed[block], keep=0
-    )
-    return strong, weak
+    return matching_block_scores(data.costs[block], data.planted[block], data.revealed[block])
 
 
-strong_cal, weak_cal = scores(slice(0, 600))
-strong_te, weak_te = scores(slice(600, 1200))
+strong_cal, weak_cal, _ = scores(slice(0, 600))
+strong_te, weak_te, base_te = scores(slice(600, 1200))
 
 t_weak = conformal_threshold(weak_cal, 0.1).value
 t_strong = conformal_threshold(strong_cal, 0.1).value
@@ -53,6 +51,11 @@ level_set = enumerate_until(problem, t_weak, cap=50)
 print(f"record {i}: {len(level_set.configs)} assignments in the weak-level set"
       f" (truncated: {level_set.truncated})")
 print("  contains the planted truth:", tuple(data.y[i]) in set(level_set.configs))
+
+# the sizes of every test record's weak-level set at once, capped at 50
+counts, flags = matching_levelset_counts(data.costs[600:], base_te, [t_weak], 50)
+print(f"test block: mean weak-level set size {counts.mean():.2f}"
+      f" ({flags.mean():.1%} of records above 50)")
 
 # coverage over the whole test block
 for name, t in [("weak", t_weak), ("strong", t_strong)]:

@@ -33,7 +33,7 @@ strong, weak and, where defined, pessimistic scores:
   match     matching.matching_block_scores   a DP over subsets of columns
   regress   regression.interval_block_scores a clamp
 No per-record weak-label object is built on these paths, except for the
-per-record engine checks below and matchings of k >= 8.
+per-record engine checks below.
 
 Level sets are counted block by block, for all thresholds at once:
   classify  labels at or under each threshold;
@@ -41,12 +41,12 @@ Level sets are counted block by block, for all thresholds at once:
             best, and a bound on those outside it; a record with a score
             within the search's rounding margin of a threshold runs the
             best-first search (ranking.levelset_counts_batch);
-  match     for spaces of at most 10^4 assignments, a DP over subsets of
-            columns gives each record's base, strong and weak scores, and
-            one table of all k! assignment totals per chunk of test records
-            gives the counts (the calibration block builds none);
-            per-record Hungarian solves and best-first enumeration beyond
-            that;
+  match     by branch and bound on the DP over subsets of columns: each
+            record's partial assignments grow a row at a time while their
+            total plus the cheapest completion stays within the threshold
+            and a rounding margin (matching.matching_levelset_counts); above
+            matching._DP_MAX_K = 12, matching scores and counts each record
+            by Hungarian solves and best-first enumeration;
   regress   the interval width 2t.
 The rank and match counts are capped at m_max (coverage columns stay exact).
 Their block-level paths check their result on the first record of the
@@ -75,8 +75,8 @@ from .conformal import TOL, conformal_threshold, set_block_scores
 from .greedy import label_independent_nested_scores
 from .labels import _as_int, _as_real, _strict_json
 from .matching import (
-    MatchingProblem,
     matching_block_scores,
+    matching_levelset_counts,
     matching_score,
     min_matching_cost,
     partial_matching_score,
@@ -106,10 +106,6 @@ CSV_COLUMNS = [
     "threshold",
     "seconds",
 ]
-
-# full-space scoring beats per-record best-first enumeration up to this size
-_EXHAUSTIVE_SPACE_CAP = 10_000
-
 
 # the run's own settings, in the form of synth._RANGES
 _RUN_RANGES = {
@@ -298,57 +294,30 @@ def _rank_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te:
     return {"wsc": weak_ca, "fsc": strong_ca}, {"wsc": shared, "fsc": shared}
 
 
-def _match_by_table(data, block: slice, cap: int, counted: bool = True):
-    """Translated (strong, weak) scores of a block of matching records from
-    matching_block_scores' subset DP and, when counted, a counter of their
-    level sets from each record's cap + 1 smallest translated totals in its
-    table of all k! assignment totals (uncounted, no table is built). The
-    first record's scores are checked against the Hungarian solves of
-    _match_by_engine."""
-    strong, weak, smallest = matching_block_scores(
-        data.costs[block], data.planted[block], data.revealed[block], cap + 1 if counted else 0
-    )
-    if len(strong):
-        first = range(len(data.costs))[block][0]
-        strong_ref, weak_ref, _ = _match_by_engine(data, slice(first, first + 1), cap)
-        _check_first_record("match", [strong[0], weak[0]], [strong_ref[0], weak_ref[0]], TOL)
-
-    def sizes(thresholds: list[float]):
-        exact = (smallest[:, :, None] <= np.asarray(thresholds)).sum(axis=1)
-        return np.minimum(exact, cap), exact > cap
-
-    return strong, weak, sizes
-
-
-def _match_by_engine(data, block: slice, cap: int, counted: bool = True):
-    """Translated (strong, weak) scores of a block of matching records from
-    per-record Hungarian solves, and a best-first level-set counter. counted
-    changes nothing here: the counter enumerates only when it is called."""
-    costs = data.costs[block]
-    bases = [min_matching_cost(c) for c in costs]
-    strong = [matching_score(c, y) - b for c, y, b in zip(costs, data.y[block], bases)]
-    weak = [partial_matching_score(c, w) - b for c, w, b in zip(costs, data.weak[block], bases)]
-
-    def sizes(thresholds: list[float]):
-        per_record = [
-            _levelset_counts(MatchingProblem(c, offset=b), thresholds, cap)
-            for c, b in zip(costs, bases)
-        ]
-        counts, flags = zip(*per_record)
-        return np.array(counts), np.array(flags)
-
-    return np.asarray(strong), np.asarray(weak), sizes
-
-
 def _match_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te: slice):
-    """Matching data, each record's scores translated by its optimal cost.
-    Spaces of at most _EXHAUSTIVE_SPACE_CAP assignments are scored whole;
-    larger ones go through the Hungarian solver and best-first enumeration
-    per record."""
-    small = math.factorial(cfg.resolved_k) <= _EXHAUSTIVE_SPACE_CAP
-    scored = _match_by_table if small else _match_by_engine
-    strong_ca, weak_ca, _ = scored(data, ca, cfg.m_max, counted=False)
-    shared = scored(data, te, cfg.m_max)
+    """Matching data, each record's scores translated by its optimal cost, and
+    level sets counted across the test block by matching_levelset_counts."""
+
+    def scored(block: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        strong, weak, base = matching_block_scores(
+            data.costs[block], data.planted[block], data.revealed[block]
+        )
+        if len(strong):
+            first = range(len(data.costs))[block][0]
+            costs = data.costs[first]
+            ref = min_matching_cost(costs)
+            engine = [matching_score(costs, data.y[first]) - ref,
+                      partial_matching_score(costs, data.weak[first]) - ref]
+            _check_first_record("match", [strong[0], weak[0]], engine, TOL)
+        return strong, weak, base
+
+    strong_ca, weak_ca, _ = scored(ca)
+    strong_te, weak_te, base_te = scored(te)
+
+    def sizes(thresholds: list[float]):
+        return matching_levelset_counts(data.costs[te], base_te, thresholds, cfg.m_max)
+
+    shared = (strong_te, weak_te, sizes)
     return {"wsc": weak_ca, "fsc": strong_ca}, {"wsc": shared, "fsc": shared}
 
 

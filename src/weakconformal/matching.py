@@ -12,10 +12,16 @@ by Miller, Stone & Cox and by Pedersen, Nielsen & Andersen): excluding one
 edge of the best costs one shortest augmenting path over the reduced costs,
 so a whole cell costs O(k^3), and each child cell inherits potentials from
 its parent instead of solving from scratch.
+
+Blocks of records go through a DP over sets of columns instead (Bellman
+1962; Held & Karp 1962): matching_block_scores takes each record's optimal
+and weak totals from it, and matching_levelset_counts counts level sets by
+branch and bound on it, its completion bounds exact up to rounding, as in A*
+with a perfect heuristic (Hart, Nilsson & Raphael 1968). Above _DP_MAX_K
+both work record by record through the solver and the partition backend.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -25,12 +31,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .labels import FormatError, PartialMatching, _as_int, _as_permutation, _finite_floats
+from .mbest import _levelset_counts
 
 __all__ = [
     "hungarian",
     "matching_score",
     "partial_matching_score",
     "matching_block_scores",
+    "matching_levelset_counts",
     "min_matching_cost",
     "read_cost_csv",
     "MatchingCell",
@@ -220,64 +228,102 @@ def partial_matching_score(costs, w: PartialMatching) -> float:
     return result[1]
 
 
-# entries per chunk of matching_block_scores: k! assignment totals per record in
-# its table (64 records at k = 6), k * 2^(k - 1) sums per record in its DP
-_TABLE_ENTRIES = 64 * 720
+# a chunk of records holds a (2^k, records) table of the subset DP of at most
+# this many entries (512 records at k = 6), or 16 records if that is more: the
+# DP gathers rows of records, which slow down when they get shorter
+_TABLE_ENTRIES = 1 << 15
+
+# the subset DP scores and counts a block of matchings up to this k; above it,
+# each record goes through Hungarian solves and best-first enumeration
+_DP_MAX_K = 12
+
+# a record whose level-set search keeps more than cap + _CROWDED prefixes on
+# one row is counted by best-first enumeration instead: only near-ties among
+# thousands of assignments get there, and never k <= 7, with at most 7! prefixes
+_CROWDED = 5040
+
+
+def _chunks(n: int, k: int) -> list[slice]:
+    """The chunks of a block of n records of k agents."""
+    step = max(16, _TABLE_ENTRIES >> k)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 @lru_cache(maxsize=16)
-def _subset_steps(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The steps of the subset DP over k columns, one per row u = 1 .. k - 1.
+def _subset_levels(k: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The levels of the subset DP over k columns, one per row u = 0 .. k - 1.
 
-    Step u lists the sets T of u + 1 columns in itertools.combinations order
-    and, for each, the u + 1 ways into it: prev, the index of T less column v
-    among the sets of u columns (for u = 1 the single columns, in order), and
-    cols, that v. Read-only, since every caller shares them.
+    Level u lists the sets S of u + 1 columns, as bitmasks in increasing
+    order, and for each its u + 1 ways in: prev, S less column v, and cols,
+    that v, for v ascending. Its table holds those columns in row S, zeros in
+    the rows of other sizes. Read-only, since every caller shares them.
     """
-    index = {(v,): v for v in range(k)}
-    steps = []
-    for u in range(1, k):
-        subsets = list(itertools.combinations(range(k), u + 1))
-        prev = np.array([[index[tuple(c for c in t if c != v)] for v in t] for t in subsets])
-        cols = np.array(subsets)
-        prev.flags.writeable = cols.flags.writeable = False
-        steps.append((prev, cols))
-        index = {t: i for i, t in enumerate(subsets)}
-    return tuple(steps)
+    masks = np.arange(1 << k)
+    bits = (masks[:, None] >> np.arange(k)) & 1
+    size = bits.sum(axis=1)
+    levels = []
+    for u in range(k):
+        sets = np.flatnonzero(size == u + 1)
+        table = np.zeros((1 << k, u + 1), dtype=np.intp)
+        table[sets] = np.nonzero(bits[sets])[1].reshape(len(sets), u + 1)
+        cols = table[sets]
+        prev = sets[:, None] ^ (1 << cols)
+        for a in (sets, prev, cols, table):
+            a.flags.writeable = False
+        levels.append((sets, prev, cols, table))
+    return tuple(levels)
 
 
-def _cheapest_totals(costs: np.ndarray) -> np.ndarray:
-    """Each record's smallest assignment total, by a DP over the sets of
-    columns that rows 0 .. u take: best[S + {v}] = min(best[S] + c[u, v]).
+def _subset_dp(costs: np.ndarray) -> np.ndarray:
+    """Each record's cheapest partial totals, by a DP over sets of columns:
+    entry [S, i] of the (2^k, n) result, S a bitmask, is record i's smallest
+    row-order total of rows 0 .. |S| - 1 over the columns in S, and
+    best[S] = min over v in S of best[S - {v}] + c[|S| - 1, v].
 
     The DP adds a total's entries in row order, as _total does, and float
     addition is monotone, so fl(min(a, b) + c) = min(fl(a + c), fl(b + c)):
-    the result is bit-equal to the smallest of the k! row-order totals, at
-    fewer than k * 2^(k - 1) additions per record. An infinite entry is an
-    absent pair.
+    best[S] is bit-equal to the smallest of the row-order totals it ranges
+    over, at fewer than k * 2^(k - 1) additions per record. Entry 0 is -0.0,
+    which adds exactly. An infinite entry is an absent pair. Records run
+    along the rows, so that each gather and scatter moves whole rows.
     """
-    best = costs[:, 0, :]
-    for u, (prev, cols) in enumerate(_subset_steps(costs.shape[1]), start=1):
-        best = (best[:, prev] + costs[:, u, cols]).min(axis=2)
-    return best[:, 0]
+    n, k = costs.shape[:2]
+    by_row = costs.transpose(1, 2, 0)
+    best = np.empty((1 << k, n))
+    best[0] = -0.0
+    for u, (sets, prev, cols, _) in enumerate(_subset_levels(k)):
+        best[sets] = (best[prev] + by_row[u][cols]).min(axis=1)
+    return best
+
+
+def _check_costs(costs) -> np.ndarray:
+    """A block of cost matrices as an (n, k, k) float array; ValueError, naming
+    the first bad record, when an entry is not finite or exceeds
+    _as_cost_matrix's limit."""
+    costs = np.asarray(costs, dtype=float)
+    if costs.ndim != 3 or costs.shape[1] != costs.shape[2] or costs.shape[1] == 0:
+        raise ValueError(f"costs must be (n, k, k) with k >= 1, got shape {costs.shape}")
+    limit = _cost_limit(costs.shape[1])
+    bad = ~(np.abs(costs) <= limit).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(
+            f"record {np.flatnonzero(bad)[0]}: cost entries must be finite and within "
+            f"+-{limit:.6g} for k = {costs.shape[1]}"
+        )
+    return costs
 
 
 def _check_block(costs, planted, revealed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """matching_block_scores' inputs as arrays; ValueError, naming the first
     bad record, when they do not describe n records of k agents."""
-    costs = np.asarray(costs, dtype=float)
-    if costs.ndim != 3 or costs.shape[1] != costs.shape[2] or costs.shape[1] == 0:
-        raise ValueError(f"costs must be (n, k, k) with k >= 1, got shape {costs.shape}")
+    costs = _check_costs(costs)
     n, k = costs.shape[:2]
     planted, revealed = np.asarray(planted), np.asarray(revealed)
     for name, a in (("planted", planted), ("revealed", revealed)):
         if a.shape != (n, k) or a.dtype.kind not in "iu":
             raise ValueError(f"{name} must be an ({n}, {k}) integer array, got {a.dtype} {a.shape}")
-    limit = _cost_limit(k)
     pins = np.where(revealed >= 0, revealed, -1 - np.arange(k))  # unpinned agents all differ
     problems = (
-        (~(np.abs(costs) <= limit).all(axis=(1, 2)),
-         f"cost entries must be finite and within +-{limit:.6g} for k = {k}"),
         ((np.sort(planted, axis=1) != np.arange(k)).any(axis=1),
          f"the true assignment is not a permutation of [0, {k})"),
         (((revealed < -1) | (revealed >= k)).any(axis=1),
@@ -291,24 +337,20 @@ def _check_block(costs, planted, revealed) -> tuple[np.ndarray, np.ndarray, np.n
     return costs, planted, revealed
 
 
-def matching_block_scores(
-    costs, planted, revealed, keep: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def matching_block_scores(costs, planted, revealed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Translated strong and weak scores of a block of matching records, and
-    each record's keep smallest translated assignment totals.
+    each record's base.
 
     costs is (n, k, k). Row i of planted is record i's true assignment, and
     revealed[i, u] the position its weak label pins agent u to, or -1. Totals
     are added row by row, like every matching score, and translated by the
     record's optimal cost, its base. The strong score is the truth's total;
     the weak score is the smallest total among assignments that keep the
-    pinned pairs. The base and the weak score come from a DP over subsets of
-    columns (_cheapest_totals), with every unpinned column of a pinned row
-    absent for the weak score; both are bit-equal to the minima of the table
-    of all k! totals. That table is built only when keep > 0, chunk by chunk:
-    its keep smallest translated totals per record, in no particular order,
-    are what level sets are counted from, and its k! columns suit small k.
-    keep = 0 builds no table and returns (n, 0) totals.
+    pinned pairs. Up to k = _DP_MAX_K the base and the weak score come from
+    the subset DP (_subset_dp), with every unpinned column of a pinned row
+    absent for the weak score; both are bit-equal to the minima of the k!
+    row-order totals. Above it they come from Hungarian solves per record.
+    The base is what matching_levelset_counts translates by.
 
     ValueError, naming the first bad record, when a cost entry is not finite
     or exceeds _as_cost_matrix's limit, a truth is not a permutation, or a
@@ -316,34 +358,120 @@ def matching_block_scores(
     """
     costs, planted, revealed = _check_block(costs, planted, revealed)
     n, k = costs.shape[:2]
-    keep = min(_as_int(keep, "keep"), math.factorial(k))
-    if keep < 0:
-        raise ValueError("keep must be >= 0")
-    base, weak = np.empty(n), np.empty(n)
-    absent = (revealed[:, :, None] >= 0) & (revealed[:, :, None] != np.arange(k))
-    step = max(1, _TABLE_ENTRIES // (k << (k - 1)))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        base[rows] = _cheapest_totals(costs[rows])
-        weak[rows] = _cheapest_totals(np.where(absent[rows], np.inf, costs[rows]))
+    if k > _DP_MAX_K:
+        base = np.array([min_matching_cost(c) for c in costs])
+        weak = np.array([
+            hungarian(c, forced=[(u, v) for u, v in enumerate(pins) if v >= 0])[1]
+            for c, pins in zip(costs, revealed.tolist())
+        ])
+    else:
+        base, weak = np.empty(n), np.empty(n)
+        absent = (revealed[:, :, None] >= 0) & (revealed[:, :, None] != np.arange(k))
+        for rows in _chunks(n, k):
+            base[rows] = _subset_dp(costs[rows])[-1]
+            weak[rows] = _subset_dp(np.where(absent[rows], np.inf, costs[rows]))[-1]
     truth = costs[np.arange(n)[:, None], np.arange(k), planted]
     # cumsum adds left to right, exactly as _total does
     strong = np.cumsum(truth, axis=1)[:, -1] - base
-    weak -= base
-    smallest = np.empty((n, keep))
-    if keep:
-        perms = np.array(list(itertools.permutations(range(k))))
-        step = max(1, _TABLE_ENTRIES // len(perms))
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
-            chunk = costs[rows]
-            totals = chunk[:, 0, perms[:, 0]]
-            for u in range(1, k):
-                totals += chunk[:, u, perms[:, u]]
-            if keep < len(perms):
-                totals.partition(keep - 1, axis=1)
-            np.subtract(totals[:, :keep], base[rows, None], out=smallest[rows])
-    return strong, weak, smallest
+    return strong, weak - base, base
+
+
+def _dp_counts(costs: np.ndarray, base: np.ndarray, t: np.ndarray,
+               cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """matching_levelset_counts on one chunk, by branch and bound on the
+    subset DP; see there."""
+    n, k = costs.shape[:2]
+    margin = 8 * (k + 1) * 2.0**-53 * k * np.abs(costs).max()
+    # entry (i << k) | R: record i's cheapest way for the last |R| rows into R, less its base
+    rest = (_subset_dp(costs[:, ::-1]) - base).T.ravel()
+    levels, full = _subset_levels(k), (1 << k) - 1
+    top = np.where(np.isnan(t), -np.inf, t)  # a NaN threshold admits nothing
+    over = np.zeros((n, t.size), dtype=bool)
+    hits = np.zeros((n, t.size), dtype=np.int64)
+    enumerated = {}
+    # a prefix is its record, the columns it leaves as (record << k) | columns,
+    # its total and its bound
+    rec, part, bound = np.arange(n), np.full(n, -0.0), np.full(n, -np.inf)
+    left = (rec << k) | full
+    for u in range(k):
+        limit = np.where(over, -np.inf, top).max(axis=1, initial=-np.inf) + margin
+        alive = np.flatnonzero(bound <= limit.take(rec))
+        rec, left, part = rec.take(alive), left.take(alive), part.take(alive)
+        for i in np.flatnonzero(np.bincount(rec, minlength=n) > cap + _CROWDED):
+            enumerated[i] = _levelset_counts(MatchingProblem(costs[i], offset=base[i]), t, cap)
+            over[i], limit[i] = True, -np.inf
+        free = levels[k - u - 1][3].take(left & full, axis=0)  # the k - u columns left
+        total = part[:, None] + costs[:, u].ravel().take((rec * k)[:, None] + free)
+        left = left[:, None] ^ (1 << free)
+        bound = total + rest.take(left)
+        keep = np.flatnonzero(bound <= limit.take(rec)[:, None])
+        left, part, bound = left.take(keep), total.take(keep), bound.take(keep)
+        rec = left >> k
+        for j, s in enumerate(t if u == k - 1 else t - margin):
+            hits[:, j] = np.bincount(rec, bound <= s, n)
+        over |= hits > cap
+    counts = np.where(over, cap, hits)
+    for i, (exact, flags) in enumerated.items():
+        counts[i], over[i] = exact, flags
+    return counts, over
+
+
+def matching_levelset_counts(
+    costs, base, thresholds: Sequence[float], cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Capped sizes of the sublevel sets {y : total(y) - base <= t} of a block
+    of matching records, where total(y) is the row-order total of assignment y
+    and base the record's, as matching_block_scores returns it.
+
+    One (k, k) matrix of costs and one entry of base per record, one column
+    of the results per threshold: counts holds min(size, cap), and flags
+    marks the sizes above cap. Above k = _DP_MAX_K each record is counted by
+    best-first enumeration (mbest._levelset_counts); otherwise chunks of
+    records are counted at once by branch and bound on the subset DP.
+
+    The search extends each record's partial assignments one row at a time,
+    in row order, so that a prefix's total is the partial total every
+    assignment through it starts with. Its bound is that total plus the
+    cheapest way for the rows left into the columns left, from a second
+    subset DP over the rows from the last up, less the base. Each of these
+    sums rounds by at most about (k - 1)u * S, with u = 2^-53 and S the sum
+    of each row's largest |c|, so a bound lies within about (4k + 3)u * S of
+    the smallest translated total through its prefix, and t +- margin within
+    about 3u * S of its exact value. The margin, 8(k + 1)u * k * max|c| over
+    the chunk, covers both. So at each t:
+      - a prefix whose bound exceeds t + margin has no assignment at or
+        under t, and is dropped;
+      - a prefix whose bound is at or under t - margin has one; prefixes of
+        one row share no assignment, so a record with more than cap of them
+        has more than cap assignments at or under t, and is truncated at t.
+    A record's search is cut to its largest threshold not yet truncated, and
+    ends when none is left. At the last row a prefix's bound is its total
+    less the base, the float every matching score holds, and is compared
+    with t exactly. So each count is that of the table of all k! translated
+    totals. The prefixes kept on a row are at most cap plus those with a
+    bound within the margin of t; a record with more than cap + _CROWDED of
+    them is counted by best-first enumeration, as above _DP_MAX_K.
+
+    ValueError when a cost entry is not finite or exceeds _as_cost_matrix's
+    limit, base does not hold one value per record, or cap is not an
+    integer >= 1.
+    """
+    costs = _check_costs(costs)
+    n, k = costs.shape[:2]
+    base = np.asarray(base, dtype=float)
+    if base.shape != (n,):
+        raise ValueError(f"base must hold one value per record, got shape {base.shape}")
+    if _as_int(cap, "cap") < 1:
+        raise ValueError("cap must be >= 1")
+    t = np.asarray(thresholds, dtype=float).ravel()
+    if k > _DP_MAX_K:
+        per_record = [_levelset_counts(MatchingProblem(c, offset=b), t, cap) for c, b in zip(costs, base)]
+        counts = np.array([c for c, _ in per_record], dtype=np.int64).reshape(n, t.size)
+        return counts, np.array([f for _, f in per_record], dtype=bool).reshape(n, t.size)
+    counts, flags = np.empty((n, t.size), dtype=np.int64), np.empty((n, t.size), dtype=bool)
+    for rows in _chunks(n, k):
+        counts[rows], flags[rows] = _dp_counts(costs[rows], base[rows], t, cap)
+    return counts, flags
 
 
 def read_cost_csv(path: str) -> np.ndarray:

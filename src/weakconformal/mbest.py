@@ -210,8 +210,8 @@ def _levelset_counts(problem, thresholds: Sequence[float],
                      cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Sizes of {y : score <= t} for several t on one problem: min(size, cap)
     and a flag for sizes above cap, from one enumeration of at most cap + 1
-    configurations. The per-record engine of the harness and of
-    ranking.levelset_counts_batch."""
+    configurations. The per-record engine of the harness, of
+    ranking.levelset_counts_batch and of matching.matching_levelset_counts."""
     result = enumerate_until(problem, max(thresholds), cap + 1)
     exact = np.array([bisect_right(result.scores, t) for t in thresholds])
     return np.minimum(exact, cap), exact > cap

@@ -461,8 +461,8 @@ def levelset_counts_batch(
 
 # --- trainers ------------------------------------------------------------------
 #
-# _softmax, _training_rows, _descend, _exp_columns and _column_gradient also
-# serve the label trainers and predictions in synth. Each trainer takes
+# _softmax, _feature_rows, _training_rows, _descend, _exp_columns and
+# _column_gradient also serve the label trainers and predictions in synth. Each trainer takes
 # gradient steps alone and returns its weights. Each loss has one gradient
 # function, which its public loss-and-gradient function and its trainer's
 # gradient steps share.
@@ -548,16 +548,22 @@ def _column_gradient(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.T @ d.T).T / x.shape[0]
 
 
-def _training_rows(x) -> np.ndarray:
+def _feature_rows(x) -> np.ndarray:
     """x as an (n, d) float array of finite features, or ValueError when it is
-    not one or the training block is empty."""
+    not one."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"x must be an (n, d) array of features, not of shape {x.shape}")
-    if len(x) == 0:
-        raise ValueError("the training block is empty: there is nothing to fit")
     if not np.isfinite(x).all():
         raise ValueError("x must hold finite features only")
+    return x
+
+
+def _training_rows(x) -> np.ndarray:
+    """_feature_rows(x), or ValueError when the training block is empty."""
+    x = _feature_rows(x)
+    if len(x) == 0:
+        raise ValueError("the training block is empty: there is nothing to fit")
     return x
 
 
@@ -641,5 +647,6 @@ def listnet_train(
 
 
 def predict_relevances(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-item relevance scores, one row per record."""
-    return np.asarray(x, dtype=float) @ np.asarray(weights, dtype=float).T
+    """Per-item relevance scores, one row per record. ValueError when x is not
+    an (n, d) array of finite features."""
+    return _feature_rows(x) @ np.asarray(weights, dtype=float).T

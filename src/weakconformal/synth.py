@@ -40,9 +40,8 @@ import numpy as np
 
 from .labels import ExplicitSet, Interval, PartialMatching, RankingPrefix, WeakRecord
 from .labels import _as_int, _as_int_array, _as_real
-from .ranking import _column_gradient, _descend, _exp_columns, _softmax, _training_rows
-# _row_max stays importable from synth, whose label softmax took it before
-from .ranking import _row_max  # noqa: F401
+from .ranking import _column_gradient, _descend, _exp_columns, _softmax
+from .ranking import _feature_rows, _training_rows
 
 __all__ = [
     "MulticlassData",
@@ -514,13 +513,15 @@ def train_multinomial_logistic(
 
 
 def predict_label_marginals(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-label weak-membership probabilities q_y(x), shape (n, k)."""
-    return _sigmoid(_with_bias(x) @ weights.T)
+    """Per-label weak-membership probabilities q_y(x), shape (n, k).
+    ValueError when x is not an (n, d) array of finite features."""
+    return _sigmoid(_with_bias(_feature_rows(x)) @ weights.T)
 
 
 def predict_class_probs(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities, shape (n, k)."""
-    return _softmax(_with_bias(x) @ weights.T)
+    """Softmax class probabilities, shape (n, k). ValueError when x is not an
+    (n, d) array of finite features."""
+    return _softmax(_with_bias(_feature_rows(x)) @ weights.T)
 
 
 def cumulative_probability_scores(probs: np.ndarray) -> np.ndarray:

@@ -15,13 +15,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakconformal import (
+    MatchingProblem,
     PsiSpec,
     conformal_threshold,
     interval_block_scores,
     matching_block_scores,
+    matching_score,
     prefix_block_scores,
     set_block_scores,
 )
+from weakconformal import matching
+from weakconformal.matching import matching_levelset_counts
+from weakconformal.mbest import _levelset_counts
 
 ALPHAS = st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -87,9 +92,11 @@ def test_matching_block_scores_are_ordered(n, k, integer_costs, alphas, seed):
     costs = rng.integers(0, 5, size=(n, k, k)) * 1.0 if integer_costs else rng.normal(size=(n, k, k))
     planted = _permutations(rng, n, k)
     revealed = np.where(rng.random((n, k)) < rng.random(), planted, -1)
-    strong, weak, smallest = matching_block_scores(costs, planted, revealed, keep=3)
+    strong, weak, base = matching_block_scores(costs, planted, revealed)
     _assert_ordered(alphas, weak, strong)
-    assert np.all(weak >= 0) and np.all(smallest.min(axis=1) == 0)
+    # the smallest translated total is 0: no assignment below it, one at it
+    counts, _ = matching_levelset_counts(costs, base, [np.nextafter(0.0, -1.0), 0.0], 3)
+    assert np.all(weak >= 0) and np.all(counts[:, 0] == 0) and np.all(counts[:, 1] >= 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,7 +111,7 @@ def test_interval_block_scores_are_ordered(n, alphas, seed):
     _assert_ordered(alphas, weak, strong, pessimistic)
 
 
-# --- matching_block_scores against the full table --------------------------------
+# --- matching_block_scores and matching_levelset_counts against the full table ------
 
 
 def _permutation_index(perms) -> np.ndarray:
@@ -117,36 +124,26 @@ def _permutation_index(perms) -> np.ndarray:
     return smaller @ np.array([math.factorial(k - 1 - u) for u in range(k)])
 
 
-def _table_block_scores(costs, planted, revealed, keep):
-    """The reference: strong, weak and the keep smallest translated totals
-    read off the table of all k! row-order assignment totals, the base being
-    its minimum and the weak score its minimum over the pinned columns."""
+def _table_block_scores(costs, planted, revealed):
+    """The reference: strong, weak, base and every translated total, read off
+    the table of all k! row-order assignment totals, the base being its
+    minimum and the weak score its minimum over the pinned columns."""
     costs = np.asarray(costs, dtype=float)
     revealed = np.asarray(revealed)
     n, k = costs.shape[:2]
     perms = np.array(list(itertools.permutations(range(k))))
     truth = _permutation_index(planted)
-    keep = min(keep, perms.shape[0])
-    strong, weak, smallest = np.empty(n), np.empty(n), np.empty((n, keep))
-    step = max(1, 64 * 720 // perms.shape[0])
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        chunk = costs[rows]
-        totals = chunk[:, 0, perms[:, 0]]
-        for u in range(1, k):
-            totals += chunk[:, u, perms[:, u]]
-        base = totals.min(axis=1)
-        strong[rows] = totals[np.arange(totals.shape[0]), truth[rows]] - base
-        fits = np.ones(totals.shape, dtype=bool)
-        for u in range(k):
-            pin = revealed[rows, u, None]
-            fits &= (perms[:, u] == pin) | (pin < 0)
-        weak[rows] = np.where(fits, totals, np.inf).min(axis=1) - base
-        totals -= base[:, None]
-        if keep < perms.shape[0]:
-            totals = np.partition(totals, keep - 1, axis=1)[:, :keep]
-        smallest[rows] = totals
-    return strong, weak, smallest
+    totals = costs[:, 0, perms[:, 0]]
+    for u in range(1, k):
+        totals += costs[:, u, perms[:, u]]
+    base = totals.min(axis=1)
+    strong = totals[np.arange(n), truth] - base
+    fits = np.ones(totals.shape, dtype=bool)
+    for u in range(k):
+        pin = revealed[:, u, None]
+        fits &= (perms[:, u] == pin) | (pin < 0)
+    weak = np.where(fits, totals, np.inf).min(axis=1) - base
+    return strong, weak, base, totals - base[:, None]
 
 
 def test_permutation_index_is_the_itertools_position():
@@ -163,23 +160,28 @@ def test_permutation_index_is_the_itertools_position():
 def _cost_block(rng, n, k, kind):
     limit = sys.float_info.max / (4 * k * (k + 2))  # matching._as_cost_matrix's bound
     if kind == "ties":
-        return rng.integers(-2, 3, size=(n, k, k)) * 1.0
+        return rng.integers(-3, 4, size=(n, k, k)) * 1.0
     if kind == "signed zeros":
         return rng.choice([0.0, -0.0, 1.0, -1.0], size=(n, k, k))
     if kind == "limit":
         costs = rng.uniform(-1, 1, size=(n, k, k)) * limit
         costs[rng.random((n, k, k)) < 0.2] = limit  # entries at the bound, and ties
         return costs * np.where(rng.random((n, k, k)) < 0.5, -1.0, 1.0)
+    if kind == "1e100":
+        return rng.choice([-1e100, 1e100], size=(n, k, k))
+    if kind == "scaled":
+        return rng.normal(size=(n, k, k)) * 10.0 ** rng.integers(-3, 7)
     return rng.normal(size=(n, k, k))
 
 
+COST_KINDS = st.sampled_from(["normal", "ties", "signed zeros", "limit", "1e100", "scaled"])
+
+
 @settings(max_examples=120, deadline=None)
-@given(k=st.integers(1, 7), n=st.sampled_from([1, 63, 64, 65, 130]),
-       pins=st.sampled_from(["none", "all", "random"]),
-       kind=st.sampled_from(["normal", "ties", "signed zeros", "limit"]),
-       keep=st.sampled_from(["zero", "one", "cap + 1", "above k!"]), seed=SEEDS)
-def test_matching_block_scores_equal_the_full_table(k, n, pins, kind, keep, seed):
-    # n crosses the chunk edges of the table (64 records at k = 6) and of the DP
+@given(k=st.integers(1, 7), n=st.sampled_from([1, 15, 16, 17, 40]),
+       pins=st.sampled_from(["none", "all", "random"]), kind=COST_KINDS, seed=SEEDS)
+def test_matching_block_scores_equal_the_full_table(k, n, pins, kind, seed):
+    # n crosses the DP's chunk edges, lowered to 16 records
     rng = np.random.default_rng(seed)
     costs = _cost_block(rng, n, k, kind)
     planted = _permutations(rng, n, k)
@@ -188,30 +190,94 @@ def test_matching_block_scores_equal_the_full_table(k, n, pins, kind, keep, seed
         "all": planted,
         "random": np.where(rng.random((n, k)) < rng.random(), planted, -1),
     }[pins]
-    keep = {"zero": 0, "one": 1, "cap + 1": 21, "above k!": math.factorial(k) + 3}[keep]
-    strong, weak, smallest = matching_block_scores(costs, planted, revealed, keep)
-    strong_ref, weak_ref, smallest_ref = _table_block_scores(costs, planted, revealed, keep)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "_TABLE_ENTRIES", 16)
+        strong, weak, base = matching_block_scores(costs, planted, revealed)
+    strong_ref, weak_ref, base_ref, _ = _table_block_scores(costs, planted, revealed)
     assert np.array_equal(strong, strong_ref)
     assert np.array_equal(weak, weak_ref)
-    # the keep smallest come in no particular order
-    assert smallest.shape == smallest_ref.shape
-    assert np.array_equal(np.sort(smallest, axis=1), np.sort(smallest_ref, axis=1))
+    assert np.array_equal(base, base_ref)
+
+
+def _probe_thresholds(rng, costs, translated):
+    """Thresholds at one translated total of a random record, one ulp and one
+    MatchingProblem margin either side of it, and at 0, -0.5 and +inf."""
+    i = int(rng.integers(len(costs)))
+    at = float(rng.choice(translated[i]))
+    margin = MatchingProblem(costs[i]).margin
+    return [at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf), at - margin, at + margin,
+            0.0, -0.5, np.inf]
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 7), n=st.sampled_from([1, 15, 16, 17, 40]), kind=COST_KINDS,
+       cap=st.integers(1, 29), seed=SEEDS)
+def test_matching_levelset_counts_equal_the_full_table(k, n, kind, cap, seed):
+    # every count and flag is that of the k! translated totals; n crosses the
+    # counter's chunk edges, lowered to 16 records
+    rng = np.random.default_rng(seed)
+    costs = _cost_block(rng, n, k, kind)
+    _, _, base, translated = _table_block_scores(costs, _permutations(rng, n, k), np.full((n, k), -1))
+    thresholds = _probe_thresholds(rng, costs, translated)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "_TABLE_ENTRIES", 16)
+        counts, flags = matching_levelset_counts(costs, base, thresholds, cap)
+    exact = (translated[:, :, None] <= np.array(thresholds)).sum(axis=1)
+    assert counts.tolist() == np.minimum(exact, cap).tolist()
+    assert flags.tolist() == (exact > cap).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(8, 10), kind=COST_KINDS, cap=st.integers(1, 29), seed=SEEDS)
+def test_matching_levelset_counts_equal_the_engine(k, kind, cap, seed):
+    # past the table's reach, best-first enumeration of each record is the reference
+    rng = np.random.default_rng(seed)
+    n = 3
+    costs = _cost_block(rng, n, k, kind)
+    _, _, base = matching_block_scores(costs, _permutations(rng, n, k), np.full((n, k), -1))
+    some = np.array([matching_score(c, rng.permutation(k)) for c in costs]) - base
+    thresholds = _probe_thresholds(rng, costs, some[:, None])
+    counts, flags = matching_levelset_counts(costs, base, thresholds, cap)
+    for i in range(n):
+        engine = _levelset_counts(MatchingProblem(costs[i], offset=base[i]), thresholds, cap)
+        assert counts[i].tolist() == engine[0].tolist()
+        assert flags[i].tolist() == engine[1].tolist()
+
+
+def test_crowded_records_are_counted_by_the_engine(monkeypatch):
+    # every assignment of a constant matrix ties with every other; at k = 9 a
+    # record keeps more than cap + _CROWDED prefixes on a row and goes to
+    # best-first enumeration, while at k = 7 (7! prefixes at most) it never does
+    engine, calls = matching._levelset_counts, []
+    monkeypatch.setattr(matching, "_levelset_counts", lambda *a: calls.append(a) or engine(*a))
+    for k, enumerated in ((7, 0), (9, 2)):
+        calls.clear()
+        costs = np.ones((2, k, k))
+        counts, flags = matching_levelset_counts(costs, np.full(2, float(k)), [-0.5, 0.0], 20)
+        assert counts.tolist() == [[0, 20], [0, 20]]
+        assert flags.tolist() == [[False, True], [False, True]]
+        assert len(calls) == enumerated
 
 
 def test_matching_block_scores_keep_memory_flat():
-    # 2000 records at k = 6: the table and the DP both run in chunks
+    # 2000 records at k = 6: the DP and the counter both run in chunks
     rng = np.random.default_rng(7)
     costs = rng.normal(size=(2000, 6, 6))
     planted = _permutations(rng, 2000, 6)
     revealed = np.where(rng.random((2000, 6)) < 0.3, planted, -1)
-    matching_block_scores(costs[:5], planted[:5], revealed[:5], 21)  # caches outside the trace
+    _, _, base = matching_block_scores(costs[:5], planted[:5], revealed[:5])  # caches outside the trace
+    matching_levelset_counts(costs[:5], base, [2.0, 4.0], 20)
     tracemalloc.start()
     try:
-        matching_block_scores(costs, planted, revealed, 21)
-        peak = tracemalloc.get_traced_memory()[1]
+        _, _, base = matching_block_scores(costs, planted, revealed)
+        scored = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        matching_levelset_counts(costs, base, [2.0, 4.0], 20)
+        counted = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert scored < 2 * 2**20
+    assert counted < 4 * 2**20
 
 
 def test_matching_block_scores_reject_bad_records():
@@ -220,14 +286,16 @@ def test_matching_block_scores_reject_bad_records():
     revealed = np.full((3, 3), -1)
     limit = sys.float_info.max / (4 * 3 * 5)
 
-    def rejected(match, costs=costs, planted=planted, revealed=revealed, keep=2):
+    def rejected(match, costs=costs, planted=planted, revealed=revealed):
         with pytest.raises(ValueError, match=match):
-            matching_block_scores(costs, planted, revealed, keep)
+            matching_block_scores(costs, planted, revealed)
 
     for value in (np.nan, np.inf, -np.inf, np.nextafter(limit, np.inf)):
         bad = costs.copy()
         bad[2, 1, 1] = value
         rejected("record 2: cost entries must be finite", costs=bad)
+        with pytest.raises(ValueError, match="record 2: cost entries must be finite"):
+            matching_levelset_counts(bad, np.zeros(3), [1.0], 2)
     bad = planted.copy()
     bad[1] = [0, 0, 1]
     rejected("record 1: the true assignment is not a permutation", planted=bad)
@@ -239,11 +307,16 @@ def test_matching_block_scores_reject_bad_records():
     rejected("planted must be", planted=planted[:, :2])
     rejected("planted must be", planted=planted * 1.0)
     rejected("revealed must be", revealed=revealed[:2])
-    rejected("keep must be an integer", keep=2.5)
-    rejected("keep must be >= 0", keep=-1)
+    for cap, what in ((2.5, "cap must be an integer"), (0, "cap must be >= 1")):
+        with pytest.raises(ValueError, match=what):
+            matching_levelset_counts(costs, np.zeros(3), [1.0], cap)
+    with pytest.raises(ValueError, match="base must hold one value per record"):
+        matching_levelset_counts(costs, np.zeros(2), [1.0], 2)
     # a limit entry and an empty block are fine
     edge = costs.copy()
     edge[0, 0, 0] = limit
-    assert matching_block_scores(edge, planted, revealed, 2)[0][0] == limit
-    empty = matching_block_scores(np.zeros((0, 3, 3)), np.zeros((0, 3), int), np.zeros((0, 3), int), 2)
-    assert [a.shape for a in empty] == [(0,), (0,), (0, 2)]
+    assert matching_block_scores(edge, planted, revealed)[0][0] == limit
+    empty = matching_block_scores(np.zeros((0, 3, 3)), np.zeros((0, 3), int), np.zeros((0, 3), int))
+    assert [a.shape for a in empty] == [(0,), (0,), (0,)]
+    assert [a.shape for a in matching_levelset_counts(np.zeros((0, 3, 3)), empty[2], [1.0], 2)] \
+        == [(0, 1), (0, 1)]

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weakconformal
-from weakconformal import harness, ranking, synth
+from weakconformal import harness, matching, ranking, synth
 from weakconformal.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     TrialResult,
-    _match_by_engine,
-    _match_by_table,
     _size_stats,
     _trial_seed,
     run,
@@ -211,20 +209,17 @@ def test_classify_gws_and_pessimistic_sizes_bracket():
 
 
 def test_match_levelset_counts_match_engine():
-    # the harness counts small assignment spaces by scoring every permutation;
-    # that must agree with best-first enumeration at the same thresholds
-    from weakconformal.matching import MatchingProblem, min_matching_cost
+    # the harness counts assignment spaces by branch and bound on the subset
+    # DP; that must agree with best-first enumeration at the same thresholds
+    from weakconformal.matching import MatchingProblem, matching_levelset_counts, min_matching_cost
     from weakconformal.mbest import enumerate_until
 
     rng = np.random.default_rng(23)
-    perms = np.array(list(permutations(range(4))))
-    rows = np.arange(4)
     for _ in range(25):
         costs = rng.normal(size=(4, 4))
         base = min_matching_cost(costs)
-        all_scores = costs[rows, perms].sum(axis=1) - base
         for t in rng.uniform(0.0, 3.0, size=3):
-            fast = int((all_scores <= t).sum())
+            fast = int(matching_levelset_counts(costs[None], [base], [t], 50)[0][0, 0])
             engine = len(enumerate_until(MatchingProblem(costs, offset=base), float(t), cap=50).configs)
             assert fast == engine
 
@@ -238,10 +233,11 @@ def test_rank_sizes_counted_in_permutation_space():
             assert r.avg_size >= 1.0 or r.strong_cov == 0.0
 
 
-def test_match_trial_on_the_engine_equals_exhaustive_count():
-    # 8! > 10^4 sends the harness through best-first enumeration per record;
-    # its capped counts must equal a count over every assignment, each summed
-    # in row order like the translated scores
+def test_match_trial_on_the_engine_equals_exhaustive_count(monkeypatch):
+    # with the subset DP's cut lowered below k = 8 the harness scores and counts
+    # through per-record Hungarian solves and best-first enumeration; its capped
+    # counts, and those of the default subset DP path, must equal a count over
+    # every assignment, each summed in row order like the translated scores
     from weakconformal import synth
     from weakconformal.harness import _trial_seed
     from weakconformal.matching import min_matching_cost
@@ -250,8 +246,13 @@ def test_match_trial_on_the_engine_equals_exhaustive_count():
     cfg = ExperimentConfig(task="match", k=k, n=48, n_trials=2, seed=5, alpha=0.2,
                            noise=1.0, m_max=m_max)
     perms = np.array(list(permutations(range(k))))
+    default = run(cfg)
+    monkeypatch.setattr(matching, "_DP_MAX_K", 7)
+    results = run(cfg)
+    assert [r.csv_row().rsplit(",", 1)[0] for r in results] == \
+        [r.csv_row().rsplit(",", 1)[0] for r in default]
     saw_capped = saw_uncapped = False
-    for trial, rows in enumerate(zip(*_by_method(run(cfg)).values())):
+    for trial, rows in enumerate(zip(*_by_method(results).values())):
         data = synth.gen_matching(cfg.n, k, cfg.noise, _trial_seed(cfg.seed, trial))
         _, _, te = synth.three_way_split(cfg.n, cfg.split)
         thresholds = np.array([r.threshold for r in rows])
@@ -270,6 +271,18 @@ def test_match_trial_on_the_engine_equals_exhaustive_count():
         saw_capped |= bool((exact > m_max).any())
         saw_uncapped |= bool((exact < m_max).any())
     assert saw_capped and saw_uncapped
+
+
+def test_match_engine_path_gives_the_subset_dp_rows(monkeypatch):
+    # above matching._DP_MAX_K every record goes through the per-record engine;
+    # lowered below k = 5 it must give the rows of the default path
+    def rows():
+        results = run(ExperimentConfig(task="match", k=5, n=200, n_trials=2, seed=4, noise=1.0))
+        return [(r.csv_row().rsplit(",", 1)[0], r.truncation_fraction) for r in results]
+
+    default = rows()
+    monkeypatch.setattr(matching, "_DP_MAX_K", 4)
+    assert rows() == default
 
 
 # every CSV value except seconds, recorded before the rank and match trials
@@ -389,7 +402,7 @@ def _probe_thresholds(rng, scores):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_assignment_table_equals_hungarian_and_engine(k, integer_costs, cap, seed):
-    # the full-space table must give the scores of min_matching_cost,
+    # the subset DP's table must give the scores of min_matching_cost,
     # matching_score and partial_matching_score, and the level-set counts of
     # best-first enumeration, on continuous and heavily tied costs
     rng = np.random.default_rng(seed)
@@ -401,16 +414,21 @@ def test_assignment_table_equals_hungarian_and_engine(k, integer_costs, cap, see
     for i in range(n):
         agents = rng.choice(k, size=int(rng.integers(0, k + 1)), replace=False)
         revealed[i, agents] = truth[i, agents]
-    data = synth.MatchingData(costs=costs, planted=truth, revealed=revealed)
-    block = slice(0, n)
-    strong, weak_scores, count = _match_by_table(data, block, cap)
-    strong_ref, weak_ref, count_ref = _match_by_engine(data, block, cap)
+
+    def block_path():
+        strong, weak, base = matching.matching_block_scores(costs, truth, revealed)
+        return strong, weak, lambda t: matching.matching_levelset_counts(costs, base, t, cap)
+
+    strong, weak_scores, count = block_path()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "_DP_MAX_K", 0)  # per-record Hungarian solves and enumeration
+        strong_ref, weak_ref, count_ref = block_path()
+        totals = costs[0][np.arange(k), np.array(list(permutations(range(k))))].sum(axis=1)
+        thresholds = _probe_thresholds(rng, totals - totals.min())
+        counts_ref, flags_ref = count_ref(thresholds)
     assert strong.tolist() == strong_ref.tolist()
     assert weak_scores.tolist() == weak_ref.tolist()
-    totals = costs[0][np.arange(k), np.array(list(permutations(range(k))))].sum(axis=1)
-    thresholds = _probe_thresholds(rng, totals - totals.min())
     counts, flags = count(thresholds)
-    counts_ref, flags_ref = count_ref(thresholds)
     assert counts.tolist() == counts_ref.tolist()
     assert flags.tolist() == flags_ref.tolist()
 

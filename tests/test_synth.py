@@ -23,6 +23,7 @@ from weakconformal.ranking import (
     _row_max,
     listnet_loss_grad,
     listnet_train,
+    predict_relevances,
     relevance_targets,
 )
 from weakconformal.synth import (
@@ -543,14 +544,6 @@ def test_trainers_match_their_recorded_digests():
     assert _trainer_outputs() == _TRAINER_DIGESTS
 
 
-def test_trainers_are_bit_equal_with_the_reduction_row_max(monkeypatch):
-    # the same check without recorded digests: swap _row_max for the reduction
-    fast = _trainer_outputs()
-    for module in (ranking, synth):
-        monkeypatch.setattr(module, "_row_max", lambda z: z.max(axis=1, keepdims=True))
-    assert _trainer_outputs() == fast
-
-
 def test_row_max_equals_the_reduction():
     z = np.array([
         [0.0, -0.0, -1.0], [-0.0, 0.0, -1.0], [-0.0, -0.0, -0.0], [-np.inf, -np.inf, -np.inf],
@@ -765,6 +758,25 @@ def test_trainers_reject_bad_inputs():
                           train_multinomial_logistic(x, y, 3, epochs=3))
     assert np.array_equal(train_per_label_logistic(x, member > 0, epochs=3),
                           train_per_label_logistic(x, member, epochs=3))
+
+
+def test_predictions_reject_bad_features():
+    # a NaN feature once gave a row of NaN, and a 1-D x a bare AxisError
+    x = np.random.default_rng(9).normal(size=(5, 2))
+    nan_x = x.copy()
+    nan_x[3, 1] = np.nan
+    predictions = {
+        "class probs": lambda x: predict_class_probs(np.zeros((3, 3)), x),
+        "label marginals": lambda x: predict_label_marginals(np.zeros((3, 3)), x),
+        "relevances": lambda x: predict_relevances(np.zeros((3, 2)), x),
+    }
+    for name, predict in predictions.items():
+        for bad, what in [(nan_x, "finite"), (np.full((5, 2), -np.inf), "finite"),
+                          (x[:, 0], "an \\(n, d\\) array"), (x[None], "an \\(n, d\\) array")]:
+            with pytest.raises(ValueError, match=f"^x must .*{what}"):
+                predict(bad)
+        assert predict(x).shape == (5, 3), name
+        assert predict(x[:0]).shape == (0, 3), name  # an empty block is no error here
 
 
 def test_multinomial_trainer_rejects_bad_labels():
