@@ -201,7 +201,7 @@ def _as_permutation(y: Any, k: int) -> tuple[int, ...]:
     """y as a tuple of ints; ValueError unless it is a permutation of [0, k)."""
     y = tuple(_as_int(v, "an item") for v in y)
     if len(y) != k or set(y) != set(range(k)):
-        raise ValueError(f"not a permutation of [0, {k})")
+        raise ValueError(f"{y!r} is not a permutation of [0, {k})")
     return y
 
 

@@ -525,7 +525,7 @@ class MatchingCell:
     split_row: int | None = field(default=None, compare=False, repr=False)
 
     def contains(self, y: Sequence[int]) -> bool:
-        y = tuple(int(v) for v in y)
+        y = _as_permutation(y, len(self.best))
         return all(y[uu] == vv for uu, vv in self.forced) and not any(
             y[uu] == vv for uu, vv in self.forbidden
         )

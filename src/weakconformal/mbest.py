@@ -14,6 +14,14 @@ emitted scores must be nondecreasing and every split must hand back cells
 whose bests are the parent's (best, second) pair, otherwise the backend
 violated the partition contract and a ``PartitionError`` is raised.
 
+The frontier is lazy, as A* treats a node keyed by an admissible bound
+(Hart, Nilsson & Raphael 1968): a cell that carries a ``bound`` is keyed by
+it, and its exact second-best score is read only when the cell reaches the
+top, where the entry is pushed again under that score if it is higher. A
+key is at most its entry's exact (score, creation order), so the first
+exact entry popped is the global minimum, and emission order and
+tie-breaking are those of a frontier keyed by exact scores.
+
 ``Enumerator.extend_until`` emits one configuration at a time and stops at
 the first that meets a stopping rule, so it enumerates exactly up to the
 answer, capped. ``enumerate_until`` stops at the first
@@ -70,6 +78,15 @@ class PartitionProblem(Protocol):
     A backend may also carry ``margin``: how far below the last emitted
     score its rounding may put the next pop. The engine reads it once per
     enumeration and checks the order against the larger of it and TOL.
+
+    A cell may also carry ``bound``, a lower bound on its ``second_score``
+    (None for a singleton cell). The engine keys such a cell by its bound
+    and reads ``second`` and ``second_score`` only when the cell reaches the
+    top of the frontier, so a cell never popped need not compute them. A
+    cell without a bound is keyed by ``second_score``, and its ``second`` is
+    read when it is split off, to tell a singleton. A resolved score below
+    its bound by more than the order check's tolerance is a
+    ``PartitionError``.
     """
 
     def root(self) -> Any: ...
@@ -102,17 +119,36 @@ class Enumerator:
         self.scores: list[float] = [float(root.best_score)]
         self._heap: list[tuple[float, int, Any]] = []
         self._counter = 1
-        if root.second is not None:
-            heapq.heappush(self._heap, (float(root.second_score), 0, root))
+        self._push(root, 0)
 
     @property
     def exhausted(self) -> bool:
         return not self._heap
 
+    def _push(self, cell: Any, order: int) -> None:
+        """Put a cell on the frontier under its bound, or under its exact
+        second-best score when it has no bound; a singleton is dropped."""
+        key = getattr(cell, "bound", None)
+        if key is None:
+            if cell.second is None:
+                return
+            key = cell.second_score
+        heapq.heappush(self._heap, (float(key), order, cell))
+
     def extend_to(self, m: int) -> None:
         """Grow the enumeration to at least m configurations (or exhaust)."""
         while len(self.configs) < m and self._heap:
-            second_score, order, cell = heapq.heappop(self._heap)
+            key, order, cell = heapq.heappop(self._heap)
+            second_score = float(cell.second_score)
+            if second_score > key:
+                # a bound reached the top: its cell waits under its exact score
+                heapq.heappush(self._heap, (second_score, order, cell))
+                continue
+            if second_score < key - self._tol:
+                raise PartitionError(
+                    "second-best score below its cell's bound: the bound is not "
+                    "a lower bound"
+                )
             if second_score < self.scores[-1] - self._tol:
                 raise PartitionError(
                     "second-best score below last emitted score: backend cells "
@@ -127,10 +163,8 @@ class Enumerator:
                 )
             # the cell keeping the parent's best inherits its creation order;
             # the cell built around the emitted config is newly created
-            if keep.second is not None:
-                heapq.heappush(self._heap, (float(keep.second_score), order, keep))
-            if moved.second is not None:
-                heapq.heappush(self._heap, (float(moved.second_score), self._counter, moved))
+            self._push(keep, order)
+            self._push(moved, self._counter)
             self._counter += 1
 
     def extend_until(

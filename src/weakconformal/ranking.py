@@ -17,7 +17,8 @@ search carries exactly the score that rank_score gives it, and lies in the
 sublevel set at that score. The relevance-descending ranking scores 0, and
 the runner-up within a cell is an adjacent transposition of the cell's best,
 which changes only its own pair term: the swap delta prunes the candidates,
-and the re-summed score chooses among the rest.
+and the re-summed score chooses among the rest when the cell reaches the top
+of the best-first frontier. Until then the smallest delta bounds it.
 
 The capped sizes of a block of records' level sets (levelset_counts_batch)
 equal the best-first search's, and are read off the rankings within a
@@ -140,7 +141,12 @@ def _prune_margin(k: int, worst):
     the candidate still have the smallest re-summed score: four times the
     error bound gamma_{p-1} * sum|t| of a sequential sum of p = k(k-1)/2
     terms (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2),
-    with the worst score bounding sum|t|."""
+    with the worst score bounding sum|t|.
+
+    It also keys a ranking cell on the best-first frontier: each sum lies
+    within a quarter of it of its exact value and a swap delta is exact, so
+    best_score + min(deltas) - margin lies at least half of it under the
+    re-summed runner-up."""
     return 4 * (k * (k - 1) // 2 + 1) * 2.0**-53 * worst
 
 
@@ -231,18 +237,44 @@ def prefix_block_scores(
 # --- partition backend ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RankingCell:
-    """Rankings satisfying a set of 'a placed before b' constraints."""
+    """Rankings satisfying a set of 'a placed before b' constraints.
 
-    constraints: frozenset[tuple[int, int]]
-    best: tuple[int, ...]
-    best_score: float
-    second: tuple[int, ...] | None
-    second_score: float | None
-    second_pos: int | None
+    ``deltas[i]`` is the exact score change of swapping the best ranking's
+    items at positions i and i + 1, inf where a constraint forbids the swap.
+    ``bound`` is best_score + min(deltas) - margin, a lower bound on the
+    runner-up's re-summed score; None when no swap is allowed. The runner-up
+    itself (``second``, ``second_score``, ``second_pos``) is re-summed on
+    first access, so a cell that never reaches the top of the best-first
+    frontier never sums it.
+    """
+
+    __slots__ = ("constraints", "best", "best_score", "deltas", "bound", "_problem",
+                 "second", "second_score", "second_pos")
+
+    def __init__(self, problem: "RankingProblem", constraints: frozenset[tuple[int, int]],
+                 best: tuple[int, ...], best_score: float, deltas: list[float]):
+        self.constraints = constraints
+        self.best = best
+        self.best_score = best_score
+        self.deltas = deltas
+        low = min(deltas)
+        # the margin is taken off the delta first, so near the largest float
+        # the bound stays under the worst score and finite
+        self.bound = None if low == math.inf else best_score + (low - problem.margin)
+        self._problem = problem
+
+    def __getattr__(self, name: str):
+        # called only for a slot not yet set: the runner-up's three slots are
+        # filled on the first read of any of them
+        if name not in ("second", "second_score", "second_pos"):
+            raise AttributeError(name)
+        self.second, self.second_score, self.second_pos = self._problem._second_best(
+            self.best, self.deltas)
+        return getattr(self, name)
 
     def contains(self, y: Sequence[int]) -> bool:
+        y = _as_permutation(y, len(self.best))
         pos = {item: i for i, item in enumerate(y)}
         return all(pos[a] < pos[b] for a, b in self.constraints)
 
@@ -252,8 +284,13 @@ class RankingProblem:
 
     ValueError when some ranking's score would not be finite, since the
     best-first search cannot order infinite scores. ``margin`` is the
-    _prune_margin of the worst score: the runner-up search prunes by it, and
-    a pop lies at most that far above the smallest score not yet emitted.
+    _prune_margin of the worst score: the runner-up search prunes by it, a
+    cell's bound lies at least half of it under the cell's runner-up, and a
+    pop lies at most that far above the smallest score not yet emitted.
+
+    A split derives its children's swap deltas from the parent's: the cell
+    keeping the parent's best blocks the split position, and the cell around
+    the runner-up recomputes the three positions the swap touched.
     """
 
     def __init__(self, relevances, psi: PsiSpec):
@@ -263,7 +300,8 @@ class RankingProblem:
         pairs = _pair_terms(self.r[None], psi)
         self.margin = float(_prune_margin(self.k, _worst_scores(pairs, self.r[None])[0]))
         self._table = pairs[0].tolist()
-        # swap[a][b]: the score change when item a, directly above b, swaps with it
+        # swap[a][b]: the score change when item a, directly above b, swaps
+        # with it; exact, since one of the two pair terms is 0
         self._swap = (pairs[0].T - pairs[0]).tolist()
 
     def score(self, config: Sequence[int]) -> float:
@@ -280,15 +318,13 @@ class RankingProblem:
         return total
 
     def _second_best(
-        self, constraints: frozenset[tuple[int, int]], best: tuple[int, ...]
+        self, best: tuple[int, ...], deltas: list[float]
     ) -> tuple[tuple[int, ...] | None, float | None, int | None]:
-        """The cell's runner-up, an adjacent transposition of its best that
-        the constraints allow: the one with the smallest re-summed score,
-        ties going to the lowest position. Only the swaps whose delta lies
-        within the rounding margin of the smallest delta are re-summed; the
-        others cannot hold the minimum. Nones for a singleton cell."""
-        swap = self._swap
-        deltas = [math.inf if (a, b) in constraints else swap[a][b] for a, b in zip(best, best[1:])]
+        """A cell's runner-up, the adjacent transposition of its best with
+        the smallest re-summed score among the allowed swaps, ties going to
+        the lowest position. Only the swaps whose delta lies within the
+        rounding margin of the smallest delta are re-summed; the others
+        cannot hold the minimum. Nones for a singleton cell."""
         low = min(deltas)
         if low == math.inf:
             return None, None, None
@@ -302,23 +338,29 @@ class RankingProblem:
                     found = (y, s, i)
         return found
 
-    def _cell(
-        self, constraints: frozenset[tuple[int, int]], best: tuple[int, ...], best_score: float
-    ) -> RankingCell:
-        return RankingCell(constraints, best, best_score, *self._second_best(constraints, best))
-
     def root(self) -> RankingCell:
         best = best_ranking(self.r)
-        return self._cell(frozenset(), best, self.score(best))
+        swap = self._swap
+        deltas = [swap[a][b] for a, b in zip(best, best[1:])]
+        return RankingCell(self, frozenset(), best, self.score(best), deltas)
 
     def split(self, cell: RankingCell) -> tuple[RankingCell, RankingCell]:
         if cell.second is None or cell.second_pos is None:
             raise ValueError("cannot split a cell without a second-best")
         i = cell.second_pos
-        a, b = cell.best[i], cell.best[i + 1]
-        keep = self._cell(cell.constraints | {(a, b)}, cell.best, cell.best_score)
-        moved = self._cell(cell.constraints | {(b, a)}, cell.second, cell.second_score)
-        return keep, moved
+        best, second = cell.best, cell.second
+        a, b = best[i], best[i + 1]
+        kept = cell.deltas.copy()
+        kept[i] = math.inf
+        keep = RankingCell(self, cell.constraints | {(a, b)}, best, cell.best_score, kept)
+        # second places b directly above a, which the new constraint fixes;
+        # only the pairs beside it differ from the parent's
+        moved = kept.copy()
+        for j in (i - 1, i + 1):
+            if 0 <= j < self.k - 1:
+                x, z = second[j], second[j + 1]
+                moved[j] = math.inf if (x, z) in cell.constraints else self._swap[x][z]
+        return keep, RankingCell(self, cell.constraints | {(b, a)}, second, cell.second_score, moved)
 
 
 # --- level-set counts from Kendall balls -------------------------------------
