@@ -62,24 +62,6 @@ def _load_config(path: str) -> dict:
 
 
 _RUN_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-_SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}
-
-
-def _check_config(loaded: dict) -> None:
-    """Reject a config value of the wrong type, naming its field."""
-    for name, value in loaded.items():
-        kind = _RUN_FIELDS[name].type  # e.g. "int", "float | None", "tuple[str, ...]"
-        if value is None and kind.endswith("| None"):
-            continue
-        if kind.startswith("tuple"):  # a list, or one comma-separated string
-            item = _SCALARS["str" if "str" in kind else "float"]
-            ok = isinstance(value, str) or (isinstance(value, list) and all(
-                isinstance(v, item) and not isinstance(v, bool) for v in value
-            ))
-        else:
-            ok = isinstance(value, _SCALARS[kind.split()[0]]) and not isinstance(value, bool)
-        if not ok:
-            raise FormatError(f"config field {name!r} must be {kind}, not {value!r}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -91,7 +73,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         unknown = set(loaded) - set(_RUN_FIELDS)
         if unknown:
             raise FormatError(f"unknown config keys: {sorted(unknown)}")
-        _check_config(loaded)
         settings.update(loaded)
     for name, item in (("methods", str), ("split", float)):  # one comma-separated string
         if isinstance(settings.get(name), str):
@@ -168,7 +149,7 @@ def _mbest_problem(path: str):
                 "mbest input: 'psi' must be an object such as {\"kind\": \"hinge\"}"
             )
         try:
-            psi = PsiSpec(psi_spec.get("kind", "hinge"), _as_real(psi_spec.get("c", 0.0), "c"))
+            psi = PsiSpec(psi_spec.get("kind", "hinge"), psi_spec.get("c", 0.0))
         except (TypeError, ValueError) as exc:
             raise FormatError(f"mbest input: 'psi': {exc}") from exc
         return _mbest_field(payload, "relevances", lambda r: RankingProblem(r, psi))

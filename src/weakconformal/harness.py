@@ -64,6 +64,7 @@ import json
 import math
 import os
 import platform
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -107,12 +108,25 @@ CSV_COLUMNS = [
     "seconds",
 ]
 
-# the run's own settings, in the form of synth._RANGES
+# the run's own settings, in the form of synth._RANGES; k is checked here for
+# every task, also for one whose generator does not read it
 _RUN_RANGES = {
     "alpha": (lambda v, s: 0 < _as_real(v) < 1, "a number in (0, 1)"),
     "n_trials": (lambda v, s: _as_int(v) >= 1, "an integer >= 1"),
-    "n": (lambda v, s: _as_int(v) >= 10, "an integer >= 10"),
+    "n": (lambda v, s: 10 <= _as_int(v) <= sys.maxsize, "an integer in [10, sys.maxsize]"),
     "m_max": (lambda v, s: _as_int(v) >= 1, "an integer >= 1"),
+    "k": (lambda v, s: v is None or _as_int(v) >= 2, "None or an integer >= 2"),
+    "methods": (
+        lambda v, s: isinstance(v, (list, tuple)) and all(isinstance(m, str) for m in v)
+        and 0 < len(set(v)) == len(v),
+        "a list of distinct method names, at least one",
+    ),
+    "split": (
+        lambda v, s: isinstance(v, (list, tuple)) and len(v) == 3
+        and all(_as_real(f) >= 0 for f in v),
+        "three real numbers >= 0",
+    ),
+    "out": (lambda v, s: v is None or isinstance(v, str), "a path or None"),
 }
 
 
@@ -137,8 +151,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.task not in _TASKS:
-            raise ValueError(f"task must be one of {tuple(_TASKS)}")
+        if not isinstance(self.task, str) or self.task not in _TASKS:
+            raise ValueError(f"task must be one of {tuple(_TASKS)}, not {self.task!r}")
         synth._check_settings(vars(self), _RUN_RANGES)
         bad = [m for m in self.methods if m not in _TASKS[self.task].methods]
         if bad:
@@ -163,7 +177,8 @@ class ExperimentConfig:
         return getattr(self, _TASKS[self.task].param)
 
     def psi(self) -> PsiSpec:
-        return PsiSpec.hinge() if self.psi_c == 0 else PsiSpec.exp_weighted(self.psi_c)
+        c = _as_real(self.psi_c, "psi parameter 'c'")
+        return PsiSpec.hinge() if c == 0 else PsiSpec.exp_weighted(c)
 
     def _generator_settings(self, seed: int) -> dict:
         """Every generator setting this config holds, with the given seed, and
@@ -452,8 +467,6 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
 
 def run(cfg: ExperimentConfig) -> list[TrialResult]:
     """Run all trials of an experiment; write outputs when cfg.out is set."""
-    if not cfg.methods:
-        raise ValueError("at least one method required")
     results: list[TrialResult] = []
     for trial in range(cfg.n_trials):
         results.extend(_trial(cfg, trial))

@@ -231,6 +231,8 @@ class WeakRecord:
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 1:
             raise ValueError("x must be a flat feature vector")
+        if not np.isfinite(x).all():  # so the JSON-lines writer needs no NaN token
+            raise ValueError("x must hold finite features only")
         object.__setattr__(self, "x", x)
         if self.y is not None and not weak_contains(self.weak, self.y):
             raise ValueError("inconsistent record: y is not in its weak label")

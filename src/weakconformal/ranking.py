@@ -61,7 +61,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PsiSpec:
-    """Pairwise discordance penalty psi(a, b) for relevances a above b."""
+    """Pairwise discordance penalty psi(a, b) for relevances a above b.
+
+    The one check of the parameter c: an int or a float ("0.5" and the
+    booleans are ValueErrors), finite and nonnegative; it is held as a float.
+    """
 
     kind: str = "hinge"
     c: float = 0.0
@@ -69,8 +73,10 @@ class PsiSpec:
     def __post_init__(self):
         if self.kind not in ("hinge", "exp_weighted"):
             raise ValueError(f"unknown psi kind {self.kind!r}")
-        if not 0.0 <= self.c < math.inf:
-            raise ValueError(f"psi parameter 'c' must be finite and nonnegative, got {self.c!r}")
+        c = _as_real(self.c, "psi parameter 'c'")
+        if not 0.0 <= c < math.inf:
+            raise ValueError(f"psi parameter 'c' must be finite and nonnegative, got {c!r}")
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def hinge(cls) -> "PsiSpec":
@@ -78,7 +84,7 @@ class PsiSpec:
 
     @classmethod
     def exp_weighted(cls, c: float) -> "PsiSpec":
-        return cls("exp_weighted", float(c))
+        return cls("exp_weighted", c)
 
 
 def _pair_terms(rel: np.ndarray, psi: PsiSpec) -> np.ndarray:
@@ -518,23 +524,16 @@ def levelset_counts_batch(
 # numpy's sum(axis=1) adds a row, and the gradient (x.T @ d.T).T is the BLAS
 # call that d.T @ x makes on the (n, k) block d. The public functions sum their
 # losses over a C-ordered (n, k) copy, so that they add in the row layout's
-# order; the trainers make no such copy.
-
-
-def _row_max(z: np.ndarray) -> np.ndarray:
-    """z.max(axis=1, keepdims=True), taken column by column with np.maximum:
-    a max is exact in any order, and on rows of a few logits this is several
-    times faster than the reduction."""
-    top = z[:, 0].copy()
-    for j in range(1, z.shape[1]):
-        np.maximum(top, z[:, j], out=top)
-    return top[:, None]
+# order; the trainers make no such copy. _exp_columns is the one softmax:
+# _softmax, which gives predictions their (n, k) probabilities, runs it on a
+# (k, n) copy of its logits and transposes the result back.
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - _row_max(z)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """The softmax of each row of the (n, k) logits z, as a C-ordered (n, k)
+    array: _exp_columns on a copy of z.T, bit-equal to the row layout's."""
+    _, e, total = _exp_columns(np.array(z.T, dtype=float, order="C"))
+    return np.ascontiguousarray((e / total).T)
 
 
 # numpy's pairwise sum adds up to this many entries with eight accumulators
@@ -679,7 +678,8 @@ def listnet_train(
     if len(rankings) != x.shape[0]:
         raise ValueError("x must be (n, d) with one ranking per row")
     k = len(rankings[0])
-    target = np.ascontiguousarray(_softmax(relevance_targets(rankings, k)).T)
+    _, e, total = _exp_columns(np.ascontiguousarray(relevance_targets(rankings, k).T))
+    target = e / total
 
     def grad(w):
         _, e, total = _exp_columns(w @ x.T)

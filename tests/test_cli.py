@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from weakconformal.cli import main
+from weakconformal.harness import ExperimentConfig
 
 
 def _run(capsys, *argv):
@@ -286,8 +288,8 @@ def test_eval_set_missing_field_reports_field_and_line(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, text, located",
     [
-        ("run", json.dumps({"n": "abc"}), "'n'"),  # was a TypeError traceback
-        ("run", json.dumps({"split": [0.25, "x", 0.5]}), "'split'"),
+        ("run", json.dumps({"n": "abc"}), "n must be"),  # was a TypeError traceback
+        ("run", json.dumps({"split": [0.25, "x", 0.5]}), "split must be"),
         ("run", "5", "table of settings"),
         ("eval", json.dumps([1, 2]), 1),  # was an AttributeError traceback
         ("eval", json.dumps({"kind": "set", "labels": "ab", "k": 10}), 1),  # had no line
@@ -322,6 +324,8 @@ def test_eval_set_missing_field_reports_field_and_line(tmp_path, capsys):
                              "y": "0.7"}), 1),
         # an integer past the largest float was an OverflowError traceback
         ("data", json.dumps({"x": [10**400], "weak": {"kind": "set", "labels": [0]}, "y": 0}), 1),
+        # a NaN feature was read, and written back as a bare NaN token
+        ("data", json.dumps({"x": [math.nan], "weak": {"kind": "set", "labels": [0]}, "y": 0}), 1),
     ],
 )
 def test_malformed_input_is_one_located_error(tmp_path, capsys, command, text, located):
@@ -426,9 +430,7 @@ def test_run_writes_strict_json_when_a_value_is_not_finite(tmp_path, capsys, tas
 
 
 def test_a_finite_run_writes_the_rows_as_plain_json(tmp_path):
-    import dataclasses
-
-    from weakconformal.harness import ExperimentConfig, run
+    from weakconformal.harness import run
 
     out_csv = tmp_path / "rows.csv"
     results = run(ExperimentConfig(task="rank", n=200, n_trials=2, seed=3, out=str(out_csv)))
@@ -512,6 +514,121 @@ def test_run_rejects_any_task_setting_out_of_range_and_writes_nothing(tmp_path, 
     assert error.startswith(argv[-2].lstrip("-").replace("-", "_") + " must be")
     assert error.endswith(f"not {argv[-1]}")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        # handed to open() as a file descriptor, then a str method failed on it
+        ({"out": 5}, "out must be"),
+        ({"out": b"x.csv"}, "out must be"),
+        # two identical rows per trial; no method failed only inside run
+        ({"methods": ("wsc", "wsc")}, "methods must be"),
+        ({"methods": ()}, "methods must be"),
+        # read by float(), and then refused when the sidecar was replayed
+        ({"task": "rank", "psi_c": "0.5"}, "psi parameter 'c'"),
+        ({"task": "rank", "psi_c": True}, "psi parameter 'c'"),
+        ({"task": "rank", "psi_c": False}, "psi parameter 'c'"),
+        # a k the task's generator does not read went unchecked
+        ({"task": "regress", "k": "x"}, "k must be"),
+        ({"task": "regress", "k": 1}, "k must be"),
+        # OverflowError tracebacks: an int past the largest float
+        ({"n": 10**400}, "n must be"),
+        ({"task": "rank", "psi_c": 10**400}, "psi parameter 'c'"),
+        # TypeErrors, which only the command line's own type check kept away
+        ({"task": ["rank"]}, "task must be"),
+        ({"methods": 5}, "methods must be"),
+        ({"split": 5}, "split must be"),
+        ({"split": ("0.25", "0.25", "0.5")}, "split must be"),
+    ],
+)
+def test_a_bad_run_setting_is_one_named_error_from_the_api_and_the_config(
+    tmp_path, capsys, bad, named
+):
+    with pytest.raises(ValueError, match=named):
+        ExperimentConfig(**bad)
+    if any(isinstance(v, bytes) for v in bad.values()):
+        return  # no config file can hold bytes
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(bad))
+    code, out, err = _run(capsys, "run", "--config", str(config))
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert named in json.loads(lines[0])["error"]
+    assert list(tmp_path.iterdir()) == [config]
+
+
+class _Built(Exception):
+    """Raised in place of a run, carrying the config the command line built."""
+
+
+def _build_only(cfg):
+    raise _Built(cfg)
+
+
+# (valid, invalid) values of every run setting, as a config file holds them; a
+# valid value may still clash with another setting (gws outside classify, a
+# split that empties the test block). methods and split are never strings
+# here, since the command line splits a comma-separated string first.
+_SETTINGS = {
+    "task": (["classify", "rank", "match", "regress"], ["bogus", ["rank"], 5, None]),
+    "alpha": ([0.1, 0.5], [0, 1, "0.1", True, None, math.nan]),
+    "n_trials": ([1, 3], [0, 1.0, True]),
+    "seed": ([0, 7], [-1, 2.5, "1"]),
+    "n": ([40, 4000], [9, 40.0, 10**400]),
+    "split": ([[0.25, 0.25, 0.5], [0.4, 0.3, 0.3], [0, 0.5, 0.5], [0.5, 0.5, 0]],
+              [[0.5, 0.5, 0.5], [0.5, 0.5], [-0.5, 0.5, 1.0], [0.25, "x", 0.5], 5, None]),
+    "k": ([None, 2, 5], [1, -1, "x", 3.0, True]),
+    "d": ([1, 2], [0, 1.5, None]),
+    "sigma": ([0.0, 1.0], [-1, math.inf, math.nan, "1"]),
+    "noise": ([0.25, 0], [-0.5, math.inf, None]),
+    "mu": ([0.05, 1], [0, math.nan, "x"]),
+    "min_weak_size": ([1, 2], [0, 100, 1.5]),
+    "min_half_width": ([None, 0.02, 10], [math.nan, "x"]),
+    "methods": ([["wsc"], ["wsc", "fsc"], ["gws"], ["pessimistic", "wsc"]],
+                [["wsc", "wsc"], [], [1], 5, None, {"wsc": 1}]),
+    "m_max": ([1, 20], [0, 2.5, False]),
+    "psi_c": ([0, 0.5, 2], [-1, "0.5", True, False, math.nan, None]),
+    "out": ([None, "rows.csv"], [5, ["rows.csv"]]),
+}
+
+
+@st.composite
+def _run_settings(draw):
+    """Some run settings, each valid or invalid, most of them valid."""
+    chosen = {}
+    for name, (valid, invalid) in _SETTINGS.items():
+        if draw(st.booleans()):
+            spoilt = draw(st.integers(0, 5)) == 0
+            chosen[name] = draw(st.sampled_from(invalid if spoilt else valid))
+    return chosen
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chosen=_run_settings())
+def test_the_config_and_the_api_accept_the_same_settings(tmp_path, monkeypatch, chosen):
+    try:
+        cfg, refused = ExperimentConfig(**chosen), False
+    except ValueError:
+        refused = True
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(chosen))
+    err = io.StringIO()
+    monkeypatch.setattr("weakconformal.cli.run_experiment", _build_only)
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(["run", "--config", str(config)])
+        except _Built as built:
+            code, built_cfg = 0, built.args[0]
+    assert code == (1 if refused else 0)
+    if refused:
+        assert len(err.getvalue().strip().splitlines()) == 1
+    else:  # the sidecar's strict JSON rebuilds the config
+        assert built_cfg == cfg
+        text = json.dumps(dataclasses.asdict(cfg), allow_nan=False)
+        assert ExperimentConfig(**json.loads(text)) == cfg
 
 
 @pytest.mark.parametrize(

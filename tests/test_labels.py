@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,13 @@ def test_weak_record_checks_label_membership():
         WeakRecord(np.zeros(2), ExplicitSet((0, 1)), 2)
     rec = WeakRecord(np.zeros(2), ExplicitSet((0, 1)), 1)
     assert rec.y == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weak_record_rejects_features_that_are_not_finite(bad):
+    # a NaN feature was written to JSON lines as a bare NaN token
+    with pytest.raises(ValueError, match="x must hold finite features only"):
+        WeakRecord(np.array([0.0, bad]), ExplicitSet((0, 1)), 1)
 
 
 @pytest.mark.parametrize(

@@ -333,7 +333,7 @@ def _probe_thresholds(rng, scores):
     cap=st.integers(1, 25),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lockstep_counts_equal_the_engine(k, tied, psi, magnitude, cap, seed):
+def test_kendall_ball_counts_equal_the_engine(k, tied, psi, magnitude, cap, seed):
     rng = np.random.default_rng(seed)
     n = 5
     rel = (rng.integers(0, 3, size=(n, k)) if tied else rng.normal(size=(n, k))) * magnitude
@@ -347,9 +347,9 @@ def test_lockstep_counts_equal_the_engine(k, tied, psi, magnitude, cap, seed):
         assert flags[j].tolist() == want_flags.tolist()
 
 
-def test_lockstep_counts_span_blocks_and_tight_caps():
-    # more records than one lockstep block; a cap of one flags every record
-    # with two or more rankings at or under the threshold
+def test_kendall_ball_counts_span_blocks_and_tight_caps():
+    # many records counted at once; a cap of one flags every record with two
+    # or more rankings at or under the threshold
     rng = np.random.default_rng(4)
     rel = rng.normal(size=(300, 4))
     psi = PsiSpec.hinge()
@@ -361,7 +361,7 @@ def test_lockstep_counts_span_blocks_and_tight_caps():
         assert flags[j].tolist() == [e > 1 for e in exact]
 
 
-def test_lockstep_cells_are_bounded_by_the_k_factorial_rankings():
+def test_kendall_ball_is_bounded_by_the_k_factorial_rankings():
     # a cap past k! sized the cell arrays by cap + 1: about 100 MB here
     rel = np.random.default_rng(5).normal(size=(10, 4))
     psi, thresholds = PsiSpec.hinge(), [0.4, 2.0, math.inf]
@@ -378,8 +378,8 @@ def test_lockstep_cells_are_bounded_by_the_k_factorial_rankings():
 
 
 def test_a_whole_space_ball_is_bounded_by_its_blocks():
-    # a cap past 7! makes the ball every ranking; the parent's lockstep sized
-    # its cell arrays by 128 records x 5040 rankings, about 70 MB here
+    # a cap past 7! makes the ball every ranking; cell arrays sized by 128
+    # records x 5040 rankings at once would take about 70 MB here
     rel = np.random.default_rng(6).normal(size=(300, 7))
     psi, thresholds = PsiSpec.hinge(), [1e3, math.inf]  # above every worst score
     _kendall_ball(7, 5040)
@@ -505,7 +505,7 @@ def test_records_that_need_larger_balls_equal_the_engine(monkeypatch):
         assert flags[j].tolist() == want[1].tolist()
 
 
-def test_the_lockstep_sees_few_records_of_a_gate_trial(monkeypatch):
+def test_the_engine_sees_few_records_of_a_gate_trial(monkeypatch):
     # the rank trial of the release gate: the Kendall balls decide nearly
     # every test record, and only the rest reach the per-record search
     from weakconformal.harness import ExperimentConfig, run

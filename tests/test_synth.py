@@ -20,7 +20,7 @@ from weakconformal.labels import (
 from weakconformal.matching import hungarian
 from weakconformal.ranking import (
     _column_sums,
-    _row_max,
+    _softmax,
     listnet_loss_grad,
     listnet_train,
     predict_relevances,
@@ -544,16 +544,21 @@ def test_trainers_match_their_recorded_digests():
     assert _trainer_outputs() == _TRAINER_DIGESTS
 
 
-def test_row_max_equals_the_reduction():
+def test_softmax_equals_the_row_reduction():
+    # the softmax's row max and row sums are taken on a (k, n) copy: each
+    # entry, the sign of zero included, must be the row layout's
     z = np.array([
         [0.0, -0.0, -1.0], [-0.0, 0.0, -1.0], [-0.0, -0.0, -0.0], [-np.inf, -np.inf, -np.inf],
         [np.inf, 1.0, 2.0], [np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [np.inf, 1.0, np.nan],
         [-np.inf, 0.0, -0.0],
     ])
     rng = np.random.default_rng(5)
-    for block in (z, rng.normal(size=(50, 1)), rng.integers(-2, 3, size=(50, 10)) * 1.0):
-        got, ref = _row_max(block), block.max(axis=1, keepdims=True)
-        assert got.shape == ref.shape
+    blocks = (z, rng.normal(size=(50, 1)), rng.integers(-2, 3, size=(50, 10)) * 1.0,
+              rng.normal(size=(40, 130)) * 30.0)  # past one pairwise-sum block
+    for block in blocks:
+        with np.errstate(invalid="ignore"):  # inf - inf in the rows that give NaN
+            got, ref = _softmax(block), _softmax_reference(block)
+        assert got.shape == ref.shape and got.flags.c_contiguous
         assert np.array_equal(got, ref, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
 
