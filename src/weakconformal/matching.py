@@ -10,8 +10,9 @@ pairs forbidden", and it carries dual potentials that are optimal for its
 best. Its second-best is found by reoptimisation (Murty's method as sped up
 by Miller, Stone & Cox and by Pedersen, Nielsen & Andersen): excluding one
 edge of the best costs one shortest augmenting path over the reduced costs,
-so a whole cell costs O(k^3), and each child cell inherits potentials from
-its parent instead of solving from scratch.
+and one Floyd-Warshall closure over the cell's free columns (Floyd 1962)
+yields all of them at once, so a whole cell costs O(k^3), and each child
+cell inherits potentials from its parent instead of solving from scratch.
 
 Blocks of records go through a DP over sets of columns instead (Bellman
 1962; Held & Karp 1962): matching_block_scores takes each record's optimal
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .labels import FormatError, PartialMatching, _as_int, _as_permutation, _finite_floats
-from .mbest import _levelset_counts
+from .mbest import PartitionError, _levelset_counts
 
 __all__ = [
     "hungarian",
@@ -60,8 +61,9 @@ def _as_cost_matrix(costs) -> np.ndarray:
     -M, then nonnegative ones adding up to an alternating sum of at most
     2k - 1 costs), so the root's potentials lie within 2k^2 M, and the
     reoptimisations of _second_best add at most the rise of the best total,
-    2kM. So a reduced cost lies within (4k^2 + 4k + 1)M, and a path length,
-    an alternating sum less two potentials, within (4k^2 + 6k - 1)M.
+    2kM. So a reduced cost lies within (4k^2 + 4k + 1)M, a path length, an
+    alternating sum less two potentials, within (4k^2 + 6k - 1)M, and the sum
+    of two that a closure pivot forms, a walk, within (4k^2 + 8k - 1)M.
     """
     arr = np.asarray(costs, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
@@ -542,7 +544,9 @@ class MatchingProblem:
     of a row-order total of k entries, as ranking._prune_margin is for a
     ranking's sum, with sum|c| at most the sum of each row's largest |c|.
     Two totals can round up to twice that bound out of their exact order,
-    and the reduced costs may order near-tied assignments either way.
+    and the reduced costs, clamped at 0 and summed in the closure's order,
+    may order near-tied assignments either way: among tied or near-tied
+    scores the emission order is the closure's, not a sort's.
     """
 
     def __init__(self, costs, offset: float = 0.0):
@@ -566,12 +570,20 @@ class MatchingProblem:
         With (u, v) optimal for ``best``, the best member avoiding the edge
         (r, best[r]) is ``best`` re-routed along the shortest augmenting
         path from row r to column best[r] over the reduced costs
-        c - u - v >= 0, with forbidden pairs and that edge absent. The m
-        free rows run one Dijkstra each, in lockstep over (m, m) arrays, so
-        the whole cell costs O(m^3). Candidates are compared by their
-        totals re-summed in row order, ties going to the lowest row.
-        Returns (second, its total, its duals, the row whose exclusion
-        produced it), or None when the cell is a singleton.
+        c - u - v >= 0, with forbidden pairs and that edge absent: a
+        shortest cycle through column best[r] in the graph on the m free
+        columns where a -> b costs the reduced cost from the row matched
+        to a to column b. One Floyd-Warshall closure of that graph, m
+        min-plus pivots over (m, m) arrays, gives every row's re-route at
+        once, so the whole cell costs O(m^3). The reduced costs are
+        clamped at 0: rounding leaves tiny negative ones (on sum-separable
+        costs, say), whose negative cycles would leave a predecessor walk
+        that never closes. Candidates are compared by their totals
+        re-summed in row order, ties going to the lowest row; among
+        re-routes of equal length the closure may pick another path than a
+        per-row search would, so near-tied assignments may be emitted in
+        another order. Returns (second, its total, its duals, the row whose
+        exclusion produced it), or None when the cell is a singleton.
         """
         k = self.k
         forced_rows = {uu for uu, _ in forced}
@@ -598,37 +610,19 @@ class MatchingProblem:
             inside = (a >= 0) & (b >= 0)
             reduced[a[inside], b[inside]] = np.inf
 
-        # Row s of each array is the search from source row s toward the
-        # column match[s]. A column leaves ``tentative`` when it is popped,
-        # its distance then final. Reaching column j also reaches the row
-        # row_of[j] matched to it (reduced cost 0); the search goes on
-        # from that row.
-        tentative = reduced.copy()
-        tentative[ar, match] = np.inf
-        unseen = np.ones((m, m), dtype=bool)
-        pred = np.full((m, m), -1, dtype=np.intp)  # -1: entered from row s
-        pops = []
-        for _ in range(m):
-            col = tentative.argmin(axis=1)
-            step = tentative[ar, col]
-            pops.append((col, step))
-            unseen[ar, col] = False
-            tentative[ar, col] = np.inf
-            if not (unseen[ar, match] & (step < np.inf)).any():
-                break
-            cand = reduced[row_of[col]]
-            cand += step[:, None]
-            better = cand < tentative
-            better &= unseen
-            np.copyto(tentative, cand, where=better)
-            np.copyto(pred, col[:, None], where=better)
+        # Node a is free column a, left through the row row_of[a] matched to
+        # it. The self edge a -> a is that row's excluded edge, so the
+        # diagonal is inf, and after m pivots dist[a, a] is its re-route.
+        dist = np.maximum(reduced[row_of], 0.0)
+        dist[ar, ar] = np.inf
+        pred = np.repeat(ar[:, None], m, axis=1)  # pred[a, b]: b's predecessor
+        for w in range(m):
+            cand = dist[:, w, None] + dist[w]
+            better = cand < dist
+            np.copyto(dist, cand, where=better)
+            np.copyto(pred, pred[w], where=better)
 
-        # a source whose frontier runs dry pops columns at infinite distance
-        popped = np.array([col for col, _ in pops])
-        popped_at = np.array([step for _, step in pops])
-        hit = popped == match
-        reach = hit.argmax(axis=0)  # the pop that reached each target
-        length = np.where(hit.any(axis=0), popped_at[reach, ar], np.inf)
+        length = dist[match, match]
         sources = np.flatnonzero(length < np.inf).tolist()
         if not sources:
             return None
@@ -638,13 +632,15 @@ class MatchingProblem:
         configs = []
         for src in sources:
             y = list(best)
-            j = targets[src]
-            while True:
-                jb = pred_rows[src][j]
-                y[row_ids[src if jb < 0 else back_row[jb]]] = col_ids[j]
-                if jb < 0:
+            a = j = targets[src]
+            for _ in range(m):
+                p = pred_rows[a][j]
+                y[row_ids[back_row[p]]] = col_ids[j]
+                if p == a:
                     break
-                j = jb
+                j = p
+            else:
+                raise PartitionError(f"the re-route of row {row_ids[src]} does not close")
             configs.append(y)
         # cumsum adds left to right, exactly as _total does
         totals = np.cumsum(self.costs[np.arange(k), configs], axis=1)[:, -1]
@@ -653,8 +649,7 @@ class MatchingProblem:
 
         # Johnson's update with distances capped at the path length keeps
         # every reduced cost nonnegative and makes the new assignment tight.
-        d = np.full(m, length[s])
-        d[popped[: reach[s], s]] = popped_at[: reach[s], s]
+        d = np.minimum(dist[match[s]], length[s])
         row_shift = d[match]
         row_shift[s] = 0.0
         su = u.copy()

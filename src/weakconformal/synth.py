@@ -75,7 +75,7 @@ def _rng(seed: int, role: int) -> np.random.Generator:
 def three_way_split(n: int, fractions: Sequence[float]) -> tuple[slice, slice, slice]:
     """Contiguous train/calibration/test slices with the given proportions."""
     if len(fractions) != 3 or not all(f >= 0 for f in fractions) or abs(sum(fractions) - 1) > 1e-9:
-        raise ValueError("fractions must be three nonnegative values summing to 1")
+        raise ValueError("split must be three nonnegative fractions summing to 1")
     n1 = int(round(n * fractions[0]))
     n2 = int(round(n * fractions[1]))
     n1, n2 = min(n1, n), min(n2, n - n1)

@@ -540,6 +540,8 @@ def test_run_rejects_any_task_setting_out_of_range_and_writes_nothing(tmp_path, 
         ({"methods": 5}, "methods must be"),
         ({"split": 5}, "split must be"),
         ({"split": ("0.25", "0.25", "0.5")}, "split must be"),
+        # the sum rule is three_way_split's, and named no field
+        ({"split": (0.5, 0.5, 0.5)}, "split must be"),
     ],
 )
 def test_a_bad_run_setting_is_one_named_error_from_the_api_and_the_config(

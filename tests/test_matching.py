@@ -1,15 +1,18 @@
+import hashlib
 import math
 import sys
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakconformal import matching
 from weakconformal import (
     FormatError,
     MatchingProblem,
     PartialMatching,
+    compatible_rank,
     enumerate_until,
     hungarian,
     m_best,
@@ -17,7 +20,9 @@ from weakconformal import (
     min_matching_cost,
     partial_matching_score,
     read_cost_csv,
+    weak_contains,
 )
+from weakconformal.conformal import TOL
 
 
 def _brute_min(costs, forced=(), forbidden=()):
@@ -318,3 +323,94 @@ def test_score_sums_in_row_order_like_the_enumeration():
     for config, score in zip(best.configs, best.scores):
         assert matching_score(costs, config) == score
 
+
+# --- emission order ---------------------------------------------------------
+
+_ORDER_KINDS = {
+    "normal": lambda rng, k: rng.normal(size=(k, k)),
+    "ties": lambda rng, k: rng.integers(0, 3, size=(k, k)).astype(float),
+    "separable": lambda rng, k: rng.normal(size=(k, 1)) + rng.normal(size=k),
+    "subnormal": lambda rng, k: rng.integers(-2, 3, size=(k, k)) * 1e-310,
+    "near_limit": lambda rng, k: rng.uniform(-1, 1, size=(k, k)) * matching._cost_limit(k),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_ORDER_KINDS)),
+    k=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matching_enumeration_is_the_space_in_margin_order(kind, k, seed):
+    # rounding of the reduced costs may swap near-tied assignments, but never
+    # by more than the problem's margin, and never loses or repeats one
+    costs = _ORDER_KINDS[kind](np.random.default_rng(seed), k)
+    problem = MatchingProblem(costs)
+    perms, totals = _space(costs)
+    res = m_best(problem, math.factorial(k))
+    assert sorted(res.configs) == [tuple(p) for p in perms.tolist()]
+    for y, s in zip(res.configs, res.scores):
+        assert s == problem.score(y)
+    assert sorted(res.scores) == sorted(totals.tolist())
+    slack = max(TOL, problem.margin)
+    assert all(b >= a - slack for a, b in zip(res.scores, res.scores[1:]))
+
+
+def _planted(seed, kind_id, j, k):
+    """A benchmark-style matching input: Gaussian costs less 1 on a planted
+    assignment, the agents revealed to the weak label, and the m_best index
+    it is revealed from."""
+    rng = np.random.default_rng([seed, 2, kind_id, j])
+    planted = rng.permutation(k)
+    costs = rng.standard_normal((k, k))
+    costs[np.arange(k), planted] -= 1.0
+    reveal = sorted(int(u) for u in rng.choice(k, size=max(1, k // 4), replace=False))
+    return costs, reveal, int(rng.integers(12, 25))
+
+
+def _mbest_digest(costs, reveal, weak_index):
+    problem = MatchingProblem(costs)
+    best = m_best(problem, 50)
+    until = enumerate_until(problem, best.scores[25], cap=50)
+    y = best.configs[weak_index]
+    weak = PartialMatching(tuple((u, y[u]) for u in reveal), len(y))
+    rank = compatible_rank(problem, lambda c: weak_contains(weak, c), cap=50)
+    out = [(res.configs, [repr(s) for s in res.scores]) for res in (best, until)]
+    return hashlib.sha256(repr((out, rank)).encode()).hexdigest()
+
+
+# sha256 of the configurations and score reprs from m_best(50), enumerate_until
+# at the 26th score and compatible_rank, on 6 planted inputs per k
+_MBEST_DIGESTS = {
+    8: [
+        "afedbb00c7a354e29c36877df5c76a15b6c89f910aceb48a69b6b449ea38742e",
+        "23b5f63c2bfba197782cb2255690c3446619c1632e388e5e3115ebeeeb09afc6",
+        "d6bfceaaaa4fb3c4362e5c512129064b9e3709bdbb799a547528ad5569a47e25",
+        "c2048580785dfc205e888904f5628775a923b14842f054a99d9c393ad474bf6e",
+        "888f014b014a6c2e7ea44fbab8c0c86f4afe37469dc31da0d0b4254ca717ca4e",
+        "7a7bb970f1f4338fe062b26a7ccac7cc48df05b384d29dc6c9d7f3cefafc0b17",
+    ],
+    12: [
+        "92ac4afea80b9638376e5085dcdc7d95b806830a8d061c122bb6786272a305a4",
+        "5cf6504f7bd1241c2280ac31163adad9e83bedc7ccbfcdcecf8a9ef2290e34ee",
+        "99a6f3d207fcea4e9f7aa7d703d1b709e43f74c2bad8b562ca75a2be95721253",
+        "ec40e3cc10d7a834a01a32e75234e9ad2c07c9e6df14a9c64f057cf767624987",
+        "42a04c9c9302301f0b48f93dc4b2d566b0459f083411484966e86f2a549440f4",
+        "a9f35c4a650a4f9f0a5851675687b4e6ebb19cec2d1c4b9d742249e7c8fa98e8",
+    ],
+    20: [
+        "d18bb3a59b1e4e0aed98f52c7ba2016f4cac2ba75983c82160e0a2ba4f577d63",
+        "09e4eedcea7788b4a4c1168258374c0d18247f4b0b4ec7aa57539c8d22b0a837",
+        "a38c8afe2fa54e2aeb2bff91c5b99b2fe91046c4a0f52123840abfc1150ac586",
+        "2a897434b823ef82f80375acd60442b1ab0ddff0119599b998b1e94c765be562",
+        "60400317c1c084e9759a4ad42f960ff72b153d189ad5b11733d4aed465056dcd",
+        "933fd7be6ca3a27ae22271db530b6552e07d01c640c4992dc8f82a4326b7501f",
+    ],
+}
+
+
+@pytest.mark.parametrize("k", sorted(_MBEST_DIGESTS))
+def test_emission_off_ties_is_pinned(k):
+    kind_id = sorted(_MBEST_DIGESTS).index(k)
+    got = [_mbest_digest(*_planted(7, kind_id, j, k)) for j in range(6)]
+    assert got == _MBEST_DIGESTS[k]
