@@ -196,7 +196,10 @@ class DiscreteWeakDistribution:
     def coverage(self, labels: Iterable[int]) -> float:
         """P(W intersects the given set)."""
         hit = (self.masks & np.uint64(_mask_of(labels, self.k))) != 0
-        return sum(self.probs[hit].tolist())  # left to right, as a loop adds
+        total = 0.0  # left to right: builtin sum compensates on Python >= 3.12
+        for p in self.probs[hit].tolist():
+            total += p
+        return total
 
     def to_json(self) -> str:
         atoms = [{"set": list(s), "p": p} for s, p in self.atom_sets()]

@@ -10,9 +10,13 @@ pairs forbidden", and it carries dual potentials that are optimal for its
 best. Its second-best is found by reoptimisation (Murty's method as sped up
 by Miller, Stone & Cox and by Pedersen, Nielsen & Andersen): excluding one
 edge of the best costs one shortest augmenting path over the reduced costs,
-and one Floyd-Warshall closure over the cell's free columns (Floyd 1962)
-yields all of them at once, so a whole cell costs O(k^3), and each child
-cell inherits potentials from its parent instead of solving from scratch.
+and a Floyd-Warshall closure over the cell's free columns (Floyd 1962)
+yields all of them at once, so a whole cell costs O(k^3). Each child cell
+starts from its parent's work: it inherits the parent's potentials instead
+of solving from scratch, and its free rows, free columns and sub-costs
+instead of rebuilding them from its pair sets, and a split resolves both
+children in one closure over a stack of two layers. A layer's result is
+bit-equal to a closure of that child alone, so the stack changes no output.
 
 Blocks of records go through a DP over sets of columns instead (Bellman
 1962; Held & Karp 1962): matching_block_scores takes each record's optimal
@@ -510,6 +514,13 @@ class MatchingCell:
     ``second`` in the cell that also forbids (split_row, best[split_row]).
     A split hands them to its two children, so no cell below the root
     needs a cold solve.
+
+    ``free`` is the cell's free state: its free rows and free columns,
+    ascending, and its (m, m) sub-costs over them with the forbidden pairs
+    inf; at the root, (arange(k), arange(k), costs). A split derives its
+    children's from it, dropping the forced row and column from the child
+    that keeps ``best`` and setting the new forbidden pair to inf in the
+    other, so neither rebuilds it from the pair sets.
     """
 
     forced: tuple[tuple[int, int], ...]
@@ -525,12 +536,33 @@ class MatchingCell:
         default=None, compare=False, repr=False
     )
     split_row: int | None = field(default=None, compare=False, repr=False)
+    free: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def contains(self, y: Sequence[int]) -> bool:
         y = _as_permutation(y, len(self.best))
         return all(y[uu] == vv for uu, vv in self.forced) and not any(
             y[uu] == vv for uu, vv in self.forbidden
         )
+
+
+def _closure(dist: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall on a stack of (m, m) edge-length matrices, in place:
+    afterwards dist[l, a, b] is the length of the shortest walk from a to b
+    in layer l, and the returned pred[l, a, b] is b's predecessor on it.
+    Pivots run in index order, and a pivot replaces a length only when it is
+    strictly shorter; each layer's result is bit-equal to a closure of that
+    layer alone, since the layers share no arithmetic."""
+    m = dist.shape[-1]
+    pred = np.empty(dist.shape, dtype=np.intp)
+    pred[...] = np.arange(m)[:, None]
+    for w in range(m):
+        cand = dist[:, :, w, None] + dist[:, None, w]
+        better = cand < dist
+        np.copyto(dist, cand, where=better)
+        np.copyto(pred, pred[:, None, w], where=better)
+    return pred
 
 
 class MatchingProblem:
@@ -547,6 +579,11 @@ class MatchingProblem:
     and the reduced costs, clamped at 0 and summed in the closure's order,
     may order near-tied assignments either way: among tied or near-tied
     scores the emission order is the closure's, not a sort's.
+
+    A split resolves both children in one closure over a (2, m, m) stack on
+    the parent's m free columns (_cells), each child starting from the
+    parent's free state rather than from its pair sets; the root runs the
+    same routine on a stack of one.
     """
 
     def __init__(self, costs, offset: float = 0.0):
@@ -558,156 +595,157 @@ class MatchingProblem:
     def score(self, config: Sequence[int]) -> float:
         return matching_score(self.costs, config) - self.offset
 
-    def _second_best(
-        self,
-        forced: tuple[tuple[int, int], ...],
-        forbidden: frozenset[tuple[int, int]],
-        best: tuple[int, ...],
-        duals: tuple[np.ndarray, np.ndarray],
-    ) -> tuple[tuple[int, ...], float, tuple[np.ndarray, np.ndarray], int] | None:
-        """Cheapest member of the cell other than ``best``, by reoptimisation.
+    def _cells(
+        self, rows: np.ndarray, cols: np.ndarray, children: list[tuple]
+    ) -> list[MatchingCell]:
+        """Cells over one parent's m free rows and columns, ascending, each
+        child given as (forced, forbidden, best, best_score, duals, sub, drop):
+        sub holds its (m, m) sub-costs with its forbidden pairs inf, and drop
+        is the local (row, column) pair it forces on top of the parent's, or
+        None. A child with a dropped pair keeps the parent's free state less
+        that row and column; the others keep it whole. The runner-ups of all
+        children with two free rows or more come from one stacked closure
+        (_runner_ups).
+        """
+        ar = np.arange(rows.size)
+        states = []  # a child's free state, and the parent's local rows and columns in it
+        for *_, sub, drop in children:
+            if drop is None:
+                states.append(((rows, cols, sub), slice(None), slice(None)))
+            else:
+                keep_r, keep_c = ar[ar != drop[0]], ar[ar != drop[1]]
+                free = (rows[keep_r], cols[keep_c], sub[keep_r[:, None], keep_c])
+                states.append((free, keep_r, keep_c))
+        layers = [i for i, (free, _, _) in enumerate(states) if free[0].size >= 2]
+        found = [None] * len(children)
+        if layers:
+            resolved = self._runner_ups(
+                rows, cols, [children[i] for i in layers], [states[i] for i in layers])
+            for i, runner_up in zip(layers, resolved):
+                found[i] = runner_up
+        cells = []
+        for (forced, forbidden, best, best_score, duals, _, _), (free, _, _), runner_up in zip(
+                children, states, found):
+            second, total, second_duals, split_row = runner_up or (None, None, None, None)
+            second_score = None if total is None else total - self.offset
+            cells.append(MatchingCell(forced, forbidden, best, best_score, second, second_score,
+                                      duals, second_duals, split_row, free))
+        return cells
+
+    def _runner_ups(self, rows, cols, children, states) -> list:
+        """Each child's cheapest member other than its best, by reoptimisation
+        over one closure of a stack with a layer per child; per child,
+        (second, its total, its duals, the row whose exclusion produced it),
+        or None when its cell is a singleton.
 
         With (u, v) optimal for ``best``, the best member avoiding the edge
-        (r, best[r]) is ``best`` re-routed along the shortest augmenting
-        path from row r to column best[r] over the reduced costs
-        c - u - v >= 0, with forbidden pairs and that edge absent: a
-        shortest cycle through column best[r] in the graph on the m free
-        columns where a -> b costs the reduced cost from the row matched
-        to a to column b. One Floyd-Warshall closure of that graph, m
-        min-plus pivots over (m, m) arrays, gives every row's re-route at
-        once, so the whole cell costs O(m^3). The reduced costs are
-        clamped at 0: rounding leaves tiny negative ones (on sum-separable
-        costs, say), whose negative cycles would leave a predecessor walk
-        that never closes. Candidates are compared by their totals
-        re-summed in row order, ties going to the lowest row; among
+        (r, best[r]) is ``best`` re-routed along the shortest augmenting path
+        from row r to column best[r] over the reduced costs c - u - v >= 0,
+        with forbidden pairs and that edge absent: a shortest cycle through
+        column best[r] in the graph on the free columns where a -> b costs
+        the reduced cost from the row matched to a to column b. The closure
+        of that graph, m min-plus pivots over (m, m) arrays, gives every
+        row's re-route at once, so a whole cell costs O(m^3).
+
+        A child's dropped column is isolated in its layer: its distance row
+        and column are inf, so a pivot through it changes nothing (inf + x
+        is never < anything) and its row is never a source. The layer's dist
+        and pred on the other columns are then bit-equal to a closure over
+        the child's own m - 1 columns, as are its walks, totals and duals;
+        the dropped row and column keep their potentials. The reduced costs
+        are clamped at 0: rounding leaves tiny negative ones (on
+        sum-separable costs, say), whose negative cycles would leave a
+        predecessor walk that never closes. Candidates are compared by their
+        totals re-summed in row order, ties going to the lowest row; among
         re-routes of equal length the closure may pick another path than a
         per-row search would, so near-tied assignments may be emitted in
-        another order. Returns (second, its total, its duals, the row whose
-        exclusion produced it), or None when the cell is a singleton.
+        another order.
         """
-        k = self.k
-        forced_rows = {uu for uu, _ in forced}
-        forced_cols = {vv for _, vv in forced}
-        rows = np.array([uu for uu in range(k) if uu not in forced_rows], dtype=np.intp)
-        cols = np.array([vv for vv in range(k) if vv not in forced_cols], dtype=np.intp)
         m = rows.size
-        if m < 2:
-            return None
-        u, v = duals
-        best_arr = np.array(best, dtype=np.intp)
         ar = np.arange(m)
-        row_pos = np.full(k, -1, dtype=np.intp)
-        row_pos[rows] = ar
-        col_pos = np.full(k, -1, dtype=np.intp)
-        col_pos[cols] = ar
-        match = col_pos[best_arr[rows]]  # free row -> its column in best
-        row_of = np.empty(m, dtype=np.intp)
-        row_of[match] = ar
-        reduced = self.costs[np.ix_(rows, cols)] - u[rows, None] - v[cols]
-        if forbidden:
-            fr, fc = np.array(list(forbidden), dtype=np.intp).T
-            a, b = row_pos[fr], col_pos[fc]
-            inside = (a >= 0) & (b >= 0)
-            reduced[a[inside], b[inside]] = np.inf
-
+        at = np.arange(len(children))[:, None]
+        _, _, bests, _, duals, subs, drops = zip(*children)
+        match = cols.searchsorted(np.array(bests)[:, rows])  # free row -> its column in best
+        row_of = np.empty_like(match)
+        row_of[at, match] = ar
+        u = np.array([uu for uu, _ in duals])
+        v = np.array([vv for _, vv in duals])
         # Node a is free column a, left through the row row_of[a] matched to
         # it. The self edge a -> a is that row's excluded edge, so the
         # diagonal is inf, and after m pivots dist[a, a] is its re-route.
-        dist = np.maximum(reduced[row_of], 0.0)
-        dist[ar, ar] = np.inf
-        pred = np.repeat(ar[:, None], m, axis=1)  # pred[a, b]: b's predecessor
-        for w in range(m):
-            cand = dist[:, w, None] + dist[w]
-            better = cand < dist
-            np.copyto(dist, cand, where=better)
-            np.copyto(pred, pred[w], where=better)
+        dist = np.array(subs)[at, row_of] - u[at, rows[row_of]][:, :, None] - v[:, cols][:, None]
+        np.maximum(dist, 0.0, out=dist)
+        dist[:, ar, ar] = np.inf
+        for layer, drop in enumerate(drops):
+            if drop is not None:
+                dist[layer, drop[1]] = np.inf
+                dist[layer, :, drop[1]] = np.inf
+        pred = _closure(dist)
+        length = dist[at, match, match]
 
-        length = dist[match, match]
-        sources = np.flatnonzero(length < np.inf).tolist()
-        if not sources:
-            return None
-        pred_rows = pred.tolist()
-        back_row = row_of.tolist()
-        row_ids, col_ids, targets = rows.tolist(), cols.tolist(), match.tolist()
-        configs = []
-        for src in sources:
-            y = list(best)
-            a = j = targets[src]
-            for _ in range(m):
-                p = pred_rows[a][j]
-                y[row_ids[back_row[p]]] = col_ids[j]
-                if p == a:
-                    break
-                j = p
-            else:
-                raise PartitionError(f"the re-route of row {row_ids[src]} does not close")
-            configs.append(y)
-        # cumsum adds left to right, exactly as _total does
-        totals = np.cumsum(self.costs[np.arange(k), configs], axis=1)[:, -1]
-        i = int(np.argmin(totals))
-        s = sources[i]
+        row_ids, col_ids = rows.tolist(), cols.tolist()
+        found = []
+        for layer, (best, (uu, vv), (free, keep_r, keep_c), pred_rows, back_row, targets,
+                    lengths) in enumerate(zip(bests, duals, states, pred.tolist(), row_of.tolist(),
+                                              match.tolist(), length.tolist())):
+            sources = [a for a, x in enumerate(lengths) if x < math.inf]
+            if not sources:
+                found.append(None)
+                continue
+            configs = []
+            for src in sources:
+                y = list(best)
+                a = j = targets[src]
+                for _ in range(free[0].size):
+                    p = pred_rows[a][j]
+                    y[row_ids[back_row[p]]] = col_ids[j]
+                    if p == a:
+                        break
+                    j = p
+                else:
+                    raise PartitionError(f"the re-route of row {row_ids[src]} does not close")
+                configs.append(y)
+            # cumsum adds left to right, exactly as _total does
+            totals = self.costs[np.arange(self.k), configs].cumsum(axis=1)[:, -1]
+            i = int(totals.argmin())
+            s = sources[i]
 
-        # Johnson's update with distances capped at the path length keeps
-        # every reduced cost nonnegative and makes the new assignment tight.
-        d = np.minimum(dist[match[s]], length[s])
-        row_shift = d[match]
-        row_shift[s] = 0.0
-        su = u.copy()
-        su[rows] -= row_shift
-        sv = v.copy()
-        sv[cols] += d
-        return tuple(configs[i]), float(totals[i]), (su, sv), row_ids[s]
-
-    def _cell(
-        self,
-        forced: tuple[tuple[int, int], ...],
-        forbidden: frozenset[tuple[int, int]],
-        best: tuple[int, ...],
-        best_score: float,
-        duals: tuple[np.ndarray, np.ndarray],
-    ) -> MatchingCell:
-        found = self._second_best(forced, forbidden, best, duals)
-        if found is None:
-            return MatchingCell(forced, forbidden, best, best_score, None, None, duals)
-        second, total, second_duals, split_row = found
-        return MatchingCell(
-            forced=forced,
-            forbidden=forbidden,
-            best=best,
-            best_score=best_score,
-            second=second,
-            second_score=total - self.offset,
-            duals=duals,
-            second_duals=second_duals,
-            split_row=split_row,
-        )
+            # Johnson's update with distances capped at the path length keeps
+            # every reduced cost nonnegative and makes the new assignment tight.
+            d = np.minimum(dist[layer, targets[s]], lengths[s])
+            row_shift = d[match[layer]]
+            row_shift[s] = 0.0
+            su = uu.copy()
+            su[free[0]] -= row_shift[keep_r]
+            sv = vv.copy()
+            sv[free[1]] += d[keep_c]
+            found.append((tuple(configs[i]), float(totals[i]), (su, sv), row_ids[s]))
+        return found
 
     def root(self) -> MatchingCell:
         solved = _solve_square(self.costs.tolist())
         assert solved is not None  # no absent pairs: always feasible
         assignment, u, v = solved
         best = tuple(assignment)
-        return self._cell(
+        free = np.arange(self.k)
+        (cell,) = self._cells(free, free, [(
             (), frozenset(), best, _total(self.costs, best) - self.offset,
-            (np.array(u), np.array(v)),
-        )
+            (np.array(u), np.array(v)), self.costs, None,
+        )])
+        return cell
 
     def split(self, cell: MatchingCell) -> tuple[MatchingCell, MatchingCell]:
         if cell.second is None:
             raise ValueError("cannot split a cell without a second-best")
+        rows, cols, sub = cell.free
         edge = (cell.split_row, cell.best[cell.split_row])
-        keep = self._cell(
-            tuple(sorted(cell.forced + (edge,))),
-            cell.forbidden,
-            cell.best,
-            cell.best_score,
-            cell.duals,
-        )
-        moved = self._cell(
-            cell.forced,
-            cell.forbidden | {edge},
-            cell.second,
-            cell.second_score,
-            cell.second_duals,
-        )
+        pair = (int(np.searchsorted(rows, edge[0])), int(np.searchsorted(cols, edge[1])))
+        cut = sub.copy()
+        cut[pair] = np.inf
+        keep, moved = self._cells(rows, cols, [
+            (tuple(sorted(cell.forced + (edge,))), cell.forbidden, cell.best,
+             cell.best_score, cell.duals, sub, pair),
+            (cell.forced, cell.forbidden | {edge}, cell.second, cell.second_score,
+             cell.second_duals, cut, None),
+        ])
         return keep, moved

@@ -10,15 +10,19 @@ over per-item relevances r, with psi zero on correctly ordered pairs
 provided: plain hinge (b - a)_+ and the top-weighted exp(-c a)(b - a)_+
 that concentrates the penalty on mistakes near the top.
 
-Every score in the module is computed one way: the pair terms come from one
-table, _pair_terms, and are added left to right over the position pairs
-(i, j), i < j, in row-major order. So a ranking emitted by the best-first
+Every score in the module is one float, however it is summed: the pair
+terms come from one table, _pair_terms, and are added left to right over the
+position pairs (i, j), i < j, in row-major order. So a ranking emitted by the best-first
 search carries exactly the score that rank_score gives it, and lies in the
 sublevel set at that score. The relevance-descending ranking scores 0, and
 the runner-up within a cell is an adjacent transposition of the cell's best,
 which changes only its own pair term: the swap delta prunes the candidates,
 and the re-summed score chooses among the rest when the cell reaches the top
-of the best-first frontier. Until then the smallest delta bounds it.
+of the best-first frontier. Until then the smallest delta bounds it. The
+re-sum adds only the discordant pairs, those with a positive term, which
+each cell carries for its best and derives for a candidate from its own; the
+terms it skips are +0.0, which leave a sum of nonnegative terms unchanged,
+so it is bit-equal to the full sum.
 
 The capped sizes of a block of records' level sets (levelset_counts_batch)
 equal the best-first search's, and are read off the rankings within a
@@ -108,6 +112,15 @@ def _position_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     for a in pairs:
         a.flags.writeable = False
     return pairs
+
+
+@lru_cache(maxsize=64)
+def _pair_tuples(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """named[p][q] is the pair (p, q), one shared tuple per pair of k
+    positions: the discordant lists of ranking cells hold these, so a
+    runner-up's list allocates no tuple of its own for the collector to
+    count and scan."""
+    return tuple(tuple((p, q) for q in range(k)) for p in range(k))
 
 
 def _sum_pairs(pairs: np.ndarray, rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -249,21 +262,25 @@ class RankingCell:
     ``deltas[i]`` is the exact score change of swapping the best ranking's
     items at positions i and i + 1, inf where a constraint forbids the swap.
     ``bound`` is best_score + min(deltas) - margin, a lower bound on the
-    runner-up's re-summed score; None when no swap is allowed. The runner-up
-    itself (``second``, ``second_score``, ``second_pos``) is re-summed on
-    first access, so a cell that never reaches the top of the best-first
-    frontier never sums it.
+    runner-up's re-summed score; None when no swap is allowed. ``discordant``
+    lists the best's discordant position pairs, each (i, j), i < j, whose
+    pair term is positive, in row-major order. The runner-up itself
+    (``second``, ``second_score``, ``second_pos``) and its discordant pairs
+    (``second_discordant``) are found on first access, so a cell that never
+    reaches the top of the best-first frontier never sums it.
     """
 
-    __slots__ = ("constraints", "best", "best_score", "deltas", "bound", "_problem",
-                 "second", "second_score", "second_pos")
+    __slots__ = ("constraints", "best", "best_score", "deltas", "discordant", "bound", "_problem",
+                 "second", "second_score", "second_pos", "second_discordant")
 
     def __init__(self, problem: "RankingProblem", constraints: frozenset[tuple[int, int]],
-                 best: tuple[int, ...], best_score: float, deltas: list[float]):
+                 best: tuple[int, ...], best_score: float, deltas: list[float],
+                 discordant: list[tuple[int, int]]):
         self.constraints = constraints
         self.best = best
         self.best_score = best_score
         self.deltas = deltas
+        self.discordant = discordant
         low = min(deltas)
         # the margin is taken off the delta first, so near the largest float
         # the bound stays under the worst score and finite
@@ -271,12 +288,12 @@ class RankingCell:
         self._problem = problem
 
     def __getattr__(self, name: str):
-        # called only for a slot not yet set: the runner-up's three slots are
+        # called only for a slot not yet set: the runner-up's four slots are
         # filled on the first read of any of them
-        if name not in ("second", "second_score", "second_pos"):
+        if name not in ("second", "second_score", "second_pos", "second_discordant"):
             raise AttributeError(name)
-        self.second, self.second_score, self.second_pos = self._problem._second_best(
-            self.best, self.deltas)
+        self.second, self.second_score, self.second_pos, self.second_discordant = (
+            self._problem._second_best(self.best, self.deltas, self.discordant))
         return getattr(self, name)
 
     def contains(self, y: Sequence[int]) -> bool:
@@ -324,31 +341,53 @@ class RankingProblem:
         return total
 
     def _second_best(
-        self, best: tuple[int, ...], deltas: list[float]
-    ) -> tuple[tuple[int, ...] | None, float | None, int | None]:
+        self, best: tuple[int, ...], deltas: list[float], discordant: list[tuple[int, int]]
+    ) -> tuple[tuple[int, ...] | None, float | None, int | None, list[tuple[int, int]] | None]:
         """A cell's runner-up, the adjacent transposition of its best with
         the smallest re-summed score among the allowed swaps, ties going to
-        the lowest position. Only the swaps whose delta lies within the
-        rounding margin of the smallest delta are re-summed; the others
-        cannot hold the minimum. Nones for a singleton cell."""
+        the lowest position, and its discordant pairs. Only the swaps whose
+        delta lies within the rounding margin of the smallest delta are
+        re-summed; the others cannot hold the minimum. Nones for a singleton
+        cell.
+
+        A candidate's discordant pairs are the best's with positions i and
+        i + 1 exchanged, less the image of (i, i + 1), plus (i, i + 1) when
+        its new term is positive, sorted. Its score adds those terms left to
+        right from 0.0, in row-major order, and is bit-equal to _sum: every
+        term _sum adds besides them is +0.0 (_pair_terms), and x + 0.0 == x
+        for every partial total x >= +0.0.
+        """
         low = min(deltas)
         if low == math.inf:
-            return None, None, None
+            return None, None, None, None
         limit = low + self.margin
+        table = self._table
+        named = _pair_tuples(self.k)
         found = None
         for i, d in enumerate(deltas):
             if d <= limit:
-                y = best[:i] + (best[i + 1], best[i]) + best[i + 2 :]
-                s = self._sum(y)
+                j = i + 1
+                y = best[:i] + (best[j], best[i]) + best[j + 1 :]
+                exchange = list(range(self.k))
+                exchange[i], exchange[j] = j, i
+                pairs = [named[exchange[p]][exchange[q]] for p, q in discordant]
+                if table[best[i]][best[j]] > 0.0:  # (i, j) was discordant: now (j, i)
+                    pairs.remove(named[j][i])
+                elif table[y[i]][y[j]] > 0.0:
+                    pairs.append(named[i][j])
+                pairs.sort()
+                s = 0.0  # a loop, not sum(), which compensates on Python >= 3.12
+                for p, q in pairs:
+                    s += table[y[p]][y[q]]
                 if found is None or s < found[1]:  # strict: the lowest position wins ties
-                    found = (y, s, i)
+                    found = (y, s, i, pairs)
         return found
 
     def root(self) -> RankingCell:
         best = best_ranking(self.r)
         swap = self._swap
         deltas = [swap[a][b] for a, b in zip(best, best[1:])]
-        return RankingCell(self, frozenset(), best, self.score(best), deltas)
+        return RankingCell(self, frozenset(), best, self.score(best), deltas, [])
 
     def split(self, cell: RankingCell) -> tuple[RankingCell, RankingCell]:
         if cell.second is None or cell.second_pos is None:
@@ -358,7 +397,8 @@ class RankingProblem:
         a, b = best[i], best[i + 1]
         kept = cell.deltas.copy()
         kept[i] = math.inf
-        keep = RankingCell(self, cell.constraints | {(a, b)}, best, cell.best_score, kept)
+        keep = RankingCell(self, cell.constraints | {(a, b)}, best, cell.best_score, kept,
+                           cell.discordant)
         # second places b directly above a, which the new constraint fixes;
         # only the pairs beside it differ from the parent's
         moved = kept.copy()
@@ -366,7 +406,8 @@ class RankingProblem:
             if 0 <= j < self.k - 1:
                 x, z = second[j], second[j + 1]
                 moved[j] = math.inf if (x, z) in cell.constraints else self._swap[x][z]
-        return keep, RankingCell(self, cell.constraints | {(b, a)}, second, cell.second_score, moved)
+        return keep, RankingCell(self, cell.constraints | {(b, a)}, second, cell.second_score, moved,
+                                 cell.second_discordant)
 
 
 # --- level-set counts from Kendall balls -------------------------------------

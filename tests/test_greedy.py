@@ -1100,3 +1100,15 @@ def test_nested_scores_and_realize_reject_randomness_outside_the_unit_interval(g
                  lambda: greedy_set(golden_dist, 0.9).realize(u)):
         with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
             call()
+
+
+def test_coverage_adds_left_to_right_as_a_loop():
+    # ten atoms of 0.1: a loop adds them to 0.9999999999999999, while a
+    # compensated sum (math.fsum, or builtin sum on Python >= 3.12) gives 1.0
+    atoms = [([u for u in range(4) if mask >> u & 1], 0.1) for mask in range(1, 11)]
+    dist = DiscreteWeakDistribution.from_sets(4, atoms)
+    loop = 0.0
+    for p in dist.probs.tolist():
+        loop += p
+    assert loop != math.fsum(dist.probs.tolist())
+    assert dist.coverage(range(4)) == loop

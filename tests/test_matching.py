@@ -414,3 +414,137 @@ def test_emission_off_ties_is_pinned(k):
     kind_id = sorted(_MBEST_DIGESTS).index(k)
     got = [_mbest_digest(*_planted(7, kind_id, j, k)) for j in range(6)]
     assert got == _MBEST_DIGESTS[k]
+
+
+# --- split children from the parent's state -----------------------------------
+
+
+def _reference_second_best(problem, forced, forbidden, best, duals):
+    """A cell's runner-up from scratch: its free state rebuilt from its pair
+    sets and one closure of its own, as a cell was resolved before children
+    started from their parent's state. Returns (second, its total, its
+    duals, split row), or None for a singleton cell."""
+    k = problem.k
+    forced_rows = {uu for uu, _ in forced}
+    forced_cols = {vv for _, vv in forced}
+    rows = np.array([uu for uu in range(k) if uu not in forced_rows], dtype=np.intp)
+    cols = np.array([vv for vv in range(k) if vv not in forced_cols], dtype=np.intp)
+    m = rows.size
+    if m < 2:
+        return None
+    u, v = duals
+    best_arr = np.array(best, dtype=np.intp)
+    ar = np.arange(m)
+    row_pos = np.full(k, -1, dtype=np.intp)
+    row_pos[rows] = ar
+    col_pos = np.full(k, -1, dtype=np.intp)
+    col_pos[cols] = ar
+    match = col_pos[best_arr[rows]]
+    row_of = np.empty(m, dtype=np.intp)
+    row_of[match] = ar
+    reduced = problem.costs[np.ix_(rows, cols)] - u[rows, None] - v[cols]
+    if forbidden:
+        fr, fc = np.array(list(forbidden), dtype=np.intp).T
+        a, b = row_pos[fr], col_pos[fc]
+        inside = (a >= 0) & (b >= 0)
+        reduced[a[inside], b[inside]] = np.inf
+    dist = np.maximum(reduced[row_of], 0.0)
+    dist[ar, ar] = np.inf
+    pred = np.repeat(ar[:, None], m, axis=1)
+    for w in range(m):
+        cand = dist[:, w, None] + dist[w]
+        better = cand < dist
+        np.copyto(dist, cand, where=better)
+        np.copyto(pred, pred[w], where=better)
+    length = dist[match, match]
+    sources = np.flatnonzero(length < np.inf).tolist()
+    if not sources:
+        return None
+    configs = []
+    for src in sources:
+        y = list(best)
+        a = j = int(match[src])
+        for _ in range(m):
+            p = int(pred[a, j])
+            y[rows[row_of[p]]] = int(cols[j])
+            if p == a:
+                break
+            j = p
+        else:
+            raise AssertionError("a re-route does not close")
+        configs.append(y)
+    totals = np.cumsum(problem.costs[np.arange(k), configs], axis=1)[:, -1]
+    i = int(np.argmin(totals))
+    s = sources[i]
+    d = np.minimum(dist[match[s]], length[s])
+    row_shift = d[match]
+    row_shift[s] = 0.0
+    su = u.copy()
+    su[rows] -= row_shift
+    sv = v.copy()
+    sv[cols] += d
+    return tuple(configs[i]), float(totals[i]), (su, sv), int(rows[s])
+
+
+def _check_against_reference(problem, cell):
+    k = problem.k
+    rows, cols, sub = cell.free
+    forced = dict(cell.forced)
+    assert rows.tolist() == [uu for uu in range(k) if uu not in forced]
+    assert cols.tolist() == [vv for vv in range(k) if vv not in forced.values()]
+    want_sub = problem.costs[np.ix_(rows, cols)].copy()
+    for uu, vv in cell.forbidden:
+        if uu in rows and vv in cols:
+            want_sub[rows.tolist().index(uu), cols.tolist().index(vv)] = np.inf
+    assert sub.tobytes() == want_sub.tobytes()
+    want = _reference_second_best(problem, cell.forced, cell.forbidden, cell.best, cell.duals)
+    if want is None:
+        assert cell.second is None and cell.second_score is None
+        return
+    second, total, (su, sv), split_row = want
+    assert cell.second == second
+    assert repr(cell.second_score) == repr(total - problem.offset)
+    assert cell.split_row == split_row
+    assert cell.second_duals[0].tobytes() == su.tobytes()
+    assert cell.second_duals[1].tobytes() == sv.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_ORDER_KINDS)),
+    k=st.integers(2, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_children_equal_a_closure_of_their_own(kind, k, seed):
+    # each child starts from its parent's free state, and both come from one
+    # stacked closure: every field must be bit-equal to a cell resolved alone
+    rng = np.random.default_rng(seed)
+    problem = MatchingProblem(_ORDER_KINDS[kind](rng, k), offset=float(rng.normal()))
+    cell = problem.root()
+    _check_against_reference(problem, cell)
+    for _ in range(10):
+        if cell.second is None:
+            break
+        children = problem.split(cell)
+        for child in children:
+            _check_against_reference(problem, child)
+        cell = children[int(rng.integers(2))]
+
+
+def test_one_closure_at_the_root_and_one_per_split(monkeypatch):
+    layers = []
+    closure = matching._closure
+
+    def counted(dist):
+        layers.append(dist.shape)
+        return closure(dist)
+
+    monkeypatch.setattr(matching, "_closure", counted)
+    costs = np.random.default_rng(40).normal(size=(6, 6))
+    res = m_best(MatchingProblem(costs), 200)
+    assert len(res) == 200
+    # the root, then one split per emitted configuration after the first
+    assert len(layers) == len(res)
+    assert layers[0] == (1, 6, 6)
+    assert all(shape[0] in (1, 2) for shape in layers[1:])
+    assert sum(shape[0] == 2 for shape in layers) > 100

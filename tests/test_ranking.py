@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from itertools import permutations
 
@@ -568,3 +569,57 @@ def test_a_ranking_lies_in_the_level_set_at_its_own_score():
     p = RankingProblem(r, PsiSpec.exp_weighted(1.5))
     y = (4, 5, 2, 0, 1, 3)
     assert y in enumerate_until(p, p.score(y)).configs
+
+
+# --- runner-up sums over the discordant pairs ------------------------------------
+
+
+def _relevances(rng, k, kind):
+    if kind == "ties":
+        return rng.integers(0, 4, size=k).astype(float)
+    if kind == "normal":
+        return rng.normal(size=k)
+    if kind == "underflow":  # with c = 300, exp(-c r) is subnormal or 0 for the top items
+        return rng.choice([0.0, 1.0, 2.4, 2.5, 3.0], size=k) + rng.uniform(0, 0.1, size=k)
+    # near the limit: the worst score, every gap 3 * scale, reaches 0.9 of the largest float
+    scale = 0.9 * sys.float_info.max / (3 * (k * (k - 1) // 2))
+    return rng.integers(0, 4, size=k) * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(2, 8),
+    kind=st.sampled_from(["ties", "normal", "underflow", "near_limit"]),
+    c=st.sampled_from([None, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_runner_up_sums_over_discordant_pairs_equal_the_full_sum(k, kind, c, seed):
+    if kind == "near_limit":
+        c = None  # an exp weight of a huge relevance overflows
+    if kind == "underflow":
+        c = 300.0
+    rng = np.random.default_rng(seed)
+    psi = PsiSpec.hinge() if c is None else PsiSpec.exp_weighted(c)
+    problem = RankingProblem(_relevances(rng, k, kind), psi)
+    table = problem._table
+
+    def positive_pairs(y):
+        return [(i, j) for i in range(k) for j in range(i + 1, k) if table[y[i]][y[j]] > 0.0]
+
+    res = m_best(problem, min(math.factorial(k), 300))
+    for y, s in zip(res.configs, res.scores):
+        assert s == problem.score(y)
+    cell = problem.root()
+    for _ in range(15):
+        assert cell.discordant == positive_pairs(cell.best)
+        if cell.second is None:
+            break
+        assert cell.second_discordant == positive_pairs(cell.second)
+        assert repr(cell.second_score) == repr(problem._sum(cell.second))
+        cell = problem.split(cell)[int(rng.integers(2))]
+    # from any ranking, whose cheapest swaps may undo a discordant pair
+    y = tuple(rng.permutation(k).tolist())
+    deltas = [problem._swap[a][b] for a, b in zip(y, y[1:])]
+    second, score, _, pairs = problem._second_best(y, deltas, positive_pairs(y))
+    assert pairs == positive_pairs(second)
+    assert repr(score) == repr(problem._sum(second))
