@@ -1,23 +1,25 @@
 """End-to-end experiment harness over the synthetic generators.
 
 One run = one task, one alpha, n_trials independent trials. One trial
-serves all four tasks. It generates a fresh dataset from a trial-derived
-seed (synth._generate) and splits it train/calibration/test; the task
-function fits whatever model the task needs on the training block and
-scores both other blocks; the trial then calibrates each requested method's
-split-conformal threshold t on its calibration scores, counts the test
-block's level sets {y : s(x, y) <= t} once for all methods that share them,
-and reports strong coverage (strong score <= t), weak coverage (weak score
-<= t) and the set sizes. Rows land in a fixed-schema CSV (appended, never
+(_trial) serves all four tasks: it generates a fresh dataset from a
+trial-derived seed (synth._generate), splits it train/calibration/test,
+fits each score family the methods read on the training block, scores the
+calibration and the test block under each family, calibrates each method's
+split-conformal threshold t on its calibration scores, counts each family's
+test level sets {y : s(x, y) <= t} once at all its methods' thresholds, and
+reports strong coverage (strong score <= t), weak coverage (weak score <= t)
+and the set sizes. Rows land in a fixed-schema CSV (appended, never
 overwritten) plus a JSON-lines twin carrying extra fields; a metadata JSON
 echoes the configuration.
 
-Methods:
-  wsc          calibrate on best-case (weak) scores     -> weak coverage
-  fsc          calibrate on true-label scores           -> strong coverage
-  gws          greedy randomized sets from fitted label marginals,
-               conformalized through the nested score (classify only)
-  pessimistic  calibrate on worst-case scores (classify/regress only)
+Methods, each one score of one family (_METHODS); a task is a fit and a
+score, each of one family (_TASKS):
+  wsc          main family, best-case (weak) scores   -> weak coverage
+  fsc          main family, true-label scores         -> strong coverage
+  pessimistic  main family, worst-case scores (classify/regress only)
+  gws          gws family, its weak scores (classify only): greedy
+               randomized sets from fitted label marginals, conformalized
+               through the nested score
 
 A row's seconds are its method's calibration plus its coverage and size
 statistics. Model fitting and the level-set counting are shared across
@@ -67,7 +69,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -232,150 +234,143 @@ def _check_first_record(task: str, fast, engine, tol: float = 0.0) -> None:
         )
 
 
-# --- per-task data -----------------------------------------------------------
+# --- per-task fits and scores --------------------------------------------------
 #
-# A task function fits and scores a trial's dataset, given the trial seed and
-# the train, calibration and test slices. It returns two dicts keyed by
-# method: the calibration scores, and the test block, a triple of the test
-# records' strong scores, their weak scores and a counter
-# sizes(thresholds) -> (capped sizes, over-cap flags) of their level sets,
-# one column per threshold. Methods with the same score share one block
-# object, whose level sets are then counted once for all their thresholds.
+# fit(cfg, family, data, tr) -> the family's model, fitted on the training block;
+# score(cfg, family, model, data, block, stream) -> _Scored, where stream is
+# the block's SeedSequence([trial seed, role]), which only gws draws from.
+
+_METHODS = {
+    "wsc": ("main", "weak"),
+    "fsc": ("main", "strong"),
+    "pessimistic": ("main", "pessimistic"),
+    "gws": ("gws", "weak"),
+}
 
 
-def _label_set_block(scores: np.ndarray, y: np.ndarray, member: np.ndarray):
-    """Test block of label-set records: sizes count every label, none capped."""
+class _Scored(NamedTuple):
+    """One block scored under one family: its records' strong (true-label),
+    weak (best-case) and pessimistic (worst-case; None where the task has no
+    such score) scores, and the counter sizes(thresholds) -> (capped sizes,
+    over-cap flags) of their level sets, one column per threshold."""
+
+    strong: np.ndarray
+    weak: np.ndarray
+    pessimistic: np.ndarray | None
+    sizes: Callable[[list[float]], tuple[np.ndarray, np.ndarray]]
+
+
+def _classify_fit(cfg: ExperimentConfig, family: str, data, tr: slice):
+    """A softmax fit, or for gws per-label logistic fits."""
+    if family == "gws":
+        return synth.train_per_label_logistic(data.x[tr], data.member[tr].astype(float))
+    return synth.train_multinomial_logistic(data.x[tr], data.y[tr], cfg.resolved_k)
+
+
+def _classify_score(cfg: ExperimentConfig, family: str, model, data, block: slice, stream) -> _Scored:
+    """Cumulative-probability scores of the softmax fit, or for gws the nested
+    greedy scores of the fitted label marginals; sizes count every label, none
+    capped."""
+    if family == "gws":
+        q = synth.predict_label_marginals(model, data.x[block])
+        draws = np.random.default_rng(stream).uniform(size=len(q))
+        scores = label_independent_nested_scores(q, draws)
+    else:
+        probs = synth.predict_class_probs(model, data.x[block])
+        scores = synth.cumulative_probability_scores(probs)
 
     def sizes(thresholds: list[float]):
         counts = (scores[:, :, None] <= np.asarray(thresholds)).sum(axis=1)
         return counts, np.zeros(counts.shape, dtype=bool)
 
-    strong, weak, _ = set_block_scores(scores, y, member)
-    return strong, weak, sizes
+    return _Scored(*set_block_scores(scores, data.y[block], data.member[block]), sizes)
 
 
-def _classify_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te: slice):
-    """Multiclass data; cumulative-probability scores of a softmax fit for
-    wsc, fsc and pessimistic, nested greedy scores of per-label fits for gws.
-    Only the fits some method needs are made."""
-    k = cfg.resolved_k
-    y_ca, y_te, mask_ca, mask_te = data.y[ca], data.y[te], data.member[ca], data.member[te]
-    cal, test = {}, {}
-    if any(m in cfg.methods for m in ("wsc", "fsc", "pessimistic")):
-        w_model = synth.train_multinomial_logistic(data.x[tr], data.y[tr], k)
-
-        def scored(block: slice) -> np.ndarray:
-            probs = synth.predict_class_probs(w_model, data.x[block])
-            return synth.cumulative_probability_scores(probs)
-
-        strong, weak, pessimistic = set_block_scores(scored(ca), y_ca, mask_ca)
-        cal.update(wsc=weak, fsc=strong, pessimistic=pessimistic)
-        shared = _label_set_block(scored(te), y_te, mask_te)
-        test.update(wsc=shared, fsc=shared, pessimistic=shared)
-    if "gws" in cfg.methods:
-        w_marg = synth.train_per_label_logistic(data.x[tr], data.member[tr].astype(float))
-
-        def nested(block: slice, role: int) -> np.ndarray:
-            q = synth.predict_label_marginals(w_marg, data.x[block])
-            rng = np.random.default_rng(np.random.SeedSequence([seed, role]))
-            return label_independent_nested_scores(q, rng.uniform(size=q.shape[0]))
-
-        cal["gws"] = set_block_scores(nested(ca, 101), y_ca, mask_ca)[1]
-        test["gws"] = _label_set_block(nested(te, 102), y_te, mask_te)
-    return cal, test
+def _rank_fit(cfg: ExperimentConfig, family: str, data, tr: slice):
+    """A ListNet fit."""
+    return listnet_train(data.x[tr], data.order[tr])
 
 
-def _rank_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te: slice):
-    """Ranking data and a ListNet fit; prefix-completion scores, and level
-    sets counted from Kendall balls across the test block."""
+def _rank_score(cfg: ExperimentConfig, family: str, weights, data, block: slice, stream) -> _Scored:
+    """Prefix-completion scores of the fitted relevances; sizes counted from
+    Kendall balls across the block."""
     psi = cfg.psi()
-    weights = listnet_train(data.x[tr], data.order[tr])
-
-    def scored(block: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rel = predict_relevances(weights, data.x[block])
-        return (rel, *prefix_block_scores(rel, data.order[block], data.lengths[block], psi))
-
-    _, strong_ca, weak_ca = scored(ca)
-    rel_te, strong_te, weak_te = scored(te)
+    rel = predict_relevances(weights, data.x[block])
+    strong, weak = prefix_block_scores(rel, data.order[block], data.lengths[block], psi)
 
     def sizes(thresholds: list[float]):
-        counts, flags = levelset_counts_batch(rel_te, psi, thresholds, cfg.m_max)
+        counts, flags = levelset_counts_batch(rel, psi, thresholds, cfg.m_max)
         if len(counts):
-            engine = _levelset_counts(RankingProblem(rel_te[0], psi), thresholds, cfg.m_max)
+            engine = _levelset_counts(RankingProblem(rel[0], psi), thresholds, cfg.m_max)
             _check_first_record("rank", [*counts[0], *flags[0]], [*engine[0], *engine[1]])
         return counts, flags
 
-    shared = (strong_te, weak_te, sizes)
-    return {"wsc": weak_ca, "fsc": strong_ca}, {"wsc": shared, "fsc": shared}
+    return _Scored(strong, weak, None, sizes)
 
 
-def _match_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te: slice):
-    """Matching data, each record's scores translated by its optimal cost, and
-    level sets counted across the test block by matching_levelset_counts."""
+def _match_fit(cfg: ExperimentConfig, family: str, data, tr: slice):
+    """No fit: the generator gives each record's costs."""
+    return None
 
-    def scored(block: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        strong, weak, base = matching_block_scores(
-            data.costs[block], data.planted[block], data.revealed[block]
-        )
-        if len(strong):
-            first = range(len(data.costs))[block][0]
-            costs = data.costs[first]
-            ref = min_matching_cost(costs)
-            engine = [matching_score(costs, data.y[first]) - ref,
-                      partial_matching_score(costs, data.weak[first]) - ref]
-            _check_first_record("match", [strong[0], weak[0]], engine, TOL)
-        return strong, weak, base
 
-    strong_ca, weak_ca, _ = scored(ca)
-    strong_te, weak_te, base_te = scored(te)
+def _match_score(cfg: ExperimentConfig, family: str, model, data, block: slice, stream) -> _Scored:
+    """Each record's scores translated by its optimal cost; sizes counted
+    across the block by matching_levelset_counts."""
+    costs = data.costs[block]
+    strong, weak, base = matching_block_scores(costs, data.planted[block], data.revealed[block])
+    if len(strong):
+        ref = min_matching_cost(costs[0])
+        engine = [matching_score(costs[0], data.y[block.start]) - ref,
+                  partial_matching_score(costs[0], data.weak[block.start]) - ref]
+        _check_first_record("match", [strong[0], weak[0]], engine, TOL)
 
     def sizes(thresholds: list[float]):
-        return matching_levelset_counts(data.costs[te], base_te, thresholds, cfg.m_max)
+        return matching_levelset_counts(costs, base, thresholds, cfg.m_max)
 
-    shared = (strong_te, weak_te, sizes)
-    return {"wsc": weak_ca, "fsc": strong_ca}, {"wsc": shared, "fsc": shared}
+    return _Scored(strong, weak, None, sizes)
 
 
-def _regress_task(cfg: ExperimentConfig, seed: int, data, tr: slice, ca: slice, te: slice):
-    """Interval data and an OLS fit; absolute-residual scores, and intervals
-    of width 2t, the same for every record."""
-    beta = synth.fit_ols(data.x[tr], data.y[tr])
-    strong_ca, weak_ca, pessimistic_ca = interval_block_scores(
-        data.x[ca] @ beta, data.y[ca], data.lo[ca], data.hi[ca]
-    )
-    strong_te, weak_te, _ = interval_block_scores(
-        data.x[te] @ beta, data.y[te], data.lo[te], data.hi[te]
+def _regress_fit(cfg: ExperimentConfig, family: str, data, tr: slice):
+    """An OLS fit."""
+    return synth.fit_ols(data.x[tr], data.y[tr])
+
+
+def _regress_score(cfg: ExperimentConfig, family: str, beta, data, block: slice, stream) -> _Scored:
+    """Absolute-residual scores; sizes are the interval width 2t, the same for
+    every record."""
+    strong, weak, pessimistic = interval_block_scores(
+        data.x[block] @ beta, data.y[block], data.lo[block], data.hi[block]
     )
 
     def sizes(thresholds: list[float]):
-        widths = np.broadcast_to(2.0 * np.asarray(thresholds), (strong_te.size, len(thresholds)))
+        widths = np.broadcast_to(2.0 * np.asarray(thresholds), (strong.size, len(thresholds)))
         return widths, np.zeros(widths.shape, dtype=bool)
 
-    shared = (strong_te, weak_te, sizes)
-    cal = {"wsc": weak_ca, "fsc": strong_ca, "pessimistic": pessimistic_ca}
-    return cal, {"wsc": shared, "fsc": shared, "pessimistic": shared}
+    return _Scored(strong, weak, pessimistic, sizes)
 
 
 @dataclass(frozen=True)
 class _Task:
     """What the harness knows of a task besides its generator (synth._TASK_DATA):
-    the function that fits and scores a trial's blocks, its default k, the methods
-    it offers, the setting reported as the CSV's param, and its sidecar score."""
+    its fit and score, its default k, the methods it offers, the setting
+    reported as the CSV's param, and the score named in the sidecar."""
 
-    blocks: Callable[..., tuple[dict, dict]]
+    fit: Callable[..., object]
+    score: Callable[..., _Scored]
     default_k: int
     methods: tuple[str, ...]
     param: str
-    score: str
+    score_name: str
 
 
 _TASKS = {
-    "classify": _Task(
-        _classify_task, 10, ("wsc", "fsc", "gws", "pessimistic"), "sigma", "cumulative_probability"
-    ),
-    "rank": _Task(_rank_task, 7, ("wsc", "fsc"), "sigma", "pairwise_discordance"),
-    "match": _Task(_match_task, 6, ("wsc", "fsc"), "noise", "translated_matching_cost"),
-    "regress": _Task(_regress_task, 0, ("wsc", "fsc", "pessimistic"), "mu", "absolute_residual"),
+    "classify": _Task(_classify_fit, _classify_score, 10, ("wsc", "fsc", "gws", "pessimistic"),
+                      "sigma", "cumulative_probability"),
+    "rank": _Task(_rank_fit, _rank_score, 7, ("wsc", "fsc"), "sigma", "pairwise_discordance"),
+    "match": _Task(_match_fit, _match_score, 6, ("wsc", "fsc"), "noise",
+                   "translated_matching_cost"),
+    "regress": _Task(_regress_fit, _regress_score, 0, ("wsc", "fsc", "pessimistic"), "mu",
+                     "absolute_residual"),
 }
 
 
@@ -383,33 +378,42 @@ _TASKS = {
 
 
 def _trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
-    """One trial of any task: generate and split the data, fit and score it,
-    calibrate each method on its calibration scores, count each test block's
-    level sets once at its methods' thresholds, and report each method's
-    coverages and sizes on the test block."""
+    """One trial of any task: generate and split the data, fit each score
+    family the methods read, score the calibration and the test block under
+    each family, calibrate each method on its calibration scores, count each
+    family's test level sets once at its methods' thresholds, and report each
+    method's coverages and sizes on the test block."""
     seed = _trial_seed(cfg.seed, trial)
+    task = _TASKS[cfg.task]
     data = synth._generate(cfg.task, cfg._generator_settings(seed))
-    split = synth.three_way_split(cfg.n, cfg.split)
-    cal, test = _TASKS[cfg.task].blocks(cfg, seed, data, *split)
+    tr, ca, te = synth.three_way_split(cfg.n, cfg.split)
+    families: dict[str, list[str]] = {}  # each family the methods read, with its methods
+    for method in cfg.methods:
+        families.setdefault(_METHODS[method][0], []).append(method)
+    models = {f: task.fit(cfg, f, data, tr) for f in families}
+
+    def scored(block: slice, role: int) -> dict[str, _Scored]:
+        stream = np.random.SeedSequence([seed, role])
+        return {f: task.score(cfg, f, models[f], data, block, stream) for f in families}
+
+    cal, test = scored(ca, 101), scored(te, 102)
     thresholds, calibration_s = {}, {}
     for method in cfg.methods:
+        family, score = _METHODS[method]
+        scores = getattr(cal[family], score)
         start = time.perf_counter()
-        thresholds[method] = conformal_threshold(cal[method], cfg.alpha).value
+        thresholds[method] = conformal_threshold(scores, cfg.alpha).value
         calibration_s[method] = time.perf_counter() - start
-    sharing: dict[int, list[str]] = {}
-    for method in cfg.methods:
-        sharing.setdefault(id(test[method]), []).append(method)
     sized = {}
-    for methods in sharing.values():
-        _, _, sizes = test[methods[0]]
-        counts, over = sizes([thresholds[m] for m in methods])
+    for family, methods in families.items():
+        counts, over = test[family].sizes([thresholds[m] for m in methods])
         for col, method in enumerate(methods):
             sized[method] = counts[:, col].astype(float), over[:, col]
     rows = []
     for method in cfg.methods:
         start = time.perf_counter()
         t = thresholds[method]
-        strong, weak, _ = test[method]
+        block = test[_METHODS[method][0]]
         sizes, over = sized[method]
         avg, p50, p90 = _size_stats(sizes)
         rows.append(
@@ -417,8 +421,8 @@ def _trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
                 trial=trial,
                 method=method,
                 param=cfg.param,
-                strong_cov=float((strong <= t).mean()),
-                weak_cov=float((weak <= t).mean()),
+                strong_cov=float((block.strong <= t).mean()),
+                weak_cov=float((block.weak <= t).mean()),
                 avg_size=avg,
                 p50_size=p50,
                 p90_size=p90,
@@ -439,7 +443,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     meta = {
         "config": dataclasses.asdict(cfg),
         "columns": CSV_COLUMNS,
-        "score": _TASKS[cfg.task].score,
+        "score": _TASKS[cfg.task].score_name,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "package_version": __version__,

@@ -3,17 +3,17 @@
 An assignment over k agents/positions is a permutation y with y[u] the
 position of agent u; its score is the sum of the chosen cost entries. The
 solver is the O(k^3) shortest-augmenting-path Hungarian with row/column
-potentials and supports forced pairs (contracted out of the problem) and
-forbidden pairs (absent from the solve). The partition backend uses it once
-per enumeration: a cell of assignment space is "these pairs forced, those
-pairs forbidden", and it carries dual potentials that are optimal for its
-best. Its second-best is found by reoptimisation (Murty's method as sped up
-by Miller, Stone & Cox and by Pedersen, Nielsen & Andersen): excluding one
-edge of the best costs one shortest augmenting path over the reduced costs,
-and a Floyd-Warshall closure over the cell's free columns (Floyd 1962)
-yields all of them at once, so a whole cell costs O(k^3). Each child cell
-starts from its parent's work: it inherits the parent's potentials instead
-of solving from scratch, and its free rows, free columns and sub-costs
+potentials and supports forced and forbidden pairs, both as absent pairs
+(infinite cost) of one solve. The partition backend uses it once per
+enumeration: a cell of assignment space is "these pairs forced, those pairs
+forbidden", and it carries dual potentials that are optimal for its best.
+Its second-best is found by reoptimisation (Murty's method as sped up by
+Miller, Stone & Cox and by Pedersen, Nielsen & Andersen): excluding one edge
+of the best costs one shortest augmenting path over the reduced costs, and
+a Floyd-Warshall closure over the cell's free columns (Floyd 1962) yields
+all of them at once, so a whole cell costs O(k^3). Each child cell starts
+from its parent's work: it inherits the parent's potentials instead of
+solving from scratch, and its free rows, free columns and sub-costs
 instead of rebuilding them from its pair sets, and a split resolves both
 children in one closure over a stack of two layers. A layer's result is
 bit-equal to a closure of that child alone, so the stack changes no output.
@@ -140,7 +140,7 @@ def _solve_square(
 
 def _total(arr: np.ndarray, y: Sequence[int]) -> float:
     # Row-order sum: every score the module reports is summed this way.
-    return float(sum(arr[uu, y[uu]] for uu in range(len(y))))
+    return float(np.cumsum(arr[np.arange(len(y)), y])[-1])
 
 
 def _check_constraints(
@@ -176,38 +176,26 @@ def hungarian(
 ) -> tuple[tuple[int, ...], float] | None:
     """Minimum-cost perfect matching under pair constraints.
 
-    Forced pairs are contracted out of the matrix; forbidden pairs are
-    absent from the solve (infinite cost), so they never compete with
-    allowed pairs at any magnitude. Returns (assignment, total cost on the
+    Both kinds of constraint are absent pairs (infinite cost) of one solve
+    over all k rows: a forced pair's row and column keep only that pair, and
+    a forbidden pair is absent itself, so absent pairs never compete with
+    allowed ones at any magnitude. Returns (assignment, total cost on the
     original matrix, summed in row order), or None when no assignment
     satisfies the constraints. Inconsistent constraints (non-injective
     forced pairs, a pair both forced and forbidden) raise ValueError.
     """
     arr = _as_cost_matrix(costs)
-    k = arr.shape[0]
-    forced_map, forbidden_set = _check_constraints(k, forced, forbidden)
-
-    free_rows = [uu for uu in range(k) if uu not in forced_map]
-    used_cols = set(forced_map.values())
-    free_cols = [vv for vv in range(k) if vv not in used_cols]
-    full = [0] * k
+    forced_map, forbidden_set = _check_constraints(arr.shape[0], forced, forbidden)
+    cost = arr.copy()
     for uu, vv in forced_map.items():
-        full[uu] = vv
-    if not free_rows:
-        return tuple(full), _total(arr, full)
-
-    cost_list = arr[np.ix_(free_rows, free_cols)].tolist()
-    row_index = {uu: a for a, uu in enumerate(free_rows)}
-    col_index = {vv: b for b, vv in enumerate(free_cols)}
-    for uu, vv in forbidden_set:
-        if uu in row_index and vv in col_index:
-            cost_list[row_index[uu]][col_index[vv]] = math.inf
-    solved = _solve_square(cost_list)
+        cost[uu, :] = cost[:, vv] = math.inf
+        cost[uu, vv] = arr[uu, vv]
+    for pair in forbidden_set:
+        cost[pair] = math.inf
+    solved = _solve_square(cost.tolist())
     if solved is None:
         return None
-    for a, b in enumerate(solved[0]):
-        full[free_rows[a]] = free_cols[b]
-    return tuple(full), _total(arr, full)
+    return tuple(solved[0]), _total(arr, solved[0])
 
 
 def matching_score(costs, y: Sequence[int]) -> float:
@@ -377,7 +365,6 @@ def matching_block_scores(costs, planted, revealed) -> tuple[np.ndarray, np.ndar
             base[rows] = _subset_dp(costs[rows])[-1]
             weak[rows] = _subset_dp(np.where(absent[rows], np.inf, costs[rows]))[-1]
     truth = costs[np.arange(n)[:, None], np.arange(k), planted]
-    # cumsum adds left to right, exactly as _total does
     strong = np.cumsum(truth, axis=1)[:, -1] - base
     return strong, weak - base, base
 
@@ -705,7 +692,6 @@ class MatchingProblem:
                 else:
                     raise PartitionError(f"the re-route of row {row_ids[src]} does not close")
                 configs.append(y)
-            # cumsum adds left to right, exactly as _total does
             totals = self.costs[np.arange(self.k), configs].cumsum(axis=1)[:, -1]
             i = int(totals.argmin())
             s = sources[i]

@@ -543,7 +543,8 @@ def levelset_counts_batch(
         last = len(ball) > _BALL_RANKINGS or size == len(ball)
         search = ~done & (last | ((below < m) & band).any(axis=1))
         for i in rows[search]:  # min(size, cap) + (size > cap): the size capped at m
-            exact[i] = sum(_levelset_counts(RankingProblem(r[i], psi), t, cap))
+            counts, over = _levelset_counts(RankingProblem(r[i], psi), t, cap)
+            exact[i] = counts + over
         rows = rows[~done & ~search]
     return np.minimum(exact, cap), exact > cap
 

@@ -74,7 +74,8 @@ def _rng(seed: int, role: int) -> np.random.Generator:
 
 def three_way_split(n: int, fractions: Sequence[float]) -> tuple[slice, slice, slice]:
     """Contiguous train/calibration/test slices with the given proportions."""
-    if len(fractions) != 3 or not all(f >= 0 for f in fractions) or abs(sum(fractions) - 1) > 1e-9:
+    if (len(fractions) != 3 or not all(f >= 0 for f in fractions)
+            or abs(math.fsum(fractions) - 1) > 1e-9):
         raise ValueError("split must be three nonnegative fractions summing to 1")
     n1 = int(round(n * fractions[0]))
     n2 = int(round(n * fractions[1]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import platform
@@ -222,6 +223,48 @@ def test_match_levelset_counts_match_engine():
             fast = int(matching_levelset_counts(costs[None], [base], [t], 50)[0][0, 0])
             engine = len(enumerate_until(MatchingProblem(costs, offset=base), float(t), cap=50).configs)
             assert fast == engine
+
+
+def test_each_score_family_is_scored_and_counted_once_per_trial(monkeypatch):
+    # the methods that read one score family share its scored blocks: each
+    # block is scored once per family, and the family's test level sets are
+    # counted in one call, one column per method
+    calls = []
+    task = harness._TASKS["classify"]
+
+    def score(cfg, family, *args):
+        scored = task.score(cfg, family, *args)
+        calls.append(("score", family))
+
+        def sizes(thresholds):
+            counts, over = scored.sizes(thresholds)
+            calls.append(("sizes", family, counts.shape[1]))
+            return counts, over
+
+        return scored._replace(sizes=sizes)
+
+    monkeypatch.setitem(harness._TASKS, "classify", dataclasses.replace(task, score=score))
+    run(ExperimentConfig(task="classify", k=4, n=80, n_trials=1,
+                         methods=("wsc", "gws", "fsc", "pessimistic")))
+    assert calls == [("score", "main"), ("score", "gws")] * 2 + [
+        ("sizes", "main", 3), ("sizes", "gws", 1)]
+
+    scored, counted = [], []
+    block_scores, levelset_counts = harness.matching_block_scores, harness.matching_levelset_counts
+
+    def scoring(costs, *args):
+        scored.append(len(costs))
+        return block_scores(costs, *args)
+
+    def counting(costs, base, thresholds, cap):
+        counted.append((len(costs), len(thresholds)))
+        return levelset_counts(costs, base, thresholds, cap)
+
+    monkeypatch.setattr(harness, "matching_block_scores", scoring)
+    monkeypatch.setattr(harness, "matching_levelset_counts", counting)
+    run(ExperimentConfig(task="match", k=4, noise=1.0, n=80, n_trials=2, methods=("fsc", "wsc")))
+    assert scored == [20, 40] * 2
+    assert counted == [(40, 2)] * 2
 
 
 def test_rank_sizes_counted_in_permutation_space():

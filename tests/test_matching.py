@@ -148,6 +148,66 @@ def test_hungarian_conflicting_constraints():
         hungarian(costs, forced=((0, 0), (1, 0)))
 
 
+def _contracted_hungarian(costs, forced=(), forbidden=()):
+    """Reference: hungarian with its forced pairs contracted out of the matrix
+    and one solve over the free rows and columns only."""
+    arr = np.asarray(costs, dtype=float)
+    k = arr.shape[0]
+    forced_map, forbidden_set = matching._check_constraints(k, forced, forbidden)
+    free_rows = [uu for uu in range(k) if uu not in forced_map]
+    used_cols = set(forced_map.values())
+    free_cols = [vv for vv in range(k) if vv not in used_cols]
+    full = [0] * k
+    for uu, vv in forced_map.items():
+        full[uu] = vv
+    if free_rows:
+        cost_list = arr[np.ix_(free_rows, free_cols)].tolist()
+        row_index = {uu: a for a, uu in enumerate(free_rows)}
+        col_index = {vv: b for b, vv in enumerate(free_cols)}
+        for uu, vv in forbidden_set:
+            if uu in row_index and vv in col_index:
+                cost_list[row_index[uu]][col_index[vv]] = math.inf
+        solved = matching._solve_square(cost_list)
+        if solved is None:
+            return None
+        for a, b in enumerate(solved[0]):
+            full[free_rows[a]] = free_cols[b]
+    total = 0.0
+    for uu in range(k):  # row order, left to right
+        total += arr[uu, full[uu]]
+    return tuple(full), float(total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 7),
+    integer_costs=st.booleans(),
+    n_forced=st.integers(0, 7),
+    density=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_absent_pair_constraints_equal_the_contraction(k, integer_costs, n_forced, density, seed):
+    # forced pairs as absent pairs of one solve over all k rows give the
+    # totals of the contracted solve bit for bit, its assignment where the
+    # optimum is unique (continuous costs), and None in the same cases
+    rng = np.random.default_rng(seed)
+    costs = rng.integers(0, 4, size=(k, k)) if integer_costs else rng.normal(size=(k, k))
+    rows = rng.permutation(k)[: min(n_forced, k)]
+    forced = list(zip(rows.tolist(), rng.permutation(k)[: rows.size].tolist()))
+    forbidden = [(u, v) for u in range(k) for v in range(k)
+                 if rng.random() < density and (u, v) not in forced]
+    got = hungarian(costs, forced=forced, forbidden=forbidden)
+    want = _contracted_hungarian(costs, forced=forced, forbidden=forbidden)
+    assert (got is None) == (want is None)
+    if got is not None:
+        perm, total = got
+        assert total == want[1]
+        assert all(perm[u] == v for u, v in forced)
+        assert all((u, perm[u]) not in forbidden for u in range(k))
+        if not integer_costs:
+            assert perm == want[0]
+
+
 def test_matching_score_and_translation():
     costs = np.array([[1.0, 2.0], [3.0, 0.5]])
     assert matching_score(costs, (0, 1)) == pytest.approx(1.5)
