@@ -177,18 +177,19 @@ def hungarian(
     """Minimum-cost perfect matching under pair constraints.
 
     Both kinds of constraint are absent pairs (infinite cost) of one solve
-    over all k rows: a forced pair's row and column keep only that pair, and
-    a forbidden pair is absent itself, so absent pairs never compete with
-    allowed ones at any magnitude. Returns (assignment, total cost on the
-    original matrix, summed in row order), or None when no assignment
-    satisfies the constraints. Inconsistent constraints (non-injective
-    forced pairs, a pair both forced and forbidden) raise ValueError.
+    over all k rows: a forced pair's row keeps only that pair, so every
+    assignment of finite cost takes it, and a forbidden pair is absent
+    itself, so absent pairs never compete with allowed ones at any
+    magnitude. Returns (assignment, total cost on the original matrix,
+    summed in row order), or None when no assignment satisfies the
+    constraints. Inconsistent constraints (non-injective forced pairs, a
+    pair both forced and forbidden) raise ValueError.
     """
     arr = _as_cost_matrix(costs)
     forced_map, forbidden_set = _check_constraints(arr.shape[0], forced, forbidden)
     cost = arr.copy()
     for uu, vv in forced_map.items():
-        cost[uu, :] = cost[:, vv] = math.inf
+        cost[uu, :] = math.inf
         cost[uu, vv] = arr[uu, vv]
     for pair in forbidden_set:
         cost[pair] = math.inf

@@ -17,10 +17,14 @@ violated the partition contract and a ``PartitionError`` is raised.
 The frontier is lazy, as A* treats a node keyed by an admissible bound
 (Hart, Nilsson & Raphael 1968): a cell that carries a ``bound`` is keyed by
 it, and its exact second-best score is read only when the cell reaches the
-top, where the entry is pushed again under that score if it is higher. A
-key is at most its entry's exact (score, creation order), so the first
-exact entry popped is the global minimum, and emission order and
-tie-breaking are those of a frontier keyed by exact scores.
+top. A key is at most its entry's exact (score, creation order), so the
+first exact entry popped is the global minimum, and emission order and
+tie-breaking are those of a frontier keyed by exact scores. A resolved
+cell whose exact (score, order) still sorts before the next entry's
+(key, order) is emitted at once, since every other entry's exact
+(score, order) is at least its key; otherwise it is pushed again under its
+exact score. So a cell whose bound rounds just under its score is popped
+once, not twice.
 
 ``Enumerator.extend_until`` emits one configuration at a time and stops at
 the first that meets a stopping rule, so it enumerates exactly up to the
@@ -140,8 +144,10 @@ class Enumerator:
         while len(self.configs) < m and self._heap:
             key, order, cell = heapq.heappop(self._heap)
             second_score = float(cell.second_score)
-            if second_score > key:
-                # a bound reached the top: its cell waits under its exact score
+            # a bound reached the top: its cell waits under its exact score,
+            # unless that still sorts before the next entry (orders differ,
+            # so the comparison never reaches the cells)
+            if second_score > key and self._heap and (second_score, order) > self._heap[0]:
                 heapq.heappush(self._heap, (second_score, order, cell))
                 continue
             if second_score < key - self._tol:

@@ -117,10 +117,18 @@ def _position_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def _pair_tuples(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """named[p][q] is the pair (p, q), one shared tuple per pair of k
-    positions: the discordant lists of ranking cells hold these, so a
-    runner-up's list allocates no tuple of its own for the collector to
+    positions: the discordant tuples of ranking cells hold these, so a
+    runner-up's pairs allocate no tuple of their own for the collector to
     count and scan."""
     return tuple(tuple((p, q) for q in range(k)) for p in range(k))
+
+
+@lru_cache(maxsize=64)
+def _exchanges(k: int) -> tuple[tuple[int, ...], ...]:
+    """exchange[i] maps each of k positions to itself, but i and i + 1 to
+    each other: where a ranking's position pair moves when its items at i
+    and i + 1 swap. Shared by every runner-up search of that k."""
+    return tuple(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, k)) for i in range(k - 1))
 
 
 def _sum_pairs(pairs: np.ndarray, rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -259,6 +267,9 @@ def prefix_block_scores(
 class RankingCell:
     """Rankings satisfying a set of 'a placed before b' constraints.
 
+    ``mask`` holds the constraints as an int: bit a * k + b set means item a
+    is placed before item b, so a split sets one bit and tests one.
+    ``constraints`` decodes it into a frozenset of those (a, b) pairs.
     ``deltas[i]`` is the exact score change of swapping the best ranking's
     items at positions i and i + 1, inf where a constraint forbids the swap.
     ``bound`` is best_score + min(deltas) - margin, a lower bound on the
@@ -267,16 +278,18 @@ class RankingCell:
     pair term is positive, in row-major order. The runner-up itself
     (``second``, ``second_score``, ``second_pos``) and its discordant pairs
     (``second_discordant``) are found on first access, so a cell that never
-    reaches the top of the best-first frontier never sums it.
+    reaches the top of the best-first frontier never sums it. ``deltas`` and
+    both discordant lists are tuples of floats or of _pair_tuples' shared
+    pairs, which the cyclic collector stops tracking after one pass.
     """
 
-    __slots__ = ("constraints", "best", "best_score", "deltas", "discordant", "bound", "_problem",
+    __slots__ = ("mask", "best", "best_score", "deltas", "discordant", "bound", "_problem",
                  "second", "second_score", "second_pos", "second_discordant")
 
-    def __init__(self, problem: "RankingProblem", constraints: frozenset[tuple[int, int]],
-                 best: tuple[int, ...], best_score: float, deltas: list[float],
-                 discordant: list[tuple[int, int]]):
-        self.constraints = constraints
+    def __init__(self, problem: "RankingProblem", mask: int, best: tuple[int, ...],
+                 best_score: float, deltas: tuple[float, ...],
+                 discordant: tuple[tuple[int, int], ...]):
+        self.mask = mask
         self.best = best
         self.best_score = best_score
         self.deltas = deltas
@@ -295,6 +308,15 @@ class RankingCell:
         self.second, self.second_score, self.second_pos, self.second_discordant = (
             self._problem._second_best(self.best, self.deltas, self.discordant))
         return getattr(self, name)
+
+    @property
+    def constraints(self) -> frozenset[tuple[int, int]]:
+        k, mask, pairs = len(self.best), self.mask, []
+        while mask:
+            low = mask & -mask
+            pairs.append(divmod(low.bit_length() - 1, k))
+            mask ^= low
+        return frozenset(pairs)
 
     def contains(self, y: Sequence[int]) -> bool:
         y = _as_permutation(y, len(self.best))
@@ -341,8 +363,10 @@ class RankingProblem:
         return total
 
     def _second_best(
-        self, best: tuple[int, ...], deltas: list[float], discordant: list[tuple[int, int]]
-    ) -> tuple[tuple[int, ...] | None, float | None, int | None, list[tuple[int, int]] | None]:
+        self, best: tuple[int, ...], deltas: tuple[float, ...],
+        discordant: tuple[tuple[int, int], ...]
+    ) -> tuple[tuple[int, ...] | None, float | None, int | None,
+               tuple[tuple[int, int], ...] | None]:
         """A cell's runner-up, the adjacent transposition of its best with
         the smallest re-summed score among the allowed swaps, ties going to
         the lowest position, and its discordant pairs. Only the swaps whose
@@ -363,13 +387,13 @@ class RankingProblem:
         limit = low + self.margin
         table = self._table
         named = _pair_tuples(self.k)
+        exchanges = _exchanges(self.k)
         found = None
         for i, d in enumerate(deltas):
             if d <= limit:
                 j = i + 1
                 y = best[:i] + (best[j], best[i]) + best[j + 1 :]
-                exchange = list(range(self.k))
-                exchange[i], exchange[j] = j, i
+                exchange = exchanges[i]
                 pairs = [named[exchange[p]][exchange[q]] for p, q in discordant]
                 if table[best[i]][best[j]] > 0.0:  # (i, j) was discordant: now (j, i)
                     pairs.remove(named[j][i])
@@ -381,33 +405,33 @@ class RankingProblem:
                     s += table[y[p]][y[q]]
                 if found is None or s < found[1]:  # strict: the lowest position wins ties
                     found = (y, s, i, pairs)
-        return found
+        y, s, i, pairs = found
+        return y, s, i, tuple(pairs)
 
     def root(self) -> RankingCell:
         best = best_ranking(self.r)
         swap = self._swap
-        deltas = [swap[a][b] for a, b in zip(best, best[1:])]
-        return RankingCell(self, frozenset(), best, self.score(best), deltas, [])
+        deltas = tuple([swap[a][b] for a, b in zip(best, best[1:])])
+        return RankingCell(self, 0, best, self.score(best), deltas, ())
 
     def split(self, cell: RankingCell) -> tuple[RankingCell, RankingCell]:
         if cell.second is None or cell.second_pos is None:
             raise ValueError("cannot split a cell without a second-best")
-        i = cell.second_pos
+        i, k, mask = cell.second_pos, self.k, cell.mask
         best, second = cell.best, cell.second
         a, b = best[i], best[i + 1]
-        kept = cell.deltas.copy()
-        kept[i] = math.inf
-        keep = RankingCell(self, cell.constraints | {(a, b)}, best, cell.best_score, kept,
+        kept = cell.deltas[:i] + (math.inf,) + cell.deltas[i + 1 :]
+        keep = RankingCell(self, mask | 1 << (a * k + b), best, cell.best_score, kept,
                            cell.discordant)
         # second places b directly above a, which the new constraint fixes;
         # only the pairs beside it differ from the parent's
-        moved = kept.copy()
+        moved = list(kept)
         for j in (i - 1, i + 1):
-            if 0 <= j < self.k - 1:
+            if 0 <= j < k - 1:
                 x, z = second[j], second[j + 1]
-                moved[j] = math.inf if (x, z) in cell.constraints else self._swap[x][z]
-        return keep, RankingCell(self, cell.constraints | {(b, a)}, second, cell.second_score, moved,
-                                 cell.second_discordant)
+                moved[j] = math.inf if mask >> (x * k + z) & 1 else self._swap[x][z]
+        return keep, RankingCell(self, mask | 1 << (b * k + a), second, cell.second_score,
+                                 tuple(moved), cell.second_discordant)
 
 
 # --- level-set counts from Kendall balls -------------------------------------

@@ -246,3 +246,65 @@ def test_cells_reject_a_configuration_that_is_not_a_permutation():
                            ((1.5, 0, 2), "an item must be an integer, not 1.5")):
             with pytest.raises(ValueError, match=message):
                 cell.contains(y)
+
+
+def test_a_lazy_frontier_pops_once_per_emitted_configuration(monkeypatch):
+    # on distinct scores a resolved cell is still the minimum, so it is
+    # emitted at once rather than pushed back under its exact score
+    pops = []
+    heappop = heapq.heappop
+
+    def counted(heap):
+        pops.append(None)
+        return heappop(heap)
+
+    monkeypatch.setattr(mbest.heapq, "heappop", counted)
+    r = np.random.default_rng(0).normal(size=10)
+    res = m_best(RankingProblem(r, PsiSpec.hinge()), 2000)
+    assert len(res) == 2000
+    assert len(pops) == 1999
+
+
+def _assert_split_partitions(parent, keep, moved, k):
+    for y in permutations(range(k)):
+        assert keep.contains(y) + moved.contains(y) == parent.contains(y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 6),
+    kind=st.sampled_from(["gaussian", "ties"]),
+    psi_kind=st.sampled_from(["hinge", "exp"]),
+    seed=st.integers(0, 2**32 - 1),
+    walk=st.lists(st.booleans(), max_size=12),
+)
+def test_a_ranking_split_partitions_its_parent(k, kind, psi_kind, seed, walk):
+    r, psi = _relevances(kind, k, psi_kind, np.random.default_rng(seed))
+    problem, eager_problem = RankingProblem(r, psi), _EagerRanking(r, psi)
+    cell, eager = problem.root(), eager_problem.root()
+    for pick in walk:
+        assert cell.constraints == eager.constraints
+        assert cell.best == eager.best
+        if cell.second is None:
+            break
+        children, eager_children = problem.split(cell), eager_problem.split(eager)
+        _assert_split_partitions(cell, *children, k)
+        cell, eager = children[pick], eager_children[pick]
+    assert cell.constraints == eager.constraints
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    walk=st.lists(st.booleans(), max_size=12),
+)
+def test_a_matching_split_partitions_its_parent(k, seed, walk):
+    problem = MatchingProblem(np.random.default_rng(seed).integers(0, 4, size=(k, k)))
+    cell = problem.root()
+    for pick in walk:
+        if cell.second is None:
+            break
+        children = problem.split(cell)
+        _assert_split_partitions(cell, *children, k)
+        cell = children[pick]

@@ -604,7 +604,7 @@ def test_runner_up_sums_over_discordant_pairs_equal_the_full_sum(k, kind, c, see
     table = problem._table
 
     def positive_pairs(y):
-        return [(i, j) for i in range(k) for j in range(i + 1, k) if table[y[i]][y[j]] > 0.0]
+        return tuple((i, j) for i in range(k) for j in range(i + 1, k) if table[y[i]][y[j]] > 0.0)
 
     res = m_best(problem, min(math.factorial(k), 300))
     for y, s in zip(res.configs, res.scores):

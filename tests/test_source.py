@@ -1,4 +1,5 @@
-"""Checks over the source text: the syntax the package supports, and how it sums."""
+"""Checks over the source text: the syntax the package supports, how it sums,
+and that it leaves the cyclic collector's settings alone."""
 import ast
 from pathlib import Path
 
@@ -29,5 +30,26 @@ def test_the_package_calls_no_builtin_sum():
     for path in _sources("src/weakconformal"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum":
+                calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert calls == []
+
+
+def test_the_package_leaves_the_cyclic_collector_alone():
+    # collector time is cut by allocating fewer tracked objects, never by
+    # switching the collector off, freezing the heap, moving its thresholds
+    # or collecting by hand: those settings belong to the process that
+    # imports the package
+    settings = {"disable", "freeze", "set_threshold", "collect"}
+    calls = []
+    for path in _sources("src/weakconformal"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (
+                isinstance(node, ast.Attribute) and node.attr in settings
+                and getattr(node.value, "id", None) == "gc"
+            ) or (
+                isinstance(node, ast.ImportFrom) and node.module == "gc"
+                and any(alias.name in settings for alias in node.names)
+            )
+            if named:
                 calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert calls == []
